@@ -17,6 +17,7 @@ from .errors import (
     InputError,
     NumericError,
 )
+from .runner import run_scenario
 
 __all__ = [
     "__version__",
@@ -34,9 +35,3 @@ __all__ = [
     "run_scenario",
     "validate_config",
 ]
-
-
-def run_scenario(cfg, out_dir: str = "."):
-    from .runner import run_scenario as _run
-
-    return _run(cfg, out_dir=out_dir)

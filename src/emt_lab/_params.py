@@ -1,0 +1,77 @@
+"""Parameters declared once, as dataclass fields made by `param`.
+
+The annotation gives the type, the default the default, and the keywords the
+bounds ("min", "exmin", "max", "exmax") and "choices". `check` enforces them
+on an instance; config derives validation and `emt-lab schema` from them.
+"""
+
+from __future__ import annotations
+
+import copy
+from dataclasses import MISSING, field, fields
+
+from .errors import DomainError, InputError
+
+_BOUNDS = (
+    ("min", ">=", lambda v, b: v >= b),
+    ("exmin", ">", lambda v, b: v > b),
+    ("max", "<=", lambda v, b: v <= b),
+    ("exmax", "<", lambda v, b: v < b),
+)
+
+_TYPES = {"float": "number", "int": "integer", "str": "string", "bool": "boolean",
+          "dict": "object", "list": "array"}
+
+
+def param(default=MISSING, **bounds):
+    """A parameter field with optional default, bounds and choices."""
+    meta = {"param": bounds}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def param_of(cls, name: str):
+    """A parameter field with the default and bounds of `cls`'s field `name`."""
+    f = cls.__dataclass_fields__[name]
+    return field(default=f.default, metadata=f.metadata)
+
+
+def bound_problems(name: str, bounds: dict, value) -> list:
+    """One message per bound or choice of `bounds` that `value` breaks."""
+    out = []
+    if "choices" in bounds and value not in bounds["choices"]:
+        out.append(f"{name}: must be one of {list(bounds['choices'])}, got {value!r}")
+    for key, op, holds in _BOUNDS:
+        if key in bounds and not holds(value, bounds[key]):
+            out.append(f"{name}: must be {op} {bounds[key]}, got {value}")
+    return out
+
+
+def check(obj) -> None:
+    """Raise if a parameter field of `obj` breaks its bounds or choices."""
+    for f in fields(obj):
+        bounds = f.metadata.get("param")
+        if bounds is not None:
+            problems = bound_problems(f.name, bounds, getattr(obj, f.name))
+            if problems:
+                error = InputError if "choices" in bounds else DomainError
+                raise error("; ".join(problems))
+
+
+class Params:
+    """Base of dataclasses with parameter fields: they are checked when built."""
+
+    def __post_init__(self):
+        check(self)
+
+
+def schema(cls) -> dict:
+    """Type, default, bounds and choices of every parameter field of `cls`."""
+    out = {}
+    for f in fields(cls):
+        if "param" in f.metadata:
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            kind = _TYPES[f.type.split(" |")[0]]
+            out[f.name] = {"type": kind, "default": default, **f.metadata["param"]}
+    return out

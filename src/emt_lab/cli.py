@@ -1,6 +1,6 @@
 """Command-line interface.
 
-  emt-lab run <config.json> [...] [--out DIR] [--seed N] [--jobs N]
+  emt-lab run <config.json> [...] [--out DIR] [--seed N]
   emt-lab verify            run every bundled scenario and its checks
   emt-lab schema <module>   print the parameter schema for a module
 
@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from . import __version__
@@ -36,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("configs", nargs="+", metavar="config.json")
     run_p.add_argument("--out", default=".", help="output directory (default: .)")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel scenario runs")
 
     sub.add_parser("verify", help="run all bundled scenarios and their checks")
 
@@ -75,11 +73,7 @@ def _cmd_run(args) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        if args.jobs > 1 and len(configs) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(lambda c: _run_one(c, args.out), configs))
-        else:
-            reports = [_run_one(cfg, args.out) for cfg in configs]
+        reports = [_run_one(cfg, args.out) for cfg in configs]
     except EmtLabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

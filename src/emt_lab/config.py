@@ -1,149 +1,38 @@
-"""Scenario configuration: schemas, loading, and validation.
+"""Scenario configuration: loading and validation.
 
 A scenario is a single JSON document naming a module, a module-specific
-parameter block, a master seed, and an output sink. Validation is strict
-(unknown keys are rejected, with a closest-known-key suggestion) and
-collects every problem before failing, so a bad config reports all of its
-errors in one pass.
+parameter block, a master seed, and an output sink. A module's parameters
+are the fields of its `Scenario` dataclass (see `_params`), so validation,
+defaults and `emt-lab schema` are all derived from them. Validation is strict
+(unknown keys are rejected, with a closest-known-key suggestion) and collects
+every problem before failing, so a bad config reports all of its errors in
+one pass. It ends by building the Scenario, so cross-field checks fail here
+too, before anything runs.
 """
 
 from __future__ import annotations
 
 import difflib
 import hashlib
+import importlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from ._params import bound_problems, schema as param_schema
+from .errors import ConfigError, EmtLabError
 
-MODULES = ("epistemic", "growth", "evt", "gravity", "mdp", "feedback", "game", "policy")
-
-# Each field: type ("number" | "integer" | "string" | "boolean" | "object" |
-# "array"), default, and optional "min" / "exmin" (exclusive) / "max" /
-# "choices" bounds. Deeper domain constraints live in the module types.
-_SCHEMAS: dict = {
-    "epistemic": {
-        "theta0": {"type": "number", "default": 1.0, "exmin": 0},
-        "p_bar": {"type": "number", "default": 10.0, "exmin": 0},
-        "eps_resid": {"type": "number", "default": 0.01, "min": 0},
-        "alpha_prod": {"type": "number", "default": 1.0, "min": 0},
-        "phi_elast": {"type": "number", "default": 1.0, "min": 0},
-        "c0": {"type": "number", "default": 1.0, "exmin": 0},
-        "alpha_cost": {"type": "number", "default": 1.0, "min": 0},
-        "theta_star": {"type": "number", "default": 0.1, "exmin": 0},
-        "lp": {"type": "number", "default": 1.0, "min": 0},
-        "a0": {"type": "number", "default": 1.0, "min": 0},
-        "a_growth": {"type": "number", "default": 0.5, "min": 0},
-        "p0": {"type": "number", "default": 0.0, "min": 0},
-        "dt": {"type": "number", "default": 0.1, "exmin": 0},
-        "horizon": {"type": "integer", "default": 200, "min": 1},
-        "n_problems": {"type": "integer", "default": 10, "min": 0},
-        "complexity_mean": {"type": "number", "default": 2.0, "exmin": 0},
-        "eta_rate": {"type": "number", "default": 1.0, "min": 0},
-        "lambda_align": {"type": "number", "default": 1.0, "min": 0, "max": 1},
-        "eps_floor": {"type": "number", "default": 1e-6, "exmin": 0},
-    },
-    "growth": {
-        "alpha": {"type": "number", "default": 0.5, "exmin": 0, "exmax": 1},
-        "a0": {"type": "number", "default": 1.0, "min": 0},
-        "k0": {"type": "number", "default": 1.0, "min": 0},
-        "l0": {"type": "number", "default": 1.0, "min": 0},
-        "delta_r": {"type": "number", "default": 0.05, "exmin": 0},
-        "phi_r": {"type": "number", "default": 1.0, "min": 0, "max": 1},
-        "l_a": {"type": "number", "default": 1.0, "min": 0},
-        "n_lines": {"type": "integer", "default": 1000, "min": 1},
-        "lambda_step": {"type": "number", "default": 1.5, "exmin": 1},
-        "pi_flow": {"type": "number", "default": 1.0, "exmin": 0},
-        "psi": {"type": "number", "default": 0.5, "exmin": 0},
-        "r_rate": {"type": "number", "default": 0.05, "exmin": 0},
-        "delta_obs": {"type": "number", "default": 0.0, "min": 0},
-        "dt": {"type": "number", "default": 0.1, "exmin": 0},
-        "horizon": {"type": "integer", "default": 100, "min": 1},
-    },
-    "evt": {
-        "family": {
-            "type": "string",
-            "default": "exponential",
-            "choices": ("exponential", "uniform", "pareto", "lognormal", "weibull"),
-        },
-        "family_params": {"type": "object", "default": {}},
-        "k_draws": {"type": "integer", "default": 1000, "min": 1},
-        "replicates": {"type": "integer", "default": 2000, "min": 1},
-        "ks_threshold": {"type": "number", "default": 0.05, "exmin": 0},
-        "write_m_values": {"type": "boolean", "default": False},
-    },
-    "gravity": {
-        "n_vec": {"type": "array", "default": [5.0, 4.0, 3.0, 2.0, 1.0]},
-        "d_mat": {
-            "type": "array",
-            "default": [[1.0, 2.0], [2.0, 1.0], [1.0, 1.5], [2.5, 2.0], [1.5, 1.0]],
-        },
-        "p_vec": {"type": "array", "default": [1.0, 1.0]},
-        "g_resp": {"type": "number", "default": 1.0, "min": 0},
-        "alpha_g": {"type": "number", "default": 1.0, "min": 0},
-        "beta_g": {"type": "number", "default": 1.0, "min": 0},
-        "production": {"type": "object", "default": {"a": 1.0, "k": 1.0, "l": 1.0, "alpha": 0.5}},
-        "kappa": {"type": "number", "default": 0.05, "min": 0},
-        "horizon": {"type": "integer", "default": 50, "min": 1},
-        "coverage_eps": {"type": "number", "default": 1e-3, "exmin": 0},
-        "check_dominance": {"type": "boolean", "default": False},
-    },
-    "mdp": {
-        "rewards": {"type": "array", "default": [[0.0, 1.0]]},
-        "shock_probs": {"type": "array", "default": [1.0]},
-        "transition": {"type": "array", "default": [[[0], [0]]]},
-        "beta": {"type": "number", "default": 0.9, "exmin": 0, "exmax": 1},
-        "tol": {"type": "number", "default": 1e-12, "exmin": 0},
-        "max_iter": {"type": "integer", "default": 100000, "min": 1},
-        "legacy_policy": {"type": "array", "default": None},
-    },
-    "feedback": {
-        "gamma0": {"type": "number", "default": 1.0, "min": 0},
-        "theta_meta": {"type": "number", "default": 0.0},
-        "phi_gain": {"type": "number", "default": 1.0},
-        "noise_sd": {"type": "number", "default": 0.0, "min": 0},
-        "e_target": {"type": "number", "default": 1.0},
-        "dt": {"type": "number", "default": 1e-3, "exmin": 0},
-        "horizon": {"type": "integer", "default": 6284, "min": 1},
-        "o0": {"type": "number", "default": 0.0},
-        "a0": {"type": "number", "default": 0.0},
-        "settle_threshold": {"type": "number", "default": 1e-2, "exmin": 0},
-        "check_settled": {"type": "boolean", "default": False},
-        "expect_unstable": {"type": "boolean", "default": False},
-    },
-    "game": {
-        "n_players": {"type": "integer", "default": 2, "min": 2},
-        "payoff_cc": {"type": "number", "default": 2.0},
-        "payoff_defector": {"type": "number", "default": 3.0},
-        "payoff_victim": {"type": "number", "default": 0.0},
-        "payoff_dd": {"type": "number", "default": 1.0},
-        "p_disc": {"type": "number", "default": 0.5, "min": 0, "max": 1},
-        "delta_disc": {"type": "number", "default": 0.9, "exmin": 0, "exmax": 1},
-        "horizon": {"type": "integer", "default": 2, "min": 1},
-        "penalty_mode": {
-            "type": "string",
-            "default": "lexicographic",
-            "choices": ("lexicographic", "finite"),
-        },
-        "omega": {"type": "number", "default": 0.0, "max": 0},
-        "strategy_class": {
-            "type": "string",
-            "default": "constant",
-            "choices": ("constant", "memory1"),
-        },
-    },
-    "policy": {
-        "occupations": {
-            "type": "array",
-            "default": [
-                {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0},
-                {"w": 1.0, "l_bar": 2.0, "eta": 1.0, "lambda_align": 1.0},
-                {"w": 2.0, "l_bar": 1.0, "eta": 2.0, "lambda_align": 3.0},
-            ],
-        },
-        "budget": {"type": "number", "default": 2.0, "exmin": 0},
-        "tol": {"type": "number", "default": 1e-10, "exmin": 0},
-    },
+# Scenario module name -> the emt_lab module defining its `Scenario` dataclass,
+# its artifact `FORMAT` and `run(scenario, seed) -> (artifact, checks)`. It is
+# imported on first use, so a run loads only what its scenario needs.
+MODULES = {
+    "epistemic": "epistemic",
+    "growth": "growth",
+    "evt": "recombinant",
+    "gravity": "gravity",
+    "mdp": "dynprog",
+    "feedback": "feedback",
+    "game": "game",
+    "policy": "policy",
 }
 
 _TOP_LEVEL = {
@@ -159,18 +48,6 @@ _OUTPUT_KEYS = {
     "path": {"type": "string", "default": None},
 }
 
-# Native artifact format per module; used when output.format is omitted.
-DEFAULT_FORMAT = {
-    "epistemic": "csv",
-    "growth": "csv",
-    "evt": "json",
-    "gravity": "csv",
-    "mdp": "json",
-    "feedback": "csv",
-    "game": "json",
-    "policy": "json",
-}
-
 _TYPE_CHECKS = {
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -181,9 +58,14 @@ _TYPE_CHECKS = {
 }
 
 
+def scenario_module(module: str):
+    """The emt_lab module behind a scenario module name."""
+    return importlib.import_module(f"{__package__}.{MODULES[module]}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated scenario ready to run."""
+    """A fully validated scenario ready to run; `scenario` is built from `params`."""
 
     name: str
     module: str
@@ -191,6 +73,11 @@ class ScenarioConfig:
     seed: int = 0
     output_format: str = "csv"
     output_path: str | None = None
+    scenario: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scenario = scenario_module(self.module).Scenario(**self.params)
+        object.__setattr__(self, "scenario", scenario)
 
     def canonical(self) -> dict:
         return {
@@ -212,18 +99,7 @@ def _check_value(prefix: str, key: str, spec: dict, value, problems: list):
     if not _TYPE_CHECKS[spec["type"]](value):
         problems.append(f"{prefix}{key}: expected {spec['type']}, got {value!r}")
         return
-    if "choices" in spec and value not in spec["choices"]:
-        problems.append(
-            f"{prefix}{key}: must be one of {list(spec['choices'])}, got {value!r}"
-        )
-    if "min" in spec and value < spec["min"]:
-        problems.append(f"{prefix}{key}: must be >= {spec['min']}, got {value}")
-    if "exmin" in spec and value <= spec["exmin"]:
-        problems.append(f"{prefix}{key}: must be > {spec['exmin']}, got {value}")
-    if "max" in spec and value > spec["max"]:
-        problems.append(f"{prefix}{key}: must be <= {spec['max']}, got {value}")
-    if "exmax" in spec and value >= spec["exmax"]:
-        problems.append(f"{prefix}{key}: must be < {spec['exmax']}, got {value}")
+    problems.extend(prefix + p for p in bound_problems(key, spec, value))
 
 
 def _check_block(prefix: str, schema: dict, block: dict, problems: list) -> dict:
@@ -252,25 +128,32 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if top.get("module") is None:
         problems.append("module: required")
     module = top.get("module")
+    known = isinstance(module, str) and module in MODULES
     params = top.get("params") or {}
-    if module in _SCHEMAS and isinstance(params, dict):
-        params = _check_block("params.", _SCHEMAS[module], params, problems)
+    if known and isinstance(params, dict):
+        params = _check_block("params.", module_schema(module), params, problems)
     output = top.get("output") or {}
     if isinstance(output, dict):
         output = _check_block("output.", _OUTPUT_KEYS, output, problems)
     else:
         output = {"format": None, "path": None}
+    fmt = output["format"]
+    native = scenario_module(module).FORMAT if known else None
+    if native and fmt in ("csv", "json") and fmt != native:
+        problems.append(f"output.format: module {module!r} produces {native} output, got {fmt!r}")
     if problems:
         raise ConfigError(problems)
-    fmt = output["format"] or DEFAULT_FORMAT[module]
-    return ScenarioConfig(
-        name=top["name"],
-        module=module,
-        params=params,
-        seed=top["seed"],
-        output_format=fmt,
-        output_path=output["path"],
-    )
+    try:
+        return ScenarioConfig(
+            name=top["name"],
+            module=module,
+            params=params,
+            seed=top["seed"],
+            output_format=fmt or native,
+            output_path=output["path"],
+        )
+    except (EmtLabError, TypeError, ValueError) as exc:
+        raise ConfigError([f"params: {exc}"]) from exc
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -289,8 +172,8 @@ def load_config(path: str) -> ScenarioConfig:
 
 def module_schema(module: str) -> dict:
     """Parameter schema (types, defaults, bounds) for one module."""
-    if module not in _SCHEMAS:
+    if module not in MODULES:
         raise ConfigError(
             [f"unknown module {module!r}; choose from {', '.join(MODULES)}"]
         )
-    return {k: dict(v) for k, v in _SCHEMAS[module].items()}
+    return param_schema(scenario_module(module).Scenario)

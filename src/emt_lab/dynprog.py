@@ -13,11 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._params import Params, param
 from .errors import ConvergenceError, DomainError, InputError, NumericError
 
+FORMAT = "json"
 
-@dataclass
-class MdpSpec:
+
+@dataclass(frozen=True)
+class MdpSpec(Params):
     """Finite MDP with a finite shock support.
 
     rewards     (n_states, n_actions) table r(s, a)
@@ -29,12 +32,12 @@ class MdpSpec:
     rewards: np.ndarray
     shock_probs: np.ndarray
     transition: np.ndarray
-    beta: float
+    beta: float = param(0.9, exmin=0, exmax=1)
 
     def __post_init__(self):
-        self.rewards = np.atleast_2d(np.asarray(self.rewards, dtype=float))
-        self.shock_probs = np.asarray(self.shock_probs, dtype=float)
-        self.transition = np.asarray(self.transition, dtype=int)
+        object.__setattr__(self, "rewards", np.atleast_2d(np.asarray(self.rewards, dtype=float)))
+        object.__setattr__(self, "shock_probs", np.asarray(self.shock_probs, dtype=float))
+        object.__setattr__(self, "transition", np.asarray(self.transition, dtype=int))
         n_s, n_a = self.rewards.shape
         if n_s < 1 or n_a < 1:
             raise InputError("need at least one state and one action")
@@ -52,8 +55,7 @@ class MdpSpec:
             )
         if np.any(self.transition < 0) or np.any(self.transition >= n_s):
             raise InputError("transitions must land in valid states")
-        if not 0 < self.beta < 1:
-            raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
+        super().__post_init__()
 
     @property
     def n_states(self) -> int:
@@ -195,3 +197,32 @@ def enumerate_policies_value(spec: MdpSpec) -> tuple[np.ndarray, np.ndarray]:
         if total > best_sum:
             best_sum, best_pi = total, pi
     return best_v, best_pi
+
+
+@dataclass(frozen=True)
+class Scenario(MdpSpec):
+    """One MDP solve, plus the real-time surplus over an optional legacy policy."""
+
+    rewards: list = param([[0.0, 1.0]])
+    shock_probs: list = param([1.0])
+    transition: list = param([[[0], [0]]])
+    tol: float = param(1e-12, exmin=0)
+    max_iter: int = param(100000, min=1)
+    legacy_policy: list | None = param(None)
+
+
+def run(scenario: Scenario, seed: int):
+    """Values, greedy policy and solver telemetry, plus the surplus check."""
+    sol = value_iteration(scenario, tol=scenario.tol, max_iter=scenario.max_iter)
+    report = {
+        "values": [float(v) for v in sol.values],
+        "policy": [int(a) for a in sol.policy],
+        "iterations": sol.iterations,
+        "residual": sol.residual,
+    }
+    checks = {}
+    if scenario.legacy_policy is not None:
+        surplus = realtime_surplus(scenario, np.array(scenario.legacy_policy, dtype=int))
+        report["realtime_surplus"] = [float(s) for s in surplus]
+        checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)
+    return report, checks

@@ -11,16 +11,20 @@ cost of producing a new idea.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._params import Params, param, param_of
+from ._rng import make_generator
 from .errors import DomainError, InputError, NumericError
+
+FORMAT = "csv"
 
 
 @dataclass(frozen=True)
-class EpistemicParams:
+class EpistemicParams(Params):
     """Structural parameters of one epistemic domain.
 
     theta0      baseline uncertainty in the pre-threshold regime (> 0)
@@ -34,29 +38,20 @@ class EpistemicParams:
     lp          research labor allocated to the domain
     """
 
-    theta0: float = 1.0
-    p_bar: float = 10.0
-    eps_resid: float = 0.01
-    alpha_prod: float = 1.0
-    phi_elast: float = 1.0
-    c0: float = 1.0
-    alpha_cost: float = 1.0
-    theta_star: float = 0.1
-    lp: float = 1.0
+    theta0: float = param(1.0, exmin=0)
+    p_bar: float = param(10.0, exmin=0)
+    eps_resid: float = param(0.01, min=0)
+    alpha_prod: float = param(1.0, min=0)
+    phi_elast: float = param(1.0, min=0)
+    c0: float = param(1.0, exmin=0)
+    alpha_cost: float = param(1.0, min=0)
+    theta_star: float = param(0.1, exmin=0)
+    lp: float = param(1.0, min=0)
 
     def __post_init__(self):
-        if self.theta0 <= 0:
-            raise DomainError("theta0 must be > 0")
-        if self.p_bar <= 0:
-            raise DomainError("p_bar must be > 0")
-        if not 0 <= self.eps_resid < self.theta0:
+        super().__post_init__()
+        if not self.eps_resid < self.theta0:
             raise DomainError("eps_resid must satisfy 0 <= eps_resid < theta0")
-        if self.c0 <= 0:
-            raise DomainError("c0 must be > 0")
-        if self.alpha_cost < 0 or self.phi_elast < 0 or self.lp < 0:
-            raise DomainError("alpha_cost, phi_elast and lp must be >= 0")
-        if self.theta_star <= 0:
-            raise DomainError("theta_star must be > 0")
 
 
 @dataclass(frozen=True)
@@ -160,20 +155,14 @@ class Problem:
 
 @dataclass
 class ProblemPool:
-    """Dynamic pool of problems with emergence rate and alignment weighting."""
+    """Dynamic pool of problems with emergence rate and alignment weighting.
+
+    Rebuilt every step, it does not check its parameters; Scenario does."""
 
     problems: list = field(default_factory=list)
-    eta_rate: float = 1.0
-    lambda_align: float = 1.0
-    eps_floor: float = 1e-6
-
-    def __post_init__(self):
-        if self.eps_floor <= 0:
-            raise DomainError("eps_floor must be > 0")
-        if not 0 <= self.lambda_align <= 1:
-            raise DomainError("lambda_align must lie in [0, 1]")
-        if self.eta_rate < 0:
-            raise DomainError("eta_rate must be >= 0")
+    eta_rate: float = param(1.0, min=0)
+    lambda_align: float = param(1.0, min=0, max=1)
+    eps_floor: float = param(1e-6, exmin=0)
 
     @property
     def open_problems(self) -> list:
@@ -239,7 +228,7 @@ def step_problem_pool(
         if pr.open:
             p_resolve = min(1.0, pool.lambda_align * next(probs_iter) * dt)
             if rng.random() < p_resolve:
-                pr = replace_problem(pr, open=False)
+                pr = Problem(pr.id, pr.complexity, open=False)
         new_problems.append(pr)
 
     mean_c = (
@@ -257,10 +246,6 @@ def step_problem_pool(
         eps_floor=pool.eps_floor,
     )
     return new_pool, output.r > pool.eta_rate
-
-
-def replace_problem(pr: Problem, **changes) -> Problem:
-    return replace(pr, **changes)
 
 
 def hamiltonian_value(
@@ -301,3 +286,58 @@ def inversion_crossing(
         if c < theta_star:
             return t
     return None
+
+
+@dataclass(frozen=True)
+class Scenario(EpistemicParams):
+    """One run of the domain: `horizon` steps of `dt` from stock p0, with
+    capability a0 growing by a_growth per unit time and a problem pool."""
+
+    a0: float = param(1.0, min=0)
+    a_growth: float = param(0.5, min=0)
+    p0: float = param(0.0, min=0)
+    dt: float = param(0.1, exmin=0)
+    horizon: int = param(200, min=1)
+    n_problems: int = param(10, min=0)
+    complexity_mean: float = param(2.0, exmin=0)
+    eta_rate: float = param_of(ProblemPool, "eta_rate")
+    lambda_align: float = param_of(ProblemPool, "lambda_align")
+    eps_floor: float = param_of(ProblemPool, "eps_floor")
+
+
+def run(scenario: Scenario, seed: int):
+    """Trajectory of the domain and its pool, plus the mode-transition checks."""
+    s = scenario
+    rng_init = make_generator(seed, 0)
+    rng_pool = make_generator(seed, 1)
+    problems = [
+        Problem(id=i, complexity=float(rng_init.exponential(s.complexity_mean)))
+        for i in range(s.n_problems)
+    ]
+    pool = ProblemPool(problems=problems, eta_rate=s.eta_rate,
+                       lambda_align=s.lambda_align, eps_floor=s.eps_floor)
+    state = initial_state(s, a_cap=s.a0, p0=s.p0)
+    out = research_output(pool, state.a_cap)
+    rows = [[state.t, state.p, state.theta, state.c, state.pi, state.inverted,
+             out.r, len(pool.open_problems), out.r > pool.eta_rate]]
+    pis = [state.pi]
+    transition_ok = True
+    for _ in range(s.horizon):
+        pool, surplus = step_problem_pool(pool, out, s.dt, rng_pool)
+        state = step_knowledge(state, s, s.dt)
+        # capability grows between steps; refresh the cost-side quantities
+        a_cap = state.a_cap + s.a_growth * s.dt
+        c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
+        state = EpistemicState(
+            t=state.t, p=state.p, theta=state.theta, c=c, a_cap=a_cap,
+            pi=state.pi, inverted=c < s.theta_star,
+        )
+        out = research_output(pool, state.a_cap)
+        rows.append([state.t, state.p, state.theta, state.c, state.pi,
+                     state.inverted, out.r, len(pool.open_problems), surplus])
+        pis.append(state.pi)
+        if state.p >= s.p_bar and state.theta != s.eps_resid:
+            transition_ok = False
+    pi_monotone = all(b >= a - 1e-15 for a, b in zip(pis, pis[1:]))
+    header = ["t", "P", "theta", "C", "pi", "inverted", "R", "pool_size", "surplus"]
+    return (header, rows), {"mode_transition": transition_ok, "pi_monotone": pi_monotone}

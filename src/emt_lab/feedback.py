@@ -11,37 +11,30 @@ enabled, enters Euler-Maruyama style with sqrt(dt) scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+from ._params import Params, param
 from ._rng import make_generator
 from .errors import DomainError, NumericError
 
+FORMAT = "csv"
+
 
 @dataclass(frozen=True)
-class FeedbackParams:
+class FeedbackParams(Params):
     """Loop parameters; e_target may be a constant or a callable of t."""
 
-    gamma0: float = 1.0
-    theta_meta: float = 0.0
-    phi_gain: float = 1.0
-    noise_sd: float = 0.0
-    e_target: float | Callable[[float], float] = 1.0
-    dt: float = 1e-3
-    horizon: int = 1000
+    gamma0: float = param(1.0, min=0)
+    theta_meta: float = param(0.0)
+    phi_gain: float = param(1.0)
+    noise_sd: float = param(0.0, min=0)
+    e_target: float | Callable[[float], float] = param(1.0)
+    dt: float = param(1e-3, exmin=0)
+    horizon: int = param(6284, min=1)
     seed: int = 0
-    o0: float = 0.0
-    a0: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma0 < 0:
-            raise DomainError("gamma0 must be >= 0")
-        if self.noise_sd < 0:
-            raise DomainError("noise_sd must be >= 0")
-        if self.dt <= 0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
-        if self.horizon < 1:
-            raise DomainError("horizon must be >= 1")
+    o0: float = param(0.0)
+    a0: float = param(0.0)
 
     def target(self, t: float) -> float:
         if callable(self.e_target):
@@ -116,3 +109,24 @@ def loop_diagnostics(traj: Sequence[FeedbackState], settle_threshold: float = 1e
         "max_abs_eps": max_abs_eps,
         "settled": max_abs_eps < settle_threshold,
     }
+
+
+@dataclass(frozen=True)
+class Scenario(FeedbackParams):
+    """One loop trajectory, optionally checked to settle (or, if
+    expect_unstable, not to) below settle_threshold."""
+
+    settle_threshold: float = param(1e-2, exmin=0)
+    check_settled: bool = param(False)
+    expect_unstable: bool = param(False)
+
+
+def run(scenario: Scenario, seed: int):
+    """The trajectory, plus the settling check if asked for."""
+    traj = simulate_loop(replace(scenario, seed=seed))
+    rows = [[s.t, s.o_val, s.a_sig, s.gamma, s.eps_err] for s in traj]
+    checks = {}
+    if scenario.check_settled:
+        diag = loop_diagnostics(traj, settle_threshold=scenario.settle_threshold)
+        checks["settled_as_expected"] = diag["settled"] != scenario.expect_unstable
+    return (["t", "O", "A", "gamma", "eps"], rows), checks

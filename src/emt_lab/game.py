@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence, Tuple
 
-from .errors import DomainError, InputError
+from ._params import Params, param
+from .errors import InputError
+
+FORMAT = "json"
 
 C, D = "C", "D"
 _ACTIONS = (C, D)
@@ -30,7 +33,7 @@ Strategy = Callable[[History], str]
 
 
 @dataclass(frozen=True)
-class StageGame:
+class StageGame(Params):
     """Stage payoffs, discontinuity model, and repetition structure.
 
     A player's stage payoff is payoff_cc under mutual cooperation,
@@ -38,33 +41,16 @@ class StageGame:
     others, and payoff_victim when cooperating while someone defects.
     """
 
-    n_players: int = 2
-    payoff_cc: float = 2.0
-    payoff_defector: float = 3.0
-    payoff_victim: float = 0.0
-    payoff_dd: float = 1.0
-    p_disc: float = 0.5
-    delta_disc: float = 0.9
-    horizon: int = 2
-    penalty_mode: str = "lexicographic"
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.n_players < 2:
-            raise DomainError("n_players must be >= 2")
-        if not 0 <= self.p_disc <= 1:
-            raise DomainError("p_disc must lie in [0, 1]")
-        if not 0 < self.delta_disc < 1:
-            raise DomainError("delta_disc must lie in (0, 1)")
-        if self.horizon < 1:
-            raise DomainError("horizon must be >= 1")
-        if self.penalty_mode not in ("lexicographic", "finite"):
-            raise InputError(
-                f"penalty_mode must be 'lexicographic' or 'finite', "
-                f"got {self.penalty_mode!r}"
-            )
-        if self.omega > 0:
-            raise DomainError("omega must be <= 0 (a penalty)")
+    n_players: int = param(2, min=2)
+    payoff_cc: float = param(2.0)
+    payoff_defector: float = param(3.0)
+    payoff_victim: float = param(0.0)
+    payoff_dd: float = param(1.0)
+    p_disc: float = param(0.5, min=0, max=1)
+    delta_disc: float = param(0.9, exmin=0, exmax=1)
+    horizon: int = param(2, min=1)
+    penalty_mode: str = param("lexicographic", choices=("lexicographic", "finite"))
+    omega: float = param(0.0, max=0)  # a penalty
 
     def stage_payoffs(self, actions: Tuple[str, ...]) -> Tuple[float, ...]:
         defectors = sum(1 for a in actions if a == D)
@@ -261,3 +247,25 @@ def spne_search(
         all_c_is_spne=is_spne(game, all_c),
         all_d_is_spne=is_spne(game, all_d),
     )
+
+
+@dataclass(frozen=True)
+class Scenario(StageGame):
+    """One exhaustive SPNE search over `strategy_class` profiles."""
+
+    strategy_class: str = param("constant", choices=("constant", "memory1"))
+
+
+def run(scenario: Scenario, seed: int):
+    """The equilibria found and the all-cooperate outcome; no checks."""
+    found = spne_search(scenario, strategy_class=scenario.strategy_class)
+    all_c = evaluate_profile(scenario, [constant_strategy(C)] * scenario.n_players)
+    report = {
+        "all_c_is_spne": found.all_c_is_spne,
+        "all_d_is_spne": found.all_d_is_spne,
+        "n_equilibria": len(found.equilibria),
+        "equilibria": [list(map(list, eq)) if isinstance(eq[0], tuple) else list(eq)
+                       for eq in found.equilibria],
+        "all_c_continuity_prob": all_c.continuity_prob,
+    }
+    return report, {}

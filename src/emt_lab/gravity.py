@@ -14,25 +14,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._params import check, param
 from .errors import DomainError, InputError
 from .growth import cobb_douglas
 
+FORMAT = "csv"
 
-@dataclass
+
+@dataclass(frozen=True)
 class NeedsState:
-    """Need intensities, sector potentials, and the distance matrix."""
+    """Need intensities, sector potentials, and the distance matrix.
 
-    n_vec: np.ndarray          # need intensities, length n
-    d_mat: np.ndarray          # epistemic distances, n x m, all > 0
-    p_vec: np.ndarray          # sector potentials, length m
-    g_resp: float = 1.0        # responsiveness coefficient G(t)
-    alpha_g: float = 1.0       # need-intensity elasticity
-    beta_g: float = 1.0        # distance elasticity
+    Rebuilt every flywheel step, it checks only its arrays; Scenario checks
+    the scalar bounds."""
+
+    n_vec: np.ndarray                      # need intensities, length n
+    d_mat: np.ndarray                      # epistemic distances, n x m, all > 0
+    p_vec: np.ndarray                      # sector potentials, length m
+    g_resp: float = param(1.0, min=0)      # responsiveness coefficient G(t)
+    alpha_g: float = param(1.0, min=0)     # need-intensity elasticity
+    beta_g: float = param(1.0, min=0)      # distance elasticity
 
     def __post_init__(self):
-        self.n_vec = np.asarray(self.n_vec, dtype=float)
-        self.d_mat = np.atleast_2d(np.asarray(self.d_mat, dtype=float))
-        self.p_vec = np.asarray(self.p_vec, dtype=float)
+        object.__setattr__(self, "n_vec", np.asarray(self.n_vec, dtype=float))
+        object.__setattr__(self, "d_mat", np.atleast_2d(np.asarray(self.d_mat, dtype=float)))
+        object.__setattr__(self, "p_vec", np.asarray(self.p_vec, dtype=float))
         if self.d_mat.shape != (self.n_vec.size, self.p_vec.size):
             raise InputError(
                 f"distance matrix shape {self.d_mat.shape} does not match "
@@ -42,31 +48,11 @@ class NeedsState:
             raise DomainError("need intensities and potentials must be >= 0")
         if np.any(self.d_mat <= 0):
             raise DomainError("all distances must be > 0 (singularity)")
-        if self.g_resp < 0 or self.alpha_g < 0 or self.beta_g < 0:
-            raise DomainError("g_resp and elasticities must be >= 0")
 
     @property
     def nearest_distance(self) -> np.ndarray:
         """Per-need binding distance D_i = min_j D_ij."""
         return self.d_mat.min(axis=1)
-
-
-@dataclass(frozen=True)
-class AllocationPlan:
-    """How output is split across needs: fixed shares, blind or aligned."""
-
-    shares: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        shares = np.asarray(self.shares, dtype=float)
-        if self.mode not in ("blind", "aligned"):
-            raise InputError(f"mode must be 'blind' or 'aligned', got {self.mode!r}")
-        if np.any(shares < 0):
-            raise DomainError("allocation shares must be >= 0")
-        if abs(shares.sum() - 1.0) > 1e-9:
-            raise DomainError(f"shares must sum to 1, got {shares.sum()}")
-        object.__setattr__(self, "shares", shares)
 
 
 def need_gravity(n_i: float, d_i: float, alpha_g: float, beta_g: float) -> float:
@@ -194,3 +180,38 @@ def coverage_operator(satisfied: np.ndarray, weights: np.ndarray) -> float:
     if total <= 0:
         raise DomainError("weights must not all be zero")
     return float(w[mask].sum() / total)
+
+
+@dataclass(frozen=True)
+class Scenario(NeedsState):
+    """One flywheel comparison of the blind and aligned economies."""
+
+    n_vec: list = param([5.0, 4.0, 3.0, 2.0, 1.0])
+    d_mat: list = param([[1.0, 2.0], [2.0, 1.0], [1.0, 1.5], [2.5, 2.0], [1.5, 1.0]])
+    p_vec: list = param([1.0, 1.0])
+    production: dict = param({"a": 1.0, "k": 1.0, "l": 1.0, "alpha": 0.5})
+    kappa: float = param(0.05, min=0)
+    horizon: int = param(50, min=1)
+    coverage_eps: float = param(1e-3, exmin=0)
+    check_dominance: bool = param(False)
+
+    def __post_init__(self):
+        check(self)
+        super().__post_init__()
+
+
+def run(scenario: Scenario, seed: int):
+    """Both trajectories, row per (step, mode), plus the dominance check."""
+    s = scenario
+    res = flywheel_compare(s, s.production, s.horizon, s.kappa, coverage_eps=s.coverage_eps)
+    y = res.y_series[0]  # the same every step
+    rows = []
+    for t in range(s.horizon + 1):
+        rows.append([t, "blind", res.u_blind[t], res.coverage_blind[t], y])
+        rows.append([t, "aligned", res.u_aligned[t], res.coverage_aligned[t], y])
+    checks = {}
+    if s.check_dominance:
+        dominated = bool(np.all(res.u_aligned <= res.u_blind + 1e-12))
+        strict_by_end = bool(res.u_aligned[-1] < res.u_blind[-1] - 1e-12)
+        checks["aligned_dominance"] = dominated and strict_by_end
+    return (["t", "mode", "U", "coverage", "Y"], rows), checks

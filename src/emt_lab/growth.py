@@ -14,35 +14,28 @@ from typing import Sequence
 
 import numpy as np
 
+from ._params import Params, param
+from ._rng import make_generator
 from .errors import DomainError
+
+FORMAT = "csv"
 
 
 @dataclass(frozen=True)
-class RomerParams:
+class RomerParams(Params):
     """Variety-expansion engine parameters."""
 
-    alpha: float = 0.5       # capital / intermediate share, in (0, 1)
-    delta_r: float = 1.0     # research productivity
-    phi_r: float = 1.0       # returns to the existing idea stock, in [0, 1]
-    l_a: float = 1.0         # research labor
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise DomainError("alpha must lie in (0, 1)")
-        if self.delta_r <= 0:
-            raise DomainError("delta_r must be > 0")
-        if not 0 <= self.phi_r <= 1:
-            raise DomainError("phi_r must lie in [0, 1]")
-        if self.l_a < 0:
-            raise DomainError("l_a must be >= 0")
+    alpha: float = param(0.5, exmin=0, exmax=1)   # capital / intermediate share
+    delta_r: float = param(0.05, exmin=0)         # research productivity
+    phi_r: float = param(1.0, min=0, max=1)       # returns to the existing idea stock
+    l_a: float = param(1.0, min=0)                # research labor
 
 
 @dataclass
 class QualityLadderState:
-    """Discretized continuum of product lines with qualities and quantities."""
+    """Discretized continuum of product lines with their qualities."""
 
     qualities: np.ndarray
-    quantities: np.ndarray | None = None
 
     def __post_init__(self):
         self.qualities = np.asarray(self.qualities, dtype=float)
@@ -50,60 +43,23 @@ class QualityLadderState:
             raise DomainError("qualities must be non-empty")
         if np.any(self.qualities < 1.0):
             raise DomainError("all qualities must be >= 1 (ladder starts at 1)")
-        if self.quantities is None:
-            self.quantities = np.ones_like(self.qualities)
-        else:
-            self.quantities = np.asarray(self.quantities, dtype=float)
-            if np.any(self.quantities < 0):
-                raise DomainError("quantities must be >= 0")
 
 
 @dataclass(frozen=True)
-class SchumpeterParams:
-    """Creative-destruction engine parameters."""
-
-    lambda_step: float = math.e   # quality step per innovation, > 1
-    psi: float = 0.5              # R&D entry cost
-    r_rate: float = 0.05          # interest rate
-    pi_flow: float = 1.0          # monopoly flow profit
-    delta_obs: float = 0.0        # obsolescence burden
-    mu: float = 0.1               # innovation arrival intensity
-
-    def __post_init__(self):
-        if self.lambda_step <= 1:
-            raise DomainError("lambda_step must be > 1")
-        if self.psi <= 0 or self.r_rate <= 0 or self.pi_flow <= 0:
-            raise DomainError("psi, r_rate and pi_flow must be > 0")
-        if self.delta_obs < 0 or self.mu < 0:
-            raise DomainError("delta_obs and mu must be >= 0")
-
-
-@dataclass(frozen=True)
-class UnifiedParams:
+class UnifiedParams(Params):
     """Joint process/product innovation system parameters."""
 
-    phi_y: float = 0.3       # output elasticity of process innovation
-    gamma_y: float = 0.2     # output elasticity of product quality
-    beta_y: float = 0.3      # capital share, in (0, 1)
-    delta_a: float = 1.0     # process innovation productivity
-    delta_q: float = 1.0     # product innovation productivity
-    alpha_a: float = 0.0     # process feedback coefficient
-    alpha_q: float = 0.0     # product feedback coefficient
-    l_a: float = 1.0         # labor on process innovation
-    l_q: float = 1.0         # labor on product innovation
-    lambda1: float = 1.0     # composite weight on process rate
-    lambda2: float = 1.0     # composite weight on product rate
-
-    def __post_init__(self):
-        if not 0 < self.beta_y < 1:
-            raise DomainError("beta_y must lie in (0, 1)")
-        if self.phi_y <= 0 or self.gamma_y <= 0:
-            raise DomainError("phi_y and gamma_y must be > 0")
-        if self.delta_a <= 0 or self.delta_q <= 0:
-            raise DomainError("delta_a and delta_q must be > 0")
-        if min(self.alpha_a, self.alpha_q, self.l_a, self.l_q,
-               self.lambda1, self.lambda2) < 0:
-            raise DomainError("feedbacks, labor and weights must be >= 0")
+    phi_y: float = param(0.3, exmin=0)            # output elasticity of process innovation
+    gamma_y: float = param(0.2, exmin=0)          # output elasticity of product quality
+    beta_y: float = param(0.3, exmin=0, exmax=1)  # capital share
+    delta_a: float = param(1.0, exmin=0)          # process innovation productivity
+    delta_q: float = param(1.0, exmin=0)          # product innovation productivity
+    alpha_a: float = param(0.0, min=0)            # process feedback coefficient
+    alpha_q: float = param(0.0, min=0)            # product feedback coefficient
+    l_a: float = param(1.0, min=0)                # labor on process innovation
+    l_q: float = param(1.0, min=0)                # labor on product innovation
+    lambda1: float = param(1.0, min=0)            # composite weight on process rate
+    lambda2: float = param(1.0, min=0)            # composite weight on product rate
 
 
 def cobb_douglas(a: float, k: float, l: float, alpha: float) -> float:
@@ -172,7 +128,7 @@ def ladder_step(
     p = min(1.0, mu * dt)
     upgrades = rng.random(state.qualities.size) < p
     new_q = np.where(upgrades, lambda_step * state.qualities, state.qualities)
-    return QualityLadderState(qualities=new_q, quantities=state.quantities.copy())
+    return QualityLadderState(qualities=new_q)
 
 
 def incumbent_value(pi_flow: float, r_rate: float, mu: float) -> float:
@@ -260,3 +216,48 @@ def unified_step(
         * state.l ** (1.0 - params.beta_y)
     )
     return UnifiedState(a=a_new, q=q_new, k=state.k, l=state.l), y
+
+
+@dataclass(frozen=True)
+class Scenario(RomerParams):
+    """One growth path: ideas, quality ladder, free-entry creative destruction."""
+
+    a0: float = param(1.0, min=0)
+    k0: float = param(1.0, min=0)
+    l0: float = param(1.0, min=0)
+    n_lines: int = param(1000, min=1)
+    lambda_step: float = param(1.5, exmin=1)
+    pi_flow: float = param(1.0, exmin=0)
+    psi: float = param(0.5, exmin=0)
+    r_rate: float = param(0.05, exmin=0)
+    delta_obs: float = param(0.0, min=0)
+    dt: float = param(0.1, exmin=0)
+    horizon: int = param(100, min=1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        free_entry_mu(self.pi_flow, self.psi, self.r_rate)  # an equilibrium must exist
+
+
+def run(scenario: Scenario, seed: int):
+    """Output path with free-entry growth, plus the free-entry consistency check."""
+    s = scenario
+    mu = free_entry_mu(s.pi_flow, s.psi, s.r_rate)
+    v = incumbent_value(s.pi_flow, s.r_rate, mu)
+    g = schumpeter_growth(s.lambda_step, mu, s.delta_obs)
+    rng = make_generator(seed, 0)
+    ladder = QualityLadderState(qualities=np.ones(s.n_lines))
+    a = s.a0
+    rows = []
+    t = 0.0
+    for step in range(s.horizon + 1):
+        q = quality_index(ladder)
+        y = cobb_douglas(a * q, s.k0, s.l0, s.alpha)
+        rows.append([t, a, q, s.k0, s.l0, y, g, mu, v])
+        if step == s.horizon:
+            break
+        a = romer_ideas_step(a, s, s.dt)
+        ladder = ladder_step(ladder, mu, s.lambda_step, s.dt, rng)
+        t += s.dt
+    checks = {"free_entry_consistency": abs(mu * v - s.psi) < 1e-10}
+    return (["t", "A", "Q", "K", "L", "Y", "g", "mu", "V"], rows), checks

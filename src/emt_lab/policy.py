@@ -18,40 +18,37 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
+from ._params import Params, param
 from .errors import ConvergenceError, DomainError, InputError
 
+FORMAT = "json"
+
 
 @dataclass(frozen=True)
-class Occupation:
+class Occupation(Params):
     """One occupation's wage, baseline supply, elasticity, and alignment."""
 
-    w: float
-    l_bar: float
-    eta: float
-    lambda_align: float
-
-    def __post_init__(self):
-        if self.w <= 0:
-            raise DomainError("wage w must be > 0")
-        if self.l_bar <= 0:
-            raise DomainError("baseline labor l_bar must be > 0")
-        if self.eta < 0 or self.lambda_align < 0:
-            raise DomainError("eta and lambda_align must be >= 0")
+    w: float = param(exmin=0)
+    l_bar: float = param(exmin=0)
+    eta: float = param(min=0)
+    lambda_align: float = param(min=0)
 
 
 @dataclass(frozen=True)
-class SubsidyProblem:
-    """Occupations plus the total subsidy budget."""
+class SubsidyProblem(Params):
+    """Occupations (Occupation objects or their fields as dicts) plus the
+    total subsidy budget."""
 
     occupations: tuple
-    budget: float
+    budget: float = param(2.0, exmin=0)
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.occupations:
             raise InputError("need at least one occupation")
-        if self.budget <= 0:
-            raise DomainError("budget must be > 0")
-        object.__setattr__(self, "occupations", tuple(self.occupations))
+        occs = tuple(o if isinstance(o, Occupation) else Occupation(**o)
+                     for o in self.occupations)
+        object.__setattr__(self, "occupations", occs)
 
 
 @dataclass(frozen=True)
@@ -210,3 +207,32 @@ def recursive_utility(u_series: Sequence[float], beta: float, u_tail: float = 0.
         raise InputError("u_series must be non-empty")
     powers = beta ** np.arange(u.size)
     return float(np.dot(powers, u) + beta ** u.size * u_tail / (1.0 - beta))
+
+
+@dataclass(frozen=True)
+class Scenario(SubsidyProblem):
+    """One subsidy plan, solved to `tol`."""
+
+    occupations: list = param([
+        {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0},
+        {"w": 1.0, "l_bar": 2.0, "eta": 1.0, "lambda_align": 1.0},
+        {"w": 2.0, "l_bar": 1.0, "eta": 2.0, "lambda_align": 3.0},
+    ])
+    tol: float = param(1e-10, exmin=0)
+
+
+def run(scenario: Scenario, seed: int):
+    """The optimal subsidies, plus a budget-binding check where it must bind."""
+    sol = optimize_subsidies(scenario, tol=scenario.tol)
+    report = {
+        "s_star": [float(s) for s in sol.s_star],
+        "objective": sol.objective,
+        "spend": sol.spend,
+        "multiplier": sol.multiplier,
+    }
+    if sol.note:
+        report["note"] = sol.note
+    checks = {}
+    if all(o.lambda_align * o.eta > 0 for o in scenario.occupations):
+        checks["budget_binds"] = abs(sol.spend - scenario.budget) <= 1e-3 * scenario.budget
+    return report, checks

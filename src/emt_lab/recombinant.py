@@ -12,12 +12,15 @@ analytic survival functions per family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._params import Params, param
 from ._rng import make_generator
 from .errors import ConfigError, DomainError
+
+FORMAT = "json"
 
 _FAMILIES = ("exponential", "uniform", "pareto", "lognormal", "weibull")
 
@@ -112,21 +115,13 @@ class TailDistribution:
 
 
 @dataclass(frozen=True)
-class EvtRunConfig:
+class EvtRunConfig(Params):
     """Monte Carlo configuration for the extreme-value law."""
 
-    k_draws: int = 1000
-    replicates: int = 2000
+    k_draws: int = param(1000, min=1)
+    replicates: int = param(2000, min=1)
     seed: int = 0
-    ks_threshold: float = 0.05
-
-    def __post_init__(self):
-        if self.k_draws < 1:
-            raise DomainError("k_draws must be >= 1")
-        if self.replicates < 1:
-            raise DomainError("replicates must be >= 1")
-        if self.ks_threshold <= 0:
-            raise DomainError("ks_threshold must be > 0")
+    ks_threshold: float = param(0.05, exmin=0)
 
 
 def log2_combinations(a_stock: float, phi_access: float) -> float:
@@ -195,3 +190,26 @@ def run_evt(dist: TailDistribution, cfg: EvtRunConfig) -> dict:
         "ks": diag["ks_distance"],
         "pass": diag["pass"],
     }
+
+
+@dataclass(frozen=True)
+class Scenario(EvtRunConfig):
+    """One EVT check of a tail family; the run's seed replaces `seed`."""
+
+    family: str = param("exponential", choices=_FAMILIES)
+    family_params: dict = param({})
+    write_m_values: bool = param(False)
+    dist: TailDistribution = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "dist", TailDistribution(self.family, dict(self.family_params)))
+
+
+def run(scenario: Scenario, seed: int):
+    """The EVT report, with the m-values if asked for, plus the KS check."""
+    cfg = replace(scenario, seed=seed)
+    report = run_evt(cfg.dist, cfg)
+    if cfg.write_m_values:
+        report["m_values"] = [float(x) for x in draw_max_statistic(cfg.dist, cfg)]
+    return report, {"ks_pass": report["pass"]}

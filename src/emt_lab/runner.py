@@ -1,10 +1,10 @@
 """Scenario dispatch and deterministic artifact writing.
 
-Every module gets a runner that turns a validated ScenarioConfig into an
-artifact (CSV rows or a JSON document) plus a dict of named pass/fail
-checks. Artifacts are written with stable formatting (shortest round-trip
-float repr, sorted JSON keys, RFC-4180 CSV), so identical config + seed
-reproduces identical bytes.
+A validated ScenarioConfig carries its module's Scenario; that module's
+`run(scenario, seed)` returns the artifact (a JSON document as a dict, or a
+CSV header and rows) plus a dict of named pass/fail checks. Artifacts are
+written with stable formatting (shortest round-trip float repr, sorted JSON
+keys, RFC-4180 CSV), so identical config + seed reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._rng import make_generator
-from .config import ScenarioConfig
-from .errors import InputError
+from .config import ScenarioConfig, scenario_module
 
 
 @dataclass(frozen=True)
@@ -40,262 +38,35 @@ class RunReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
+    if type(value) is float:  # the common case, kept fast
         return repr(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
-def _run_epistemic(cfg: ScenarioConfig):
-    from . import epistemic as ep
-
-    p = cfg.params
-    params = ep.EpistemicParams(
-        theta0=p["theta0"], p_bar=p["p_bar"], eps_resid=p["eps_resid"],
-        alpha_prod=p["alpha_prod"], phi_elast=p["phi_elast"], c0=p["c0"],
-        alpha_cost=p["alpha_cost"], theta_star=p["theta_star"], lp=p["lp"],
-    )
-    rng_init = make_generator(cfg.seed, 0)
-    rng_pool = make_generator(cfg.seed, 1)
-    problems = [
-        ep.Problem(id=i, complexity=float(rng_init.exponential(p["complexity_mean"])))
-        for i in range(p["n_problems"])
-    ]
-    pool = ep.ProblemPool(
-        problems=problems, eta_rate=p["eta_rate"],
-        lambda_align=p["lambda_align"], eps_floor=p["eps_floor"],
-    )
-    state = ep.initial_state(params, a_cap=p["a0"], p0=p["p0"])
-    out = ep.research_output(pool, state.a_cap)
-    rows = [[state.t, state.p, state.theta, state.c, state.pi, state.inverted,
-             out.r, len(pool.open_problems), out.r > pool.eta_rate]]
-    pis = [state.pi]
-    transition_ok = True
-    for _ in range(p["horizon"]):
-        pool, surplus = ep.step_problem_pool(pool, out, p["dt"], rng_pool)
-        state = ep.step_knowledge(state, params, p["dt"])
-        # capability grows between steps; refresh the cost-side quantities
-        a_cap = state.a_cap + p["a_growth"] * p["dt"]
-        c = ep.marginal_ideation_cost(params.c0, params.alpha_cost, a_cap)
-        state = ep.EpistemicState(
-            t=state.t, p=state.p, theta=state.theta, c=c, a_cap=a_cap,
-            pi=state.pi, inverted=c < params.theta_star,
-        )
-        out = ep.research_output(pool, state.a_cap)
-        rows.append([state.t, state.p, state.theta, state.c, state.pi,
-                     state.inverted, out.r, len(pool.open_problems), surplus])
-        pis.append(state.pi)
-        if state.p >= params.p_bar and state.theta != params.eps_resid:
-            transition_ok = False
-    pi_monotone = all(b >= a - 1e-15 for a, b in zip(pis, pis[1:]))
-    artifact = ("csv",
-                ["t", "P", "theta", "C", "pi", "inverted", "R", "pool_size", "surplus"],
-                rows)
-    return artifact, {"mode_transition": transition_ok, "pi_monotone": pi_monotone}
-
-
-def _run_growth(cfg: ScenarioConfig):
-    from . import growth as gr
-
-    p = cfg.params
-    romer = gr.RomerParams(alpha=p["alpha"], delta_r=p["delta_r"],
-                           phi_r=p["phi_r"], l_a=p["l_a"])
-    mu = gr.free_entry_mu(p["pi_flow"], p["psi"], p["r_rate"])
-    v = gr.incumbent_value(p["pi_flow"], p["r_rate"], mu)
-    g = gr.schumpeter_growth(p["lambda_step"], mu, p["delta_obs"])
-    rng = make_generator(cfg.seed, 0)
-    ladder = gr.QualityLadderState(qualities=np.ones(p["n_lines"]))
-    a, k, l = p["a0"], p["k0"], p["l0"]
-    rows = []
-    t = 0.0
-    for step in range(p["horizon"] + 1):
-        q = gr.quality_index(ladder)
-        y = gr.cobb_douglas(a * q, k, l, p["alpha"])
-        rows.append([t, a, q, k, l, y, g, mu, v])
-        if step == p["horizon"]:
-            break
-        a = gr.romer_ideas_step(a, romer, p["dt"])
-        ladder = gr.ladder_step(ladder, mu, p["lambda_step"], p["dt"], rng)
-        t += p["dt"]
-    checks = {"free_entry_consistency": abs(mu * v - p["psi"]) < 1e-10}
-    return ("csv", ["t", "A", "Q", "K", "L", "Y", "g", "mu", "V"], rows), checks
-
-
-def _run_evt(cfg: ScenarioConfig):
-    from . import recombinant as rc
-
-    p = cfg.params
-    dist = rc.TailDistribution(p["family"], dict(p["family_params"]))
-    run_cfg = rc.EvtRunConfig(
-        k_draws=p["k_draws"], replicates=p["replicates"],
-        seed=cfg.seed, ks_threshold=p["ks_threshold"],
-    )
-    report = rc.run_evt(dist, run_cfg)
-    if p["write_m_values"]:
-        report["m_values"] = [float(x) for x in rc.draw_max_statistic(dist, run_cfg)]
-    return ("json", report), {"ks_pass": report["pass"]}
-
-
-def _run_gravity(cfg: ScenarioConfig):
-    from . import gravity as gv
-
-    p = cfg.params
-    state = gv.NeedsState(
-        n_vec=np.array(p["n_vec"], dtype=float),
-        d_mat=np.array(p["d_mat"], dtype=float),
-        p_vec=np.array(p["p_vec"], dtype=float),
-        g_resp=p["g_resp"], alpha_g=p["alpha_g"], beta_g=p["beta_g"],
-    )
-    res = gv.flywheel_compare(state, p["production"], p["horizon"], p["kappa"],
-                              coverage_eps=p["coverage_eps"])
-    y = float(res.y_series[0]) if res.y_series.size else 0.0
-    rows = []
-    for t in range(p["horizon"] + 1):
-        rows.append([t, "blind", float(res.u_blind[t]), float(res.coverage_blind[t]), y])
-        rows.append([t, "aligned", float(res.u_aligned[t]), float(res.coverage_aligned[t]), y])
-    checks = {}
-    if p["check_dominance"]:
-        dominated = bool(np.all(res.u_aligned <= res.u_blind + 1e-12))
-        strict_by_end = bool(res.u_aligned[-1] < res.u_blind[-1] - 1e-12)
-        checks["aligned_dominance"] = dominated and strict_by_end
-    return ("csv", ["t", "mode", "U", "coverage", "Y"], rows), checks
-
-
-def _run_mdp(cfg: ScenarioConfig):
-    from . import dynprog as dp
-
-    p = cfg.params
-    spec = dp.MdpSpec(
-        rewards=np.array(p["rewards"], dtype=float),
-        shock_probs=np.array(p["shock_probs"], dtype=float),
-        transition=np.array(p["transition"], dtype=int),
-        beta=p["beta"],
-    )
-    sol = dp.value_iteration(spec, tol=p["tol"], max_iter=p["max_iter"])
-    report = {
-        "values": [float(v) for v in sol.values],
-        "policy": [int(a) for a in sol.policy],
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-    }
-    checks = {}
-    if p["legacy_policy"] is not None:
-        surplus = dp.realtime_surplus(spec, np.array(p["legacy_policy"], dtype=int))
-        report["realtime_surplus"] = [float(s) for s in surplus]
-        checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)
-    return ("json", report), checks
-
-
-def _run_feedback(cfg: ScenarioConfig):
-    from . import feedback as fb
-
-    p = cfg.params
-    params = fb.FeedbackParams(
-        gamma0=p["gamma0"], theta_meta=p["theta_meta"], phi_gain=p["phi_gain"],
-        noise_sd=p["noise_sd"], e_target=p["e_target"], dt=p["dt"],
-        horizon=p["horizon"], seed=cfg.seed, o0=p["o0"], a0=p["a0"],
-    )
-    traj = fb.simulate_loop(params)
-    rows = [[s.t, s.o_val, s.a_sig, s.gamma, s.eps_err] for s in traj]
-    checks = {}
-    if p["check_settled"]:
-        diag = fb.loop_diagnostics(traj, settle_threshold=p["settle_threshold"])
-        checks["settled_as_expected"] = diag["settled"] != p["expect_unstable"]
-    return ("csv", ["t", "O", "A", "gamma", "eps"], rows), checks
-
-
-def _run_game(cfg: ScenarioConfig):
-    from . import game as gm
-
-    p = cfg.params
-    stage = gm.StageGame(
-        n_players=p["n_players"], payoff_cc=p["payoff_cc"],
-        payoff_defector=p["payoff_defector"], payoff_victim=p["payoff_victim"],
-        payoff_dd=p["payoff_dd"], p_disc=p["p_disc"],
-        delta_disc=p["delta_disc"], horizon=p["horizon"],
-        penalty_mode=p["penalty_mode"], omega=p["omega"],
-    )
-    report_spne = gm.spne_search(stage, strategy_class=p["strategy_class"])
-    all_c = gm.evaluate_profile(stage, [gm.constant_strategy(gm.C)] * stage.n_players)
-    report = {
-        "all_c_is_spne": report_spne.all_c_is_spne,
-        "all_d_is_spne": report_spne.all_d_is_spne,
-        "n_equilibria": len(report_spne.equilibria),
-        "equilibria": [list(map(list, eq)) if isinstance(eq[0], tuple) else list(eq)
-                       for eq in report_spne.equilibria],
-        "all_c_continuity_prob": all_c.continuity_prob,
-    }
-    return ("json", report), {}
-
-
-def _run_policy(cfg: ScenarioConfig):
-    from . import policy as pol
-
-    p = cfg.params
-    occs = tuple(
-        pol.Occupation(w=o["w"], l_bar=o["l_bar"], eta=o["eta"],
-                       lambda_align=o["lambda_align"])
-        for o in p["occupations"]
-    )
-    problem = pol.SubsidyProblem(occupations=occs, budget=p["budget"])
-    sol = pol.optimize_subsidies(problem, tol=p["tol"])
-    report = {
-        "s_star": [float(s) for s in sol.s_star],
-        "objective": sol.objective,
-        "spend": sol.spend,
-        "multiplier": sol.multiplier,
-    }
-    if sol.note:
-        report["note"] = sol.note
-    checks = {}
-    if all(o.lambda_align * o.eta > 0 for o in occs):
-        checks["budget_binds"] = abs(sol.spend - p["budget"]) <= 1e-3 * p["budget"]
-    return ("json", report), checks
-
-
-_RUNNERS = {
-    "epistemic": _run_epistemic,
-    "growth": _run_growth,
-    "evt": _run_evt,
-    "gravity": _run_gravity,
-    "mdp": _run_mdp,
-    "feedback": _run_feedback,
-    "game": _run_game,
-    "policy": _run_policy,
-}
-
-
 def _write_artifact(artifact, path: Path):
-    kind = artifact[0]
     path.parent.mkdir(parents=True, exist_ok=True)
-    if kind == "csv":
-        _, header, rows = artifact
+    if isinstance(artifact, dict):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(artifact, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    else:
+        header, rows = artifact
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
-    else:
-        _, obj = artifact
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> RunReport:
     """Dispatch a validated scenario, write its artifact, return the report."""
-    if cfg.module not in _RUNNERS:
-        raise InputError(f"no runner for module {cfg.module!r}")
     start = time.perf_counter()
-    artifact, checks = _RUNNERS[cfg.module](cfg)
-    rel = cfg.output_path or f"{cfg.name}.{cfg.output_format}"
-    path = Path(out_dir) / rel
-    if cfg.output_format != artifact[0]:
-        raise InputError(
-            f"module {cfg.module!r} produces {artifact[0]} output, "
-            f"config requests {cfg.output_format}"
-        )
+    artifact, checks = scenario_module(cfg.module).run(cfg.scenario, cfg.seed)
+    path = Path(out_dir) / (cfg.output_path or f"{cfg.name}.{cfg.output_format}")
     _write_artifact(artifact, path)
     return RunReport(
         name=cfg.name,

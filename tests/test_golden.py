@@ -1,0 +1,73 @@
+"""Golden digests: the bytes of every bundled artifact, every schema printout
+and every bundled config digest, pinned across versions.
+
+Criterion 13 only compares two reruns of one version; these digests hold the
+bytes fixed from one change to the next. A digest that moves on purpose is
+updated here, with the reason recorded in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from emt_lab.cli import bundled_scenarios, main
+from emt_lab.runner import run_scenario
+
+ARTIFACTS = {
+    "epistemic_default.csv": "5ca219694790157718fa9040d21ff40ce00363d5c718333d3c6ccd38a1d6617f",
+    "evt_exponential.json": "7e61e6c61170911b3f537a3391dad99df88cdf00d3146e7c0abd44f5386683b0",
+    "feedback_default.csv": "69844de7fc5d2dee005a24afd4a25a2ca5eec58bcd1339ca200505fb0f0d15a5",
+    "feedback_unstable.csv": "55ae974cd3dacab0667d3a86da5c8fb0b8912a29855912293496de5b33971643",
+    "flywheel_default.csv": "e403eb646ded2fa4387c344d34ce8173d976452504803eedd24ccd4ed727a626",
+    "game_default.json": "b39d7c295d460e5effe2d65372b0e0b6175c14794ec3d6003f1193128b14b6a5",
+    "growth_default.csv": "5ae8f8de10b439b457c2cedaf6f3e8ad66be12200dd3707dedcbe26eedf0973f",
+    "mdp_default.json": "abb752e96a3ee36e2775849c9ec3112a2cb56d9aec7206af978a5125b642c99b",
+    "policy_default.json": "9bbaebbc7ae3048b327ab3dd9d7f4f77c6e24a3531c8ec78a124bf89305c0bae",
+}
+
+SCHEMAS = {
+    "epistemic": "739dae5b0396a2442563c8b6ac01c72da875ba3ea0a1faca6af3091cc8732c44",
+    "growth": "67d71fc6aaa165394b0620a396f078e9b9ca8973c660106dfac58b04e4cafcfe",
+    "evt": "516c1f9c4d6876c529042c2d408b34bb536b5cd0e4bc17a0069aa41d157329d2",
+    "gravity": "4d9f257f232321885638a256de4b0d831b253b7b3789f5b48ea8c10378464aae",
+    "mdp": "b61fc27d76127aedc113e090680bc897a2ec35d5866d037b3561f24159e615b7",
+    "feedback": "616a93ec06b97a84e9063d4e9a7563003916720a6d63c6f12bbdec725c1aa335",
+    "game": "3fd3b2225da445e4a9b4703541efdd97eec4ec898e64807013ed71ff63a26d9f",
+    "policy": "5f1038ddd437eab8c5d2d9226c6dcfcb578eab67cf24a5e6ec3c5781a8cde233",
+}
+
+CONFIG_DIGESTS = {
+    "epistemic_default.json": "ef016b6d3ad8ae409a40291447a2e1b6a1ca962cf5e23b3047a28267fbd19714",
+    "evt_exponential.json": "a66bce28d7f68a0b2f09655900e6be26405c2c799be5311ba7c6c3a7022106f9",
+    "feedback_default.json": "1d89de453d4ede38bbcd7f7bad748399b729568474b51206fc9177af63820199",
+    "feedback_unstable.json": "c5397c7b0b90e68e17061c6183bebf39a10e71dfc5a672af3b6d4c95529897de",
+    "flywheel_default.json": "89c71bbb420f6466430bc72f250b3229252c9eb2e3ddc7cd25223a86d2c89b8b",
+    "game_default.json": "9982289c4bb2eecfd27b882f3e37e64c4974560857c3aa5023d4e7ce5525c8d8",
+    "growth_default.json": "d9e60bd98313b6a83f2156f923632aac0ce8174a06156245bf2f59e6a32be37e",
+    "mdp_default.json": "0c010c0ddfa96061ab9b4ea466f0227d0f9e9a4c3950f0edbc2c52f5e5e2a747",
+    "policy_default.json": "4e017ff5e88e7a27e8d06126a1b854b6f32adf6858ae7d45e6ba2c7ae3adbfa1",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_bundled_artifact_bytes(tmp_path):
+    digests = {}
+    for _, cfg in bundled_scenarios():
+        report = run_scenario(cfg, out_dir=str(tmp_path))
+        for path in map(Path, report.artifact_paths):
+            digests[path.name] = _sha256(path.read_bytes())
+    assert digests == ARTIFACTS
+
+
+@pytest.mark.parametrize("module", sorted(SCHEMAS))
+def test_schema_output_bytes(module, capsys):
+    assert main(["schema", module]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == SCHEMAS[module]
+
+
+def test_bundled_config_digests():
+    assert {fname: cfg.digest() for fname, cfg in bundled_scenarios()} == CONFIG_DIGESTS

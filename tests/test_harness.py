@@ -1,13 +1,21 @@
 """Config validation, scenario runs, determinism, and CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import emt_lab
 from emt_lab import ConfigError, load_config, module_schema, validate_config
 from emt_lab.cli import bundled_scenarios, main
 from emt_lab.config import MODULES
-from emt_lab.runner import run_scenario
+from emt_lab.runner import _fmt, run_scenario
+
+SCENARIO_DIR = Path(emt_lab.__file__).parent / "scenarios"
 
 
 def minimal(module="epistemic", **extra):
@@ -154,12 +162,53 @@ def test_cli_schema_command(capsys):
     assert main(["schema", "nope"]) == 2
 
 
-def test_cli_parallel_jobs(tmp_path):
+def test_cli_runs_several_configs(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     p1.write_text(json.dumps({"name": "a", "module": "mdp"}))
     p2.write_text(json.dumps({"name": "b", "module": "policy",
                               "params": {"budget": 1.0}}))
     out = tmp_path / "out"
-    assert main(["run", str(p1), str(p2), "--out", str(out), "--jobs", "2"]) == 0
+    assert main(["run", str(p1), str(p2), "--out", str(out)]) == 0
     assert (out / "a.json").exists() and (out / "b.json").exists()
+
+
+@pytest.mark.parametrize("module, extra, message", [
+    ("epistemic", {"params": {"eps_resid": 2.0}}, "eps_resid"),
+    ("evt", {"params": {"family_params": {"bogus": 1}}}, "bogus"),
+    ("gravity", {"params": {"p_vec": [1.0]}}, "distance matrix shape"),
+    ("mdp", {"params": {"shock_probs": [0.5, 0.5]}}, "transition shape"),
+    ("mdp", {"output": {"format": "csv"}}, "produces json output"),
+    ("growth", {"params": {"psi": 2.0}}, "no equilibrium"),
+])
+def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(minimal(module=module, **extra)))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fmt_numpy_scalars():
+    assert _fmt(np.float64(0.1)) == _fmt(0.1) == "0.1"
+    assert _fmt(np.float32(0.5)) == "0.5"
+    assert _fmt(np.bool_(True)) == _fmt(True) == "true"
+    assert _fmt(np.bool_(False)) == "false"
+    assert _fmt(np.int64(3)) == _fmt(3) == "3"
+    assert _fmt("blind") == "blind"
+
+
+def test_non_policy_scenarios_do_not_import_scipy(tmp_path):
+    paths = sorted(str(p) for p in SCENARIO_DIR.glob("*.json") if p.name != "policy_default.json")
+    assert len(paths) == 8
+    code = (
+        "import sys\n"
+        "from emt_lab import cli\n"
+        f"assert cli.main(['run', *{paths!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(emt_lab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
