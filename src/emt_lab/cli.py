@@ -16,8 +16,8 @@ import json
 import sys
 from importlib import resources
 
-from . import __version__
-from .config import MODULES, ScenarioConfig, load_config, module_schema, validate_config
+from . import __version__, runner
+from .config import MODULES, load_config, module_schema, validate_config
 from .errors import ConfigError, EmtLabError
 
 EXIT_OK = 0
@@ -54,12 +54,6 @@ def _report_line(report) -> str:
     )
 
 
-def _run_one(cfg: ScenarioConfig, out_dir: str):
-    from .runner import run_scenario
-
-    return run_scenario(cfg, out_dir=out_dir)
-
-
 def _cmd_run(args) -> int:
     configs = []
     try:
@@ -73,7 +67,7 @@ def _cmd_run(args) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        reports = [_run_one(cfg, args.out) for cfg in configs]
+        reports = [runner.run_scenario(cfg, out_dir=args.out) for cfg in configs]
     except EmtLabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
@@ -99,7 +93,7 @@ def _cmd_verify() -> int:
     with tempfile.TemporaryDirectory(prefix="emt-lab-verify-") as tmp:
         for fname, cfg in bundled_scenarios():
             try:
-                report = _run_one(cfg, tmp)
+                report = runner.run_scenario(cfg, out_dir=tmp)
             except EmtLabError as exc:
                 print(f"{fname}: runtime error: {exc}", file=sys.stderr)
                 return EXIT_RUNTIME_ERROR

@@ -4,7 +4,8 @@ A scenario is a single JSON document naming a module, a module-specific
 parameter block, a master seed, and an output sink. A module's parameters
 are the fields of its `Scenario` dataclass (see `_params`), so validation,
 defaults and `emt-lab schema` are all derived from them. Validation is strict
-(unknown keys are rejected, with a closest-known-key suggestion) and collects
+(unknown keys are rejected, with a closest-known-key suggestion; numbers must
+be finite; an output path must stay inside the output directory) and collects
 every problem before failing, so a bad config reports all of its errors in
 one pass. It ends by building the Scenario, so cross-field checks fail here
 too, before anything runs.
@@ -16,7 +17,9 @@ import difflib
 import hashlib
 import importlib
 import json
+import sys
 from dataclasses import dataclass, field
+from pathlib import PurePath
 
 from ._params import bound_problems, schema as param_schema
 from .errors import ConfigError, EmtLabError
@@ -49,7 +52,9 @@ _OUTPUT_KEYS = {
 }
 
 _TYPE_CHECKS = {
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # finite as a float: no NaN, no Infinity, no integer too large to convert
+    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
@@ -137,6 +142,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
         output = _check_block("output.", _OUTPUT_KEYS, output, problems)
     else:
         output = {"format": None, "path": None}
+    path = output["path"]
+    if isinstance(path, str):
+        pure = PurePath(path)
+        if pure.is_absolute() or ".." in pure.parts or not pure.name:
+            problems.append(f"output.path: must be a relative file path inside --out, got {path!r}")
     fmt = output["format"]
     native = scenario_module(module).FORMAT if known else None
     if native and fmt in ("csv", "json") and fmt != native:

@@ -6,12 +6,18 @@ above it only a small residual uncertainty remains and discovery turns from
 deep uncertainty into computable risk. AI capability enters twice, as a
 multiplier on knowledge growth and as the driver of the collapsing marginal
 cost of producing a new idea.
+
+Alongside runs a pool of problems: they emerge at rate eta and aligned
+research resolves them at rate R. The pool is two parallel arrays in creation
+order, the complexity of every problem ever created and a mask of the open
+ones. Resolved problems are kept because they set the mean complexity of
+arrivals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,40 +147,36 @@ def step_knowledge(state: EpistemicState, params: EpistemicParams, dt: float) ->
 
 
 @dataclass
-class Problem:
-    """One open or resolved problem in the pool."""
-
-    id: int
-    complexity: float
-    open: bool = True
-
-    def __post_init__(self):
-        if self.complexity < 0:
-            raise DomainError("problem complexity must be >= 0")
-
-
-@dataclass
 class ProblemPool:
     """Dynamic pool of problems with emergence rate and alignment weighting.
 
+    `problems` holds the complexity of every problem ever created, in
+    creation order; `open` marks the unresolved ones (all, if not given).
     Rebuilt every step, it does not check its parameters; Scenario does."""
 
-    problems: list = field(default_factory=list)
+    problems: np.ndarray = field(default_factory=lambda: np.empty(0))
+    open: np.ndarray | None = None
     eta_rate: float = param(1.0, min=0)
     lambda_align: float = param(1.0, min=0, max=1)
     eps_floor: float = param(1e-6, exmin=0)
 
-    @property
-    def open_problems(self) -> list:
-        return [pr for pr in self.problems if pr.open]
+    def __post_init__(self):
+        self.problems = np.asarray(self.problems, dtype=float)
+        if self.open is None:
+            self.open = np.ones(self.problems.shape, dtype=bool)
+        self.open = np.asarray(self.open, dtype=bool)
+        if self.problems.ndim != 1 or self.open.shape != self.problems.shape:
+            raise InputError("problems and open must be 1-d arrays of one length")
+        if self.problems.min(initial=0.0) < 0:
+            raise DomainError("problem complexity must be >= 0")
 
 
 @dataclass(frozen=True)
 class ResearchOutput:
-    """Output rate and per-problem solve probabilities."""
+    """Output rate and per-open-problem solve probabilities."""
 
     r: float
-    solve_probs: Tuple[float, ...]
+    solve_probs: np.ndarray
     clamped: int  # how many raw ratios exceeded 1 and were capped
 
 
@@ -187,16 +189,12 @@ def research_output(pool: ProblemPool, a_cap: float) -> ResearchOutput:
     """
     if a_cap < 0:
         raise DomainError(f"capability must be >= 0, got {a_cap}")
-    probs = []
-    clamped = 0
-    for pr in pool.open_problems:
-        raw = a_cap / (pr.complexity + pool.eps_floor)
-        if raw > 1.0:
-            clamped += 1
-            raw = 1.0
-        probs.append(raw)
-    r = pool.lambda_align * float(sum(probs))
-    return ResearchOutput(r=r, solve_probs=tuple(probs), clamped=clamped)
+    raw = a_cap / (pool.problems[pool.open] + pool.eps_floor)
+    probs = np.minimum(raw, 1.0)
+    # Python's left-to-right sum: R is written to the artifact, and np.sum
+    # adds in a different order.
+    r = pool.lambda_align * float(sum(probs.tolist()))
+    return ResearchOutput(r=r, solve_probs=probs, clamped=int(np.count_nonzero(raw > 1.0)))
 
 
 def step_problem_pool(
@@ -212,39 +210,30 @@ def step_problem_pool(
     probability lambda * pi_i * dt (capped at 1), so the expected net change
     matches (eta - R) * dt. Surplus means resolution outpaces emergence:
     R > eta. New problems draw their complexity from an exponential whose
-    mean matches the current pool (1.0 for an empty pool).
+    mean matches every problem created so far (1.0 for an empty pool).
+    Draws come in a fixed order: one uniform per open problem, in creation
+    order, then the arrival count, then one exponential per arrival.
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    open_count = len(pool.open_problems)
-    if len(output.solve_probs) != open_count:
+    n_open = int(np.count_nonzero(pool.open))
+    if len(output.solve_probs) != n_open:
         raise InputError(
             f"solve_probs length {len(output.solve_probs)} does not match "
-            f"{open_count} open problems"
+            f"{n_open} open problems"
         )
-    probs_iter = iter(output.solve_probs)
-    new_problems = []
-    for pr in pool.problems:
-        if pr.open:
-            p_resolve = min(1.0, pool.lambda_align * next(probs_iter) * dt)
-            if rng.random() < p_resolve:
-                pr = Problem(pr.id, pr.complexity, open=False)
-        new_problems.append(pr)
-
-    mean_c = (
-        float(np.mean([pr.complexity for pr in pool.problems])) if pool.problems else 1.0
-    )
+    # A uniform draw is below 1, so comparing it with lambda * pi_i * dt
+    # caps that probability at 1.
+    is_open = pool.open.copy()
+    is_open[pool.open] = rng.random(n_open) >= pool.lambda_align * output.solve_probs * dt
+    problems = pool.problems
     n_new = rng.poisson(pool.eta_rate * dt)
-    next_id = max((pr.id for pr in pool.problems), default=-1) + 1
-    for k in range(n_new):
-        new_problems.append(Problem(id=next_id + k, complexity=float(rng.exponential(mean_c))))
-
-    new_pool = ProblemPool(
-        problems=new_problems,
-        eta_rate=pool.eta_rate,
-        lambda_align=pool.lambda_align,
-        eps_floor=pool.eps_floor,
-    )
+    if n_new:
+        # np.mean's pairwise sum over the size, without its per-call overhead
+        mean_c = float(problems.sum()) / problems.size if problems.size else 1.0
+        problems = np.concatenate((problems, rng.exponential(mean_c, n_new)))
+        is_open = np.concatenate((is_open, np.ones(n_new, dtype=bool)))
+    new_pool = replace(pool, problems=problems, open=is_open)
     return new_pool, output.r > pool.eta_rate
 
 
@@ -310,16 +299,14 @@ def run(scenario: Scenario, seed: int):
     s = scenario
     rng_init = make_generator(seed, 0)
     rng_pool = make_generator(seed, 1)
-    problems = [
-        Problem(id=i, complexity=float(rng_init.exponential(s.complexity_mean)))
-        for i in range(s.n_problems)
-    ]
-    pool = ProblemPool(problems=problems, eta_rate=s.eta_rate,
-                       lambda_align=s.lambda_align, eps_floor=s.eps_floor)
+    pool = ProblemPool(problems=rng_init.exponential(s.complexity_mean, s.n_problems),
+                       eta_rate=s.eta_rate, lambda_align=s.lambda_align,
+                       eps_floor=s.eps_floor)
     state = initial_state(s, a_cap=s.a0, p0=s.p0)
     out = research_output(pool, state.a_cap)
+    # out.solve_probs has one entry per open problem: the pool_size column.
     rows = [[state.t, state.p, state.theta, state.c, state.pi, state.inverted,
-             out.r, len(pool.open_problems), out.r > pool.eta_rate]]
+             out.r, len(out.solve_probs), out.r > pool.eta_rate]]
     pis = [state.pi]
     transition_ok = True
     for _ in range(s.horizon):
@@ -328,13 +315,10 @@ def run(scenario: Scenario, seed: int):
         # capability grows between steps; refresh the cost-side quantities
         a_cap = state.a_cap + s.a_growth * s.dt
         c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
-        state = EpistemicState(
-            t=state.t, p=state.p, theta=state.theta, c=c, a_cap=a_cap,
-            pi=state.pi, inverted=c < s.theta_star,
-        )
+        state = replace(state, c=c, a_cap=a_cap, inverted=c < s.theta_star)
         out = research_output(pool, state.a_cap)
         rows.append([state.t, state.p, state.theta, state.c, state.pi,
-                     state.inverted, out.r, len(pool.open_problems), surplus])
+                     state.inverted, out.r, len(out.solve_probs), surplus])
         pis.append(state.pi)
         if state.p >= s.p_bar and state.theta != s.eps_resid:
             transition_ok = False

@@ -20,6 +20,9 @@ from .growth import cobb_douglas
 
 FORMAT = "csv"
 
+# Cobb-Douglas inputs of a `production` dict; a key it leaves out takes its value here.
+PRODUCTION = {"a": 1.0, "k": 1.0, "l": 1.0, "alpha": 0.5}
+
 
 @dataclass(frozen=True)
 class NeedsState:
@@ -107,6 +110,14 @@ class FlywheelResult:
     coverage_aligned: np.ndarray
 
 
+def production_output(production: dict) -> float:
+    """Cobb-Douglas output Y = a*k^alpha*l^(1-alpha) of a `production` dict."""
+    unknown = sorted(set(production) - set(PRODUCTION))
+    if unknown:
+        raise InputError(f"production: unknown keys {unknown}; known: {list(PRODUCTION)}")
+    return cobb_douglas(**{**PRODUCTION, **production})
+
+
 def flywheel_compare(
     state0: NeedsState,
     production: dict,
@@ -127,12 +138,7 @@ def flywheel_compare(
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     if kappa < 0:
         raise DomainError(f"kappa must be >= 0, got {kappa}")
-    y = cobb_douglas(
-        production.get("a", 1.0),
-        production.get("k", 1.0),
-        production.get("l", 1.0),
-        production.get("alpha", 0.5),
-    )
+    y = production_output(production)
     weights0 = state0.n_vec.copy()
     shares_blind = _flow_shares(state0)
 
@@ -189,7 +195,7 @@ class Scenario(NeedsState):
     n_vec: list = param([5.0, 4.0, 3.0, 2.0, 1.0])
     d_mat: list = param([[1.0, 2.0], [2.0, 1.0], [1.0, 1.5], [2.5, 2.0], [1.5, 1.0]])
     p_vec: list = param([1.0, 1.0])
-    production: dict = param({"a": 1.0, "k": 1.0, "l": 1.0, "alpha": 0.5})
+    production: dict = param(PRODUCTION)
     kappa: float = param(0.05, min=0)
     horizon: int = param(50, min=1)
     coverage_eps: float = param(1e-3, exmin=0)
@@ -198,6 +204,7 @@ class Scenario(NeedsState):
     def __post_init__(self):
         check(self)
         super().__post_init__()
+        production_output(self.production)  # fails on unknown keys or bad inputs
 
 
 def run(scenario: Scenario, seed: int):

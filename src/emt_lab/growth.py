@@ -66,8 +66,8 @@ def cobb_douglas(a: float, k: float, l: float, alpha: float) -> float:
     """Aggregate output a * k^alpha * l^(1-alpha)."""
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if a < 0 or k < 0 or l < 0:
-        raise DomainError("inputs must be >= 0")
+    if not all(0 <= v < math.inf for v in (a, k, l)):
+        raise DomainError(f"inputs must be finite and >= 0, got a={a}, k={k}, l={l}")
     return a * k**alpha * l ** (1.0 - alpha)
 
 

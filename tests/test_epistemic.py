@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from emt_lab import DomainError, InputError, make_generator
 from emt_lab.epistemic import (
     EpistemicParams,
-    Problem,
     ProblemPool,
     discovery_probability,
     hamiltonian_value,
@@ -81,10 +80,7 @@ def test_inversion_flag():
 
 
 def test_research_output_clamping_and_rate():
-    pool = ProblemPool(
-        problems=[Problem(0, complexity=1.0), Problem(1, complexity=0.0)],
-        lambda_align=0.5,
-    )
+    pool = ProblemPool(problems=[1.0, 0.0], lambda_align=0.5)
     out = research_output(pool, a_cap=0.5)
     # second problem's raw ratio 0.5/eps_floor >> 1 gets clamped
     assert out.clamped == 1
@@ -93,21 +89,81 @@ def test_research_output_clamping_and_rate():
     assert out.r == pytest.approx(0.5 * sum(out.solve_probs))
 
 
+def test_research_output_skips_resolved_problems():
+    pool = ProblemPool(problems=[1.0, 0.0, 3.0], open=[True, False, True])
+    out = research_output(pool, a_cap=0.5)
+    assert out.clamped == 0
+    assert out.solve_probs.tolist() == [0.5 / (1.0 + pool.eps_floor), 0.5 / (3.0 + pool.eps_floor)]
+
+
+def test_pool_rejects_bad_arrays():
+    with pytest.raises(DomainError):
+        ProblemPool(problems=[1.0, -0.5])
+    with pytest.raises(InputError):
+        ProblemPool(problems=[1.0, 2.0], open=[True])
+    with pytest.raises(InputError):
+        ProblemPool(problems=[[1.0, 2.0]])
+
+
 def test_pool_step_resolves_everything_at_probability_one():
-    pool = ProblemPool(
-        problems=[Problem(i, complexity=0.5) for i in range(20)],
-        eta_rate=0.0,
-        lambda_align=1.0,
-    )
+    pool = ProblemPool(problems=np.full(20, 0.5), eta_rate=0.0, lambda_align=1.0)
     out = research_output(pool, a_cap=10.0)  # all probs clamp to 1
     new_pool, surplus = step_problem_pool(pool, out, dt=1.0, rng=make_generator(0))
-    assert len(new_pool.open_problems) == 0
+    assert not new_pool.open.any()
+    assert new_pool.problems.tolist() == [0.5] * 20  # resolved problems are kept
+    assert pool.open.all()  # the step returns a new pool
     assert surplus  # R = 20 > eta = 0
+
+
+def test_pool_step_draw_order_matches_scalar_draws():
+    # One uniform per open problem in creation order, then the arrival
+    # count, then one exponential per arrival, each as a scalar call.
+    complexities = [0.5, 2.0, 1.0, 4.0, 0.1]
+    pool = ProblemPool(problems=complexities, open=[True, False, True, True, True],
+                       eta_rate=30.0, lambda_align=0.8)
+    out = research_output(pool, a_cap=0.7)
+    dt = 0.5
+    new_pool, _ = step_problem_pool(pool, out, dt, rng=make_generator(5))
+
+    ref = make_generator(5)
+    still_open = [ref.random() >= min(1.0, 0.8 * p * dt) for p in out.solve_probs.tolist()]
+    n_new = ref.poisson(30.0 * dt)
+    arrivals = [float(ref.exponential(np.mean(complexities))) for _ in range(n_new)]
+    assert n_new > 0
+    assert new_pool.problems.tolist() == complexities + arrivals
+    assert new_pool.open.tolist() == [still_open[0], False, *still_open[1:]] + [True] * n_new
+
+
+def test_empty_pool_has_no_output_and_draws_nothing():
+    pool = ProblemPool(eta_rate=0.0)
+    out = research_output(pool, a_cap=1.0)
+    assert out.r == 0.0
+    assert len(out.solve_probs) == 0
+    assert out.clamped == 0
+    rng = make_generator(3)
+    before = rng.bit_generator.state
+    new_pool, surplus = step_problem_pool(pool, out, dt=1.0, rng=rng)
+    assert rng.bit_generator.state == before
+    assert len(new_pool.problems) == 0
+    assert not surplus
+
+
+def test_arrivals_draw_from_mean_of_resolved_problems():
+    pool = ProblemPool(problems=[1.0, 3.0], open=[False, False], eta_rate=4.0)
+    out = research_output(pool, a_cap=1.0)
+    assert len(out.solve_probs) == 0 and out.r == 0.0
+    new_pool, _ = step_problem_pool(pool, out, dt=1.0, rng=make_generator(9))
+
+    ref = make_generator(9)
+    n_new = ref.poisson(4.0)
+    assert n_new > 0
+    assert new_pool.problems.tolist() == [1.0, 3.0] + ref.exponential(2.0, n_new).tolist()
+    assert new_pool.open.tolist() == [False, False] + [True] * n_new
 
 
 def test_pool_step_arrival_rate_matches_poisson_mean():
     rng = make_generator(123)
-    pool = ProblemPool(problems=[], eta_rate=3.0, lambda_align=1.0)
+    pool = ProblemPool(eta_rate=3.0, lambda_align=1.0)
     out = research_output(pool, a_cap=1.0)
     totals = []
     for _ in range(2000):
@@ -119,11 +175,14 @@ def test_pool_step_arrival_rate_matches_poisson_mean():
 
 
 def test_pool_step_rejects_stale_output():
-    pool = ProblemPool(problems=[Problem(0, 1.0), Problem(1, 1.0)])
+    pool = ProblemPool(problems=[1.0, 1.0])
     out = research_output(pool, a_cap=1.0)
-    smaller = ProblemPool(problems=[Problem(0, 1.0)])
+    smaller = ProblemPool(problems=[1.0])
     with pytest.raises(InputError):
         step_problem_pool(smaller, out, dt=0.1, rng=make_generator(0))
+    one_resolved = ProblemPool(problems=[1.0, 1.0], open=[True, False])
+    with pytest.raises(InputError):
+        step_problem_pool(one_resolved, out, dt=0.1, rng=make_generator(0))
 
 
 def test_hamiltonian_value():

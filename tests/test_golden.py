@@ -1,5 +1,6 @@
-"""Golden digests: the bytes of every bundled artifact, every schema printout
-and every bundled config digest, pinned across versions.
+"""Golden digests: the bytes of every bundled artifact, of one large-pool
+epistemic artifact, of every schema printout and every bundled config digest,
+pinned across versions.
 
 Criterion 13 only compares two reruns of one version; these digests hold the
 bytes fixed from one change to the next. A digest that moves on purpose is
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from emt_lab.cli import bundled_scenarios, main
+from emt_lab.config import validate_config
 from emt_lab.runner import run_scenario
 
 ARTIFACTS = {
@@ -25,6 +27,18 @@ ARTIFACTS = {
     "mdp_default.json": "abb752e96a3ee36e2775849c9ec3112a2cb56d9aec7206af978a5125b642c99b",
     "policy_default.json": "9bbaebbc7ae3048b327ab3dd9d7f4f77c6e24a3531c8ec78a124bf89305c0bae",
 }
+
+# The bundled epistemic scenario keeps a pool of about ten problems; this one
+# creates some 2,400 and resolves most of them, so resolutions, arrivals and
+# the mean complexity of the whole pool all shape its bytes.
+LARGE_POOL = {
+    "name": "large_pool",
+    "module": "epistemic",
+    "seed": 7,
+    "params": {"horizon": 1200, "eta_rate": 20, "dt": 0.1, "n_problems": 10,
+               "complexity_mean": 2.0, "lambda_align": 0.9},
+}
+LARGE_POOL_DIGEST = "dfa84571c4fc985e98e7bdb1c4b1f84bdc076a18aef14ddf21ee9b2312bc411b"
 
 SCHEMAS = {
     "epistemic": "739dae5b0396a2442563c8b6ac01c72da875ba3ea0a1faca6af3091cc8732c44",
@@ -61,6 +75,11 @@ def test_bundled_artifact_bytes(tmp_path):
         for path in map(Path, report.artifact_paths):
             digests[path.name] = _sha256(path.read_bytes())
     assert digests == ARTIFACTS
+
+
+def test_large_pool_epistemic_artifact_bytes(tmp_path):
+    report = run_scenario(validate_config(LARGE_POOL), out_dir=str(tmp_path))
+    assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == LARGE_POOL_DIGEST
 
 
 @pytest.mark.parametrize("module", sorted(SCHEMAS))

@@ -180,6 +180,11 @@ def test_cli_runs_several_configs(tmp_path):
     ("mdp", {"params": {"shock_probs": [0.5, 0.5]}}, "transition shape"),
     ("mdp", {"output": {"format": "csv"}}, "produces json output"),
     ("growth", {"params": {"psi": 2.0}}, "no equilibrium"),
+    ("gravity", {"params": {"production": {"alpha": 2}}}, "alpha must lie in (0, 1)"),
+    ("gravity", {"params": {"production": {"alpha": 0.5, "beta": 1}}}, "unknown keys ['beta']"),
+    ("feedback", {"params": {"e_target": float("nan")}}, "params.e_target"),
+    ("feedback", {"params": {"e_target": float("inf")}}, "params.e_target"),
+    ("gravity", {"params": {"kappa": 10**400}}, "params.kappa"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -188,6 +193,18 @@ def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path,
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["../escape.json", "a/../../escape.json", "absolute", "."])
+def test_cli_output_path_must_stay_inside_out(path, tmp_path, capsys):
+    if path == "absolute":
+        path = str(tmp_path / "out" / "escape.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module="mdp", output={"path": path})))
+    out = tmp_path / "out" / "sub"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "output.path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fmt_numpy_scalars():
