@@ -2,13 +2,18 @@
 
 The annotation gives the type, the default the default, and the keywords the
 bounds ("min", "exmin", "max", "exmax") and "choices". `check` enforces them
-on an instance; config derives validation and `emt-lab schema` from them.
+on an instance, along with one rule for every field: a float, or an element of
+a float array, is finite. Config derives validation and `emt-lab schema` from
+the fields.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import MISSING, field, fields
+
+import numpy as np
 
 from .errors import DomainError, InputError
 
@@ -49,11 +54,19 @@ def bound_problems(name: str, bounds: dict, value) -> list:
 
 
 def check(obj) -> None:
-    """Raise if a parameter field of `obj` breaks its bounds or choices."""
+    """Raise if an init field of `obj` holds a number that is not finite, or
+    a parameter field breaks its bounds or choices."""
     for f in fields(obj):
+        if not f.init:
+            continue
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{f.name}: must be finite, got {value}")
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f" and not np.isfinite(value).all():
+            raise DomainError(f"{f.name}: every element must be finite")
         bounds = f.metadata.get("param")
         if bounds is not None:
-            problems = bound_problems(f.name, bounds, getattr(obj, f.name))
+            problems = bound_problems(f.name, bounds, value)
             if problems:
                 error = InputError if "choices" in bounds else DomainError
                 raise error("; ".join(problems))

@@ -5,7 +5,7 @@
   emt-lab schema <module>   print the parameter schema for a module
 
 Exit codes: 0 success, 1 embedded check failure, 2 configuration error,
-3 runtime error.
+3 runtime error (a model failure, or an artifact that cannot be written).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG_ERROR
     try:
         reports = [runner.run_scenario(cfg, out_dir=args.out) for cfg in configs]
-    except EmtLabError as exc:
+    except (EmtLabError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     for report in reports:
@@ -94,7 +94,7 @@ def _cmd_verify() -> int:
         for fname, cfg in bundled_scenarios():
             try:
                 report = runner.run_scenario(cfg, out_dir=tmp)
-            except EmtLabError as exc:
+            except (EmtLabError, OSError) as exc:
                 print(f"{fname}: runtime error: {exc}", file=sys.stderr)
                 return EXIT_RUNTIME_ERROR
             status = "ok" if report.passed else "CHECK FAILED"

@@ -162,7 +162,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
             output_format=fmt or native,
             output_path=output["path"],
         )
-    except (EmtLabError, TypeError, ValueError) as exc:
+    except (EmtLabError, ArithmeticError, TypeError, ValueError) as exc:
         raise ConfigError([f"params: {exc}"]) from exc
 
 

@@ -19,6 +19,14 @@ from .errors import ConvergenceError, DomainError, InputError, NumericError
 FORMAT = "json"
 
 
+def _indices(name: str, values) -> np.ndarray:
+    """`values` as an int array; every element must be a finite whole number."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        raise InputError(f"{name}: every element must be a whole number")
+    return arr.astype(int)
+
+
 @dataclass(frozen=True)
 class MdpSpec(Params):
     """Finite MDP with a finite shock support.
@@ -37,12 +45,11 @@ class MdpSpec(Params):
     def __post_init__(self):
         object.__setattr__(self, "rewards", np.atleast_2d(np.asarray(self.rewards, dtype=float)))
         object.__setattr__(self, "shock_probs", np.asarray(self.shock_probs, dtype=float))
-        object.__setattr__(self, "transition", np.asarray(self.transition, dtype=int))
+        object.__setattr__(self, "transition", _indices("transition", self.transition))
+        super().__post_init__()
         n_s, n_a = self.rewards.shape
         if n_s < 1 or n_a < 1:
             raise InputError("need at least one state and one action")
-        if not np.all(np.isfinite(self.rewards)):
-            raise InputError("rewards must be finite")
         if abs(self.shock_probs.sum() - 1.0) > 1e-12 or np.any(self.shock_probs < 0):
             raise InputError(
                 f"shock probabilities must be >= 0 and sum to 1, "
@@ -55,7 +62,6 @@ class MdpSpec(Params):
             )
         if np.any(self.transition < 0) or np.any(self.transition >= n_s):
             raise InputError("transitions must land in valid states")
-        super().__post_init__()
 
     @property
     def n_states(self) -> int:
@@ -210,6 +216,11 @@ class Scenario(MdpSpec):
     max_iter: int = param(100000, min=1)
     legacy_policy: list | None = param(None)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.legacy_policy is not None:
+            object.__setattr__(self, "legacy_policy", _indices("legacy_policy", self.legacy_policy))
+
 
 def run(scenario: Scenario, seed: int):
     """Values, greedy policy and solver telemetry, plus the surplus check."""
@@ -222,7 +233,7 @@ def run(scenario: Scenario, seed: int):
     }
     checks = {}
     if scenario.legacy_policy is not None:
-        surplus = realtime_surplus(scenario, np.array(scenario.legacy_policy, dtype=int))
+        surplus = realtime_surplus(scenario, scenario.legacy_policy)
         report["realtime_surplus"] = [float(s) for s in surplus]
         checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)
     return report, checks

@@ -6,13 +6,18 @@ error at rate gamma and feeds it into the output through the gain phi(A).
 Layer 3 is meta-learning: gamma itself adapts to whether the squared error is
 shrinking. The deterministic core integrates with RK4; Gaussian noise, when
 enabled, enters Euler-Maruyama style with sqrt(dt) scaling.
+
+`simulate_loop` is the hot path of a feedback run, so the RK4 step is inlined
+in its loop, the normal draws for all steps are taken in one batch (the same
+doubles as one draw per step), and each state is a NamedTuple whose fields
+are in CSV column order, so the trajectory is the artifact's rows as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._params import Params, param
 from ._rng import make_generator
@@ -42,9 +47,8 @@ class FeedbackParams(Params):
         return float(self.e_target)
 
 
-@dataclass(frozen=True)
-class FeedbackState:
-    """One recorded point of the loop trajectory."""
+class FeedbackState(NamedTuple):
+    """One recorded point of the loop trajectory, fields in CSV column order."""
 
     t: float
     o_val: float
@@ -53,41 +57,45 @@ class FeedbackState:
     eps_err: float
 
 
-def _rk4_step(o: float, a: float, gamma: float, params: FeedbackParams, t: float) -> tuple[float, float]:
-    """One RK4 step of dO/dt = phi_gain*A, dA/dt = gamma*(E - O)."""
-    dt = params.dt
-
-    def deriv(o_, a_, t_):
-        return params.phi_gain * a_, gamma * (params.target(t_) - o_)
-
-    k1o, k1a = deriv(o, a, t)
-    k2o, k2a = deriv(o + 0.5 * dt * k1o, a + 0.5 * dt * k1a, t + 0.5 * dt)
-    k3o, k3a = deriv(o + 0.5 * dt * k2o, a + 0.5 * dt * k2a, t + 0.5 * dt)
-    k4o, k4a = deriv(o + dt * k3o, a + dt * k3a, t + dt)
-    o_new = o + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
-    a_new = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-    return o_new, a_new
-
-
 def simulate_loop(params: FeedbackParams) -> list[FeedbackState]:
-    """Integrate the loop for `horizon` steps; returns horizon+1 states."""
-    rng = make_generator(params.seed) if params.noise_sd > 0 else None
+    """Integrate the loop for `horizon` steps; returns horizon+1 states.
+
+    Each step is one RK4 step of dO/dt = phi_gain*A, dA/dt = gamma*(E - O),
+    then the noise kick, then the gamma update.
+    """
+    dt, phi, theta = params.dt, params.phi_gain, params.theta_meta
+    hdt, dt6 = 0.5 * dt, dt / 6.0
+    varying = callable(params.e_target)
+    noise = None
+    if params.noise_sd > 0:
+        noise = make_generator(params.seed).standard_normal(params.horizon).tolist()
+        scale = params.noise_sd * math.sqrt(dt)
     o, a, gamma = params.o0, params.a0, params.gamma0
     t = 0.0
-    eps = params.target(t) - o
-    traj = [FeedbackState(t=t, o_val=o, a_sig=a, gamma=gamma, eps_err=eps)]
+    e = e_mid = e_end = params.target(t)
+    eps = e - o
+    traj = [FeedbackState(t, o, a, gamma, eps)]
     for k in range(params.horizon):
-        o, a = _rk4_step(o, a, gamma, params, t)
-        if rng is not None:
-            o += params.noise_sd * math.sqrt(params.dt) * rng.standard_normal()
-        t = (k + 1) * params.dt
+        if varying:
+            e_mid, e_end = params.target(t + hdt), params.target(t + dt)
+        k1o, k1a = phi * a, gamma * (e - o)
+        k2o, k2a = phi * (a + hdt * k1a), gamma * (e_mid - (o + hdt * k1o))
+        k3o, k3a = phi * (a + hdt * k2a), gamma * (e_mid - (o + hdt * k2o))
+        k4o, k4a = phi * (a + dt * k3a), gamma * (e_end - (o + dt * k3o))
+        o = o + dt6 * (k1o + 2 * k2o + 2 * k3o + k4o)
+        a = a + dt6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        if noise is not None:
+            o += scale * noise[k]
+        t = (k + 1) * dt
         if not (math.isfinite(o) and math.isfinite(a)):
             raise NumericError(f"loop diverged at step {k + 1}: O={o}, A={a}")
-        eps_new = params.target(t) - o
+        if varying:
+            e = params.target(t)
+        eps_new = e - o
         # exact discrete telescope of d(gamma)/dt = theta * d(eps^2)/dt
-        gamma = max(0.0, gamma + params.theta_meta * (eps_new**2 - eps**2))
+        gamma = max(0.0, gamma + theta * (eps_new**2 - eps**2))
         eps = eps_new
-        traj.append(FeedbackState(t=t, o_val=o, a_sig=a, gamma=gamma, eps_err=eps))
+        traj.append(FeedbackState(t, o, a, gamma, eps))
     return traj
 
 
@@ -124,9 +132,8 @@ class Scenario(FeedbackParams):
 def run(scenario: Scenario, seed: int):
     """The trajectory, plus the settling check if asked for."""
     traj = simulate_loop(replace(scenario, seed=seed))
-    rows = [[s.t, s.o_val, s.a_sig, s.gamma, s.eps_err] for s in traj]
     checks = {}
     if scenario.check_settled:
         diag = loop_diagnostics(traj, settle_threshold=scenario.settle_threshold)
         checks["settled_as_expected"] = diag["settled"] != scenario.expect_unstable
-    return (["t", "O", "A", "gamma", "eps"], rows), checks
+    return (["t", "O", "A", "gamma", "eps"], traj), checks

@@ -202,8 +202,8 @@ class Scenario(NeedsState):
     check_dominance: bool = param(False)
 
     def __post_init__(self):
-        check(self)
         super().__post_init__()
+        check(self)
         production_output(self.production)  # fails on unknown keys or bad inputs
 
 

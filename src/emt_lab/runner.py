@@ -9,10 +9,10 @@ keys, RFC-4180 CSV), so identical config + seed reproduces identical bytes.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +37,23 @@ class RunReport:
         return all(self.checks.values())
 
 
+# Characters that make the excel CSV dialect quote a cell.
+_QUOTED = frozenset(',"\r\n')
+
+
 def _fmt(value) -> str:
+    """One CSV cell: shortest round-trip floats, lowercase booleans, and
+    strings quoted as the excel dialect of `csv` quotes them."""
     if type(value) is float:  # the common case, kept fast
         return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _write_artifact(artifact, path: Path):
@@ -56,10 +65,7 @@ def _write_artifact(artifact, path: Path):
     else:
         header, rows = artifact
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in chain([header], rows))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> RunReport:

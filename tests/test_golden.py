@@ -1,6 +1,7 @@
 """Golden digests: the bytes of every bundled artifact, of one large-pool
-epistemic artifact, of every schema printout and every bundled config digest,
-pinned across versions.
+epistemic artifact, of one noisy feedback artifact, of feedback trajectories
+under a callable target, of every schema printout and every bundled config
+digest, pinned across versions.
 
 Criterion 13 only compares two reruns of one version; these digests hold the
 bytes fixed from one change to the next. A digest that moves on purpose is
@@ -8,12 +9,14 @@ updated here, with the reason recorded in CHANGES.md.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
 
 from emt_lab.cli import bundled_scenarios, main
 from emt_lab.config import validate_config
+from emt_lab.feedback import FeedbackParams, simulate_loop
 from emt_lab.runner import run_scenario
 
 ARTIFACTS = {
@@ -39,6 +42,23 @@ LARGE_POOL = {
                "complexity_mean": 2.0, "lambda_align": 0.9},
 }
 LARGE_POOL_DIGEST = "dfa84571c4fc985e98e7bdb1c4b1f84bdc076a18aef14ddf21ee9b2312bc411b"
+
+# Neither bundled feedback scenario has noise or meta-learning; this one has
+# both, so the order and values of the normal draws shape its bytes.
+NOISY_FEEDBACK = {
+    "name": "noisy_feedback",
+    "module": "feedback",
+    "seed": 5,
+    "params": {"noise_sd": 0.02, "theta_meta": 0.4, "dt": 0.01, "horizon": 3000},
+}
+NOISY_FEEDBACK_DIGEST = "ec4e28a70a8006309526204b8e724ba71b808e184296162f8ceb3360e24d5cce"
+
+# A callable e_target cannot come from a JSON config; the repr of every state
+# pins the trajectory it drives, with and without noise.
+CALLABLE_TARGET_DIGESTS = {
+    0.0: "ab24b2edff2437117ed53003f07f32bdbd3371f83dc2a4caefd741e8734cc970",
+    0.02: "1d77bb58cbb6789b52f7e7e591ff2128b3fe4f8141c19f58f7fde90a6d76f6b2",
+}
 
 SCHEMAS = {
     "epistemic": "739dae5b0396a2442563c8b6ac01c72da875ba3ea0a1faca6af3091cc8732c44",
@@ -80,6 +100,19 @@ def test_bundled_artifact_bytes(tmp_path):
 def test_large_pool_epistemic_artifact_bytes(tmp_path):
     report = run_scenario(validate_config(LARGE_POOL), out_dir=str(tmp_path))
     assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == LARGE_POOL_DIGEST
+
+
+def test_noisy_feedback_artifact_bytes(tmp_path):
+    report = run_scenario(validate_config(NOISY_FEEDBACK), out_dir=str(tmp_path))
+    assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == NOISY_FEEDBACK_DIGEST
+
+
+@pytest.mark.parametrize("noise_sd", sorted(CALLABLE_TARGET_DIGESTS))
+def test_callable_target_trajectory(noise_sd):
+    params = FeedbackParams(e_target=lambda t: 1 + 0.1 * math.sin(3 * t), noise_sd=noise_sd,
+                            theta_meta=0.4, dt=0.01, horizon=3000, seed=5)
+    traj = simulate_loop(params)
+    assert _sha256("\n".join(map(repr, traj)).encode()) == CALLABLE_TARGET_DIGESTS[noise_sd]
 
 
 @pytest.mark.parametrize("module", sorted(SCHEMAS))

@@ -1,5 +1,7 @@
 """Config validation, scenario runs, determinism, and CLI exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,8 @@ import emt_lab
 from emt_lab import ConfigError, load_config, module_schema, validate_config
 from emt_lab.cli import bundled_scenarios, main
 from emt_lab.config import MODULES
-from emt_lab.runner import _fmt, run_scenario
+from emt_lab import runner
+from emt_lab.runner import _fmt, _write_artifact, run_scenario
 
 SCENARIO_DIR = Path(emt_lab.__file__).parent / "scenarios"
 
@@ -185,6 +188,14 @@ def test_cli_runs_several_configs(tmp_path):
     ("feedback", {"params": {"e_target": float("nan")}}, "params.e_target"),
     ("feedback", {"params": {"e_target": float("inf")}}, "params.e_target"),
     ("gravity", {"params": {"kappa": 10**400}}, "params.kappa"),
+    ("gravity", {"params": {"n_vec": [float("nan"), 4, 3, 2, 1]}}, "n_vec: every element must be finite"),
+    ("gravity", {"params": {"p_vec": [1.0, 10**400]}}, "too large"),
+    ("mdp", {"params": {"rewards": [[float("inf"), 1.0]]}}, "rewards: every element must be finite"),
+    ("mdp", {"params": {"shock_probs": [float("nan")]}}, "shock_probs: every element must be finite"),
+    ("mdp", {"params": {"transition": [[[float("nan")], [0]]]}}, "transition: every element must be a whole number"),
+    ("mdp", {"params": {"legacy_policy": [0.5]}}, "legacy_policy: every element must be a whole number"),
+    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bar": 1.0, "eta": float("inf"), "lambda_align": 1.0}]}},
+     "eta: must be finite"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -193,6 +204,48 @@ def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path,
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_array_literal_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "t", "module": "gravity", "params": {"p_vec": [1e400, 1.0]}}')
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "p_vec: every element must be finite" in capsys.readouterr().err
+
+
+def test_validate_config_rejects_non_finite_array_elements():
+    with pytest.raises(ConfigError) as err:
+        validate_config(minimal(module="gravity", params={"d_mat": [[1.0, float("nan")]] * 5}))
+    assert any("d_mat" in p for p in err.value.problems)
+
+
+def test_cli_unwritable_artifact_is_a_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module="mdp", output={"path": "d"})))
+    out = tmp_path / "out"
+    (out / "d").mkdir(parents=True)
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "runtime error: " in capsys.readouterr().err
+
+
+def test_cli_verify_unwritable_artifact_is_a_runtime_error(monkeypatch, capsys):
+    def refuse(artifact, path):
+        raise PermissionError(f"cannot write {path}")
+
+    monkeypatch.setattr(runner, "_write_artifact", refuse)
+    assert main(["verify"]) == 3
+    assert "runtime error: cannot write" in capsys.readouterr().err
+
+
+def test_csv_cells_are_quoted_like_the_csv_module(tmp_path):
+    header = ["s,1", "q", "nl", "flag", "x", "n"]
+    rows = [["x,y", 'q"r', "a\nb", True, np.float64(0.1), 3], ["plain", "", "c\rd", False, 2.5, -1]]
+    path = tmp_path / "a.csv"
+    _write_artifact((header, rows), path)
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([header, ["x,y", 'q"r', "a\nb", "true", "0.1", "3"],
+                                    ["plain", "", "c\rd", "false", "2.5", "-1"]])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 @pytest.mark.parametrize("path", ["../escape.json", "a/../../escape.json", "absolute", "."])
