@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from util_mdp import random_mdp
 
-from emt_lab import DomainError, InputError, NumericError
+from emt_lab import ConvergenceError, DomainError, InputError, NumericError
 from emt_lab.dynprog import (
     MdpSpec,
+    Scenario,
     enumerate_policies_value,
     evaluate_policy,
     ideation_surplus,
     path_sensitivity,
     realtime_surplus,
+    run,
     value_iteration,
 )
 
@@ -149,3 +151,81 @@ def test_path_sensitivity_symmetric_in_h():
     assert np.allclose(
         path_sensitivity(spec, h=1e-3), path_sensitivity(spec, h=1e-3), atol=0
     )
+
+
+def reference_value_iteration(spec, tol, max_iter):
+    """Value iteration with the axis reduction q.max(axis=1): (v, it, residual)."""
+    threshold = tol * min(1.0, (1.0 - spec.beta) / spec.beta)
+    v = np.zeros(spec.n_states)
+    for it in range(1, max_iter + 1):
+        v_new = (spec.rewards + spec.beta * spec.expected_next_values(v)).max(axis=1)
+        residual = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if residual <= threshold:
+            return v, it, residual
+    return None, max_iter, residual
+
+
+def test_policy_transition_matrix_matches_loop():
+    # 4 states and 6 shocks: most rows send several shocks to one next state
+    spec = random_mdp(5, n_states=4, n_actions=3, n_shocks=6)
+    policy = np.array([2, 0, 1, 2])
+    expected = np.zeros((4, 4))
+    for s in range(4):
+        for k, prob in enumerate(spec.shock_probs):
+            expected[s, spec.transition[s, policy[s], k]] += prob
+    assert any(len(set(spec.transition[s, policy[s]])) < 6 for s in range(4))
+    assert spec.policy_transition_matrix(policy).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_value_iteration_matches_axis_max_reference(seed):
+    spec = random_mdp(seed, n_states=30, n_actions=2 + seed % 3, n_shocks=1 + seed % 4)
+    if seed % 2:  # tied action columns
+        rewards = spec.rewards.copy()
+        rewards[:, 1] = rewards[:, 0]
+        spec = MdpSpec(rewards, spec.shock_probs, spec.transition, spec.beta)
+    v, it, residual = reference_value_iteration(spec, 1e-12, 100_000)
+    sol = value_iteration(spec)
+    assert sol.values.tobytes() == v.tobytes()
+    assert (sol.iterations, sol.residual) == (it, residual)
+    q = spec.rewards + spec.beta * spec.expected_next_values(v)
+    assert np.array_equal(sol.policy, q.argmax(axis=1))
+
+
+@pytest.mark.parametrize("loose, tight", [(1e-6, 1e-12), (1e-10, 1e-14), (1e-12, 1e-12)])
+def test_continued_solve_equals_solve_from_zero(loose, tight):
+    spec = random_mdp(8, n_states=40, beta=0.95)
+    start = value_iteration(spec, tol=loose)
+    continued = value_iteration(spec, tol=tight, start=start)
+    fresh = value_iteration(spec, tol=tight)
+    assert continued.values.tobytes() == fresh.values.tobytes()
+    assert np.array_equal(continued.policy, fresh.policy)
+    assert (continued.iterations, continued.residual) == (fresh.iterations, fresh.residual)
+    if loose == tight:
+        assert continued is start
+
+
+def test_tiny_max_iter_raises_the_same_error():
+    spec = random_mdp(9, n_states=20)
+    _, _, residual = reference_value_iteration(spec, 1e-12, 3)
+    start = value_iteration(spec, tol=1e-2)
+    assert start.iterations > 3
+    for kwargs in ({}, {"start": start}):
+        with pytest.raises(ConvergenceError, match="did not converge in 3 iterations") as err:
+            value_iteration(spec, max_iter=3, **kwargs)
+        assert err.value.residual == residual
+    # a start at exactly max_iter sweeps that misses the tighter tolerance
+    with pytest.raises(ConvergenceError) as err:
+        value_iteration(spec, tol=1e-12, max_iter=start.iterations, start=start)
+    assert err.value.residual == start.residual
+
+
+def test_run_reports_the_scenario_solve_error_first():
+    # The surplus solve (tol 1e-12, 100,000 sweeps) fails here as well; the
+    # scenario solve's error comes first, as when the two solves ran apart.
+    scenario = Scenario(rewards=[[0.0, 1.0]], beta=0.9999, tol=1e-13, max_iter=10, legacy_policy=[0])
+    _, _, residual = reference_value_iteration(scenario, 1e-13, 10)
+    with pytest.raises(ConvergenceError, match="did not converge in 10 iterations") as err:
+        run(scenario, seed=0)
+    assert err.value.residual == residual

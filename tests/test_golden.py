@@ -1,7 +1,7 @@
 """Golden digests: the bytes of every bundled artifact, of one large-pool
 epistemic artifact, of one noisy feedback artifact, of feedback trajectories
-under a callable target, of every schema printout and every bundled config
-digest, pinned across versions.
+under a callable target, of random mdp artifacts with a legacy policy, of
+every schema printout and every bundled config digest, pinned across versions.
 
 Criterion 13 only compares two reruns of one version; these digests hold the
 bytes fixed from one change to the next. A digest that moves on purpose is
@@ -12,6 +12,7 @@ import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emt_lab.cli import bundled_scenarios, main
@@ -58,6 +59,16 @@ NOISY_FEEDBACK_DIGEST = "ec4e28a70a8006309526204b8e724ba71b808e184296162f8ceb336
 CALLABLE_TARGET_DIGESTS = {
     0.0: "ab24b2edff2437117ed53003f07f32bdbd3371f83dc2a4caefd741e8734cc970",
     0.02: "1d77bb58cbb6789b52f7e7e591ff2128b3fe4f8141c19f58f7fde90a6d76f6b2",
+}
+
+# Random MDPs with a legacy policy, so that the scenario solve at `tol` and
+# the real-time-surplus solve at 1e-12 both shape the bytes: 1e-10 stops the
+# scenario solve first, 1e-12 stops both together and 1e-14 stops the surplus
+# solve first. The first is the size of a benchmark input.
+RANDOM_MDP_DIGESTS = {
+    (600, 0.95, 1e-10): "6ed6eae9302dabf4bdb07da716c0fa6fd121187995e8367071095147730c4b59",
+    (50, 0.9, 1e-12): "d0b0928b5982d665628843c2ab12f6fd984b3d46ddd0a9823c44d54be1ae5566",
+    (50, 0.9, 1e-14): "d39bc179ca07cb77205d8e20608824fa24b4c80baa04e8f53df55e6fece5e3f6",
 }
 
 SCHEMAS = {
@@ -113,6 +124,33 @@ def test_callable_target_trajectory(noise_sd):
                             theta_meta=0.4, dt=0.01, horizon=3000, seed=5)
     traj = simulate_loop(params)
     assert _sha256("\n".join(map(repr, traj)).encode()) == CALLABLE_TARGET_DIGESTS[noise_sd]
+
+
+def _random_mdp_config(n_states, beta, tol, n_actions=3, n_shocks=3, seed=2025):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n_shocks))
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return {
+        "name": "random_mdp",
+        "module": "mdp",
+        "seed": seed,
+        "params": {
+            "rewards": rng.uniform(0.0, 1.0, (n_states, n_actions)).tolist(),
+            "shock_probs": probs.tolist(),
+            "transition": rng.integers(0, n_states, (n_states, n_actions, n_shocks)).tolist(),
+            "beta": beta,
+            "tol": tol,
+            "legacy_policy": rng.integers(0, n_actions, n_states).tolist(),
+        },
+    }
+
+
+@pytest.mark.parametrize("n_states, beta, tol", sorted(RANDOM_MDP_DIGESTS))
+def test_random_mdp_artifact_bytes(n_states, beta, tol, tmp_path):
+    cfg = validate_config(_random_mdp_config(n_states, beta, tol))
+    report = run_scenario(cfg, out_dir=str(tmp_path))
+    digest = _sha256(Path(report.artifact_paths[0]).read_bytes())
+    assert digest == RANDOM_MDP_DIGESTS[n_states, beta, tol]
 
 
 @pytest.mark.parametrize("module", sorted(SCHEMAS))

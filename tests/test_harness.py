@@ -196,6 +196,8 @@ def test_cli_runs_several_configs(tmp_path):
     ("mdp", {"params": {"legacy_policy": [0.5]}}, "legacy_policy: every element must be a whole number"),
     ("policy", {"params": {"occupations": [{"w": 1.0, "l_bar": 1.0, "eta": float("inf"), "lambda_align": 1.0}]}},
      "eta: must be finite"),
+    ("mdp", {"params": {"legacy_policy": [5]}}, "legacy_policy contains invalid action indices"),
+    ("mdp", {"params": {"legacy_policy": [0, 0]}}, "legacy_policy must have shape (1,)"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
