@@ -4,6 +4,8 @@
   emt-lab verify            run every bundled scenario and its checks
   emt-lab schema <module>   print the parameter schema for a module
 
+`--seed` replaces each config's seed and, like it, must lie in [0, 2**64 - 1].
+
 Exit codes: 0 success, 1 embedded check failure, 2 configuration error,
 3 runtime error (a model failure, or an artifact that cannot be written).
 """

@@ -1,14 +1,15 @@
 """Scenario configuration: loading and validation.
 
 A scenario is a single JSON document naming a module, a module-specific
-parameter block, a master seed, and an output sink. A module's parameters
-are the fields of its `Scenario` dataclass (see `_params`), so validation,
-defaults and `emt-lab schema` are all derived from them. Validation is strict
-(unknown keys are rejected, with a closest-known-key suggestion; numbers must
-be finite; an output path must stay inside the output directory) and collects
-every problem before failing, so a bad config reports all of its errors in
-one pass. It ends by building the Scenario, so cross-field checks fail here
-too, before anything runs.
+parameter block, a master seed, and an output sink. Its top-level keys are
+the fields of `ScenarioConfig`, a module's parameters those of its `Scenario`
+dataclass (see `_params`), so validation, defaults and `emt-lab schema` are
+all derived from them. Validation is strict (unknown keys are rejected, with a
+closest-known-key suggestion; numbers must be finite) and collects every
+problem with the keys before failing, so a bad config reports all of them in
+one pass. It ends by building the ScenarioConfig, whose checks (the artifact
+path stays inside the output directory) and Scenario's cross-field checks
+fail here too, before anything runs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import hashlib
 import importlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import PurePath
 
-from ._params import bound_problems, schema as param_schema
+from ._params import bound_problems, check, param, schema as param_schema
 from .errors import ConfigError, EmtLabError
 
 # Scenario module name -> the emt_lab module defining its `Scenario` dataclass,
@@ -36,19 +37,6 @@ MODULES = {
     "feedback": "feedback",
     "game": "game",
     "policy": "policy",
-}
-
-_TOP_LEVEL = {
-    "name": {"type": "string", "default": None},
-    "module": {"type": "string", "default": None, "choices": MODULES},
-    "params": {"type": "object", "default": {}},
-    "seed": {"type": "integer", "default": 0, "min": 0, "max": 2**64 - 1},
-    "output": {"type": "object", "default": {}},
-}
-
-_OUTPUT_KEYS = {
-    "format": {"type": "string", "default": None, "choices": ("csv", "json")},
-    "path": {"type": "string", "default": None},
 }
 
 _TYPE_CHECKS = {
@@ -70,19 +58,48 @@ def scenario_module(module: str):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated scenario ready to run; `scenario` is built from `params`."""
+    """A fully validated scenario ready to run; `scenario` is built from `params`.
 
-    name: str
-    module: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    output_format: str = "csv"
-    output_path: str | None = None
+    Its fields are a scenario file's top-level keys (`output_*` the keys of its
+    `output` block). It is checked whenever built, by `dataclasses.replace` too.
+    """
+
+    name: str = param()
+    module: str = param(choices=MODULES)
+    params: dict = param({})
+    seed: int = param(0, min=0, max=2**64 - 1)
+    output_format: str | None = param(None, choices=("csv", "json"))
+    output_path: str | None = param(None)
     scenario: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scenario = scenario_module(self.module).Scenario(**self.params)
+        mod = scenario_module(self.module) if self.module in MODULES else None
+        if self.output_format is None and mod:
+            object.__setattr__(self, "output_format", mod.FORMAT)
+        try:
+            check(self)
+        except EmtLabError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.output_format != mod.FORMAT:
+            raise ConfigError(f"output.format: module {self.module!r} produces {mod.FORMAT} "
+                              f"output, got {self.output_format!r}")
+        if not self.name:
+            raise ConfigError("name: must not be empty")
+        path = self.artifact_path
+        pure = PurePath(path)
+        if pure.is_absolute() or ".." in pure.parts or not pure.name or "\0" in path:
+            key = "name" if self.output_path is None else "output.path"
+            raise ConfigError(f"{key}: must give a relative file path inside --out, got {path!r}")
+        try:
+            scenario = mod.Scenario(**self.params)
+        except (EmtLabError, ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigError(f"params: {exc}") from exc
         object.__setattr__(self, "scenario", scenario)
+
+    @property
+    def artifact_path(self) -> str:
+        """The artifact's path relative to the output directory."""
+        return f"{self.name}.{self.output_format}" if self.output_path is None else self.output_path
 
     def canonical(self) -> dict:
         return {
@@ -96,6 +113,12 @@ class ScenarioConfig:
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# The keys of a scenario file and of its `output` block, from ScenarioConfig.
+_TOP = param_schema(ScenarioConfig)
+_OUTPUT = {key: _TOP.pop(f"output_{key}") for key in ("format", "path")}
+_TOP["output"] = {"type": "object", "default": {}}
 
 
 def _check_value(prefix: str, key: str, spec: dict, value, problems: list):
@@ -118,6 +141,8 @@ def _check_block(prefix: str, schema: dict, block: dict, problems: list) -> dict
         _check_value(prefix, key, schema[key], value, problems)
         resolved[key] = value
     for key, spec in schema.items():
+        if key not in resolved and spec["default"] is MISSING:
+            problems.append(f"{prefix}{key}: required")
         resolved.setdefault(key, spec["default"])
     return resolved
 
@@ -127,43 +152,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
     problems: list = []
     if not isinstance(raw, dict):
         raise ConfigError([f"scenario must be a JSON object, got {type(raw).__name__}"])
-    top = _check_block("", _TOP_LEVEL, raw, problems)
-    if top.get("name") is None:
-        problems.append("name: required")
-    if top.get("module") is None:
-        problems.append("module: required")
-    module = top.get("module")
-    known = isinstance(module, str) and module in MODULES
-    params = top.get("params") or {}
-    if known and isinstance(params, dict):
+    top = _check_block("", _TOP, raw, problems)
+    module, params, output = top["module"], top["params"], top["output"]
+    if isinstance(module, str) and module in MODULES and isinstance(params, dict):
         params = _check_block("params.", module_schema(module), params, problems)
-    output = top.get("output") or {}
-    if isinstance(output, dict):
-        output = _check_block("output.", _OUTPUT_KEYS, output, problems)
-    else:
-        output = {"format": None, "path": None}
-    path = output["path"]
-    if isinstance(path, str):
-        pure = PurePath(path)
-        if pure.is_absolute() or ".." in pure.parts or not pure.name:
-            problems.append(f"output.path: must be a relative file path inside --out, got {path!r}")
-    fmt = output["format"]
-    native = scenario_module(module).FORMAT if known else None
-    if native and fmt in ("csv", "json") and fmt != native:
-        problems.append(f"output.format: module {module!r} produces {native} output, got {fmt!r}")
+    output = _check_block("output.", _OUTPUT, output if isinstance(output, dict) else {}, problems)
     if problems:
         raise ConfigError(problems)
-    try:
-        return ScenarioConfig(
-            name=top["name"],
-            module=module,
-            params=params,
-            seed=top["seed"],
-            output_format=fmt or native,
-            output_path=output["path"],
-        )
-    except (EmtLabError, ArithmeticError, TypeError, ValueError) as exc:
-        raise ConfigError([f"params: {exc}"]) from exc
+    return ScenarioConfig(name=top["name"], module=module, params=params, seed=top["seed"],
+                          output_format=output["format"], output_path=output["path"])
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -171,12 +168,12 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError([f"config file not found: {path}"])
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         )
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError([f"{path}: cannot read config: {exc}"])
     return validate_config(raw)
 
 

@@ -163,7 +163,10 @@ def evaluate_policy(spec: MdpSpec, policy: np.ndarray) -> np.ndarray:
     _check_policy(spec, "policy", policy)
     p_pi = spec.policy_transition_matrix(policy)
     r_pi = spec.rewards[np.arange(spec.n_states), policy]
-    mat = np.eye(spec.n_states) - spec.beta * p_pi
+    # I - beta*P_pi built in place; `+= 0.0` turns the -0.0 of zero entries into 0.0.
+    mat = np.multiply(p_pi, -spec.beta, out=p_pi)
+    mat += 0.0
+    mat.flat[:: spec.n_states + 1] += 1.0
     try:
         return np.linalg.solve(mat, r_pi)
     except np.linalg.LinAlgError as exc:  # cannot occur for beta < 1

@@ -180,8 +180,12 @@ def evt_diagnostics(m_values: np.ndarray, ks_threshold: float = 0.05) -> dict:
 
 def run_evt(dist: TailDistribution, cfg: EvtRunConfig) -> dict:
     """Full EVT verification for one family: draw, diagnose, report."""
-    m = draw_max_statistic(dist, cfg)
-    diag = evt_diagnostics(m, cfg.ks_threshold)
+    return evt_report(dist, cfg, draw_max_statistic(dist, cfg))
+
+
+def evt_report(dist: TailDistribution, cfg: EvtRunConfig, m_values: np.ndarray) -> dict:
+    """The EVT report for one family from its drawn m-values."""
+    diag = evt_diagnostics(m_values, cfg.ks_threshold)
     return {
         "family": dist.family,
         "K": cfg.k_draws,
@@ -209,7 +213,8 @@ class Scenario(EvtRunConfig):
 def run(scenario: Scenario, seed: int):
     """The EVT report, with the m-values if asked for, plus the KS check."""
     cfg = replace(scenario, seed=seed)
-    report = run_evt(cfg.dist, cfg)
+    m = draw_max_statistic(cfg.dist, cfg)
+    report = evt_report(cfg.dist, cfg, m)
     if cfg.write_m_values:
-        report["m_values"] = [float(x) for x in draw_max_statistic(cfg.dist, cfg)]
+        report["m_values"] = m.tolist()
     return report, {"ks_pass": report["pass"]}

@@ -72,7 +72,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> RunReport:
     """Dispatch a validated scenario, write its artifact, return the report."""
     start = time.perf_counter()
     artifact, checks = scenario_module(cfg.module).run(cfg.scenario, cfg.seed)
-    path = Path(out_dir) / (cfg.output_path or f"{cfg.name}.{cfg.output_format}")
+    path = Path(out_dir) / cfg.artifact_path
     _write_artifact(artifact, path)
     return RunReport(
         name=cfg.name,

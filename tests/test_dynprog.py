@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from util_mdp import random_mdp
 
-from emt_lab import ConvergenceError, DomainError, InputError, NumericError
+from emt_lab import ConvergenceError, DomainError, InputError, NumericError, make_generator
 from emt_lab.dynprog import (
     MdpSpec,
     Scenario,
@@ -176,6 +176,26 @@ def test_policy_transition_matrix_matches_loop():
             expected[s, spec.transition[s, policy[s], k]] += prob
     assert any(len(set(spec.transition[s, policy[s]])) < 6 for s in range(4))
     assert spec.policy_transition_matrix(policy).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed, n_states", [(0, 1), (1, 1), (2, 7), (3, 30), (4, 60)])
+def test_evaluate_policy_matrix_and_solve_match_eye_minus_beta_p(seed, n_states, monkeypatch):
+    spec = random_mdp(seed, n_states=n_states, n_actions=3, n_shocks=1 + seed % 3, beta=0.95)
+    policy = make_generator(seed, 1).integers(0, 3, n_states)
+    p_pi = spec.policy_transition_matrix(policy)
+    expected = np.eye(n_states) - spec.beta * p_pi
+    r_pi = spec.rewards[np.arange(n_states), policy]
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        seen.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    values = evaluate_policy(spec, policy)
+    assert seen[0].tobytes() == expected.tobytes()
+    assert values.tobytes() == solve(expected, r_pi).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,7 +1,8 @@
 """Golden digests: the bytes of every bundled artifact, of one large-pool
-epistemic artifact, of one noisy feedback artifact, of feedback trajectories
-under a callable target, of random mdp artifacts with a legacy policy, of
-every schema printout and every bundled config digest, pinned across versions.
+epistemic artifact, of one noisy feedback artifact, of one evt artifact with
+its m-values, of feedback trajectories under a callable target, of random mdp
+artifacts with a legacy policy, of every schema printout and every bundled
+config digest, pinned across versions.
 
 Criterion 13 only compares two reruns of one version; these digests hold the
 bytes fixed from one change to the next. A digest that moves on purpose is
@@ -53,6 +54,16 @@ NOISY_FEEDBACK = {
     "params": {"noise_sd": 0.02, "theta_meta": 0.4, "dt": 0.01, "horizon": 3000},
 }
 NOISY_FEEDBACK_DIGEST = "ec4e28a70a8006309526204b8e724ba71b808e184296162f8ceb3360e24d5cce"
+
+# No bundled evt scenario writes its m-values; this one does, so the report
+# and the m-value list must both come from the same draws.
+EVT_M_VALUES = {
+    "name": "evt_m_values",
+    "module": "evt",
+    "seed": 9,
+    "params": {"family": "pareto", "k_draws": 200, "replicates": 300, "write_m_values": True},
+}
+EVT_M_VALUES_DIGEST = "de00f181b02b65450e58b81bac491b0e0658671d93ecff92a462d5af4817e58b"
 
 # A callable e_target cannot come from a JSON config; the repr of every state
 # pins the trajectory it drives, with and without noise.
@@ -116,6 +127,11 @@ def test_large_pool_epistemic_artifact_bytes(tmp_path):
 def test_noisy_feedback_artifact_bytes(tmp_path):
     report = run_scenario(validate_config(NOISY_FEEDBACK), out_dir=str(tmp_path))
     assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == NOISY_FEEDBACK_DIGEST
+
+
+def test_evt_m_values_artifact_bytes(tmp_path):
+    report = run_scenario(validate_config(EVT_M_VALUES), out_dir=str(tmp_path))
+    assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == EVT_M_VALUES_DIGEST
 
 
 @pytest.mark.parametrize("noise_sd", sorted(CALLABLE_TARGET_DIGESTS))

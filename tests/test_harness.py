@@ -1,6 +1,7 @@
 """Config validation, scenario runs, determinism, and CLI exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -250,7 +251,8 @@ def test_csv_cells_are_quoted_like_the_csv_module(tmp_path):
     assert path.read_bytes() == expected.getvalue().encode()
 
 
-@pytest.mark.parametrize("path", ["../escape.json", "a/../../escape.json", "absolute", "."])
+@pytest.mark.parametrize("path", ["../escape.json", "a/../../escape.json", "absolute", ".",
+                                  "a\u0000.json"])
 def test_cli_output_path_must_stay_inside_out(path, tmp_path, capsys):
     if path == "absolute":
         path = str(tmp_path / "out" / "escape.json")
@@ -260,6 +262,53 @@ def test_cli_output_path_must_stay_inside_out(path, tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "output.path" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{", b"[" * 100_000],
+                         ids=["directory", "not_utf8", "nested_too_deeply"])
+def test_cli_unreadable_config_is_a_config_error(content, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
+def _run_leaves_nothing(cfg, tmp_path, capsys, *args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out" / "sub"), *args]) == 2
+    assert list(tmp_path.rglob("*")) == [path]
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["../../esc", "", "a\u0000b"])
+def test_cli_name_must_give_a_path_inside_out(name, tmp_path, capsys):
+    err = _run_leaves_nothing({"name": name, "module": "growth"}, tmp_path, capsys)
+    assert "config error: name: " in err
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_cli_seed_override_is_validated(seed, tmp_path, capsys):
+    err = _run_leaves_nothing(minimal(module="growth"), tmp_path, capsys, "--seed", seed)
+    assert "config error: seed: must be " in err and seed in err
+
+
+def test_name_with_a_directory_writes_inside_out(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "a/b", "module": "growth"}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "a" / "b.csv").is_file()
+
+
+def test_replace_checks_the_config():
+    cfg = validate_config(minimal(module="growth"))
+    assert dataclasses.replace(cfg, seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ConfigError, match="seed: must be >= 0, got -1"):
+        dataclasses.replace(cfg, seed=-1)
 
 
 def test_fmt_numpy_scalars():

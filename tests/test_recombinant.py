@@ -6,9 +6,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from emt_lab import ConfigError, DomainError
+from emt_lab import ConfigError, DomainError, recombinant
 from emt_lab.recombinant import (
     EvtRunConfig,
+    Scenario,
     TailDistribution,
     draw_max_statistic,
     evt_diagnostics,
@@ -130,3 +131,19 @@ def test_run_evt_deterministic():
     m1 = draw_max_statistic(dist, cfg)
     m2 = draw_max_statistic(dist, cfg)
     assert np.array_equal(m1, m2)
+
+
+def test_run_draws_once_with_m_values(monkeypatch):
+    calls = []
+    draw = recombinant.draw_max_statistic
+
+    def counting(dist, cfg):
+        calls.append(cfg.seed)
+        return draw(dist, cfg)
+
+    monkeypatch.setattr(recombinant, "draw_max_statistic", counting)
+    scenario = Scenario(family="pareto", k_draws=50, replicates=40, write_m_values=True)
+    report, checks = recombinant.run(scenario, seed=3)
+    assert calls == [3]
+    assert report["m_values"] == draw(scenario.dist, EvtRunConfig(50, 40, seed=3)).tolist()
+    assert checks == {"ks_pass": report["pass"]}
