@@ -8,10 +8,14 @@ multiplier on knowledge growth and as the driver of the collapsing marginal
 cost of producing a new idea.
 
 Alongside runs a pool of problems: they emerge at rate eta and aligned
-research resolves them at rate R. The pool is two parallel arrays in creation
-order, the complexity of every problem ever created and a mask of the open
-ones. Resolved problems are kept because they set the mean complexity of
-arrivals.
+research resolves them at rate R. `run` keeps the complexities of the open
+problems as a list in creation order, and those of every problem ever created
+in a numpy buffer that doubles its capacity when full: resolved problems are
+kept because they set the mean complexity of arrivals. Its knowledge
+recurrence stays in local floats. `ProblemPool`, `research_output`,
+`step_problem_pool` and `step_knowledge` are the one-step API over the same
+definitions: the draw order, the solve probabilities and the Euler update are
+each written once, in private helpers that both `run` and that API call.
 """
 
 from __future__ import annotations
@@ -120,6 +124,14 @@ def initial_state(params: EpistemicParams, a_cap: float = 0.0, p0: float = 0.0) 
     )
 
 
+def _stock_step(p: float, a_cap: float, params: EpistemicParams, dt: float) -> float:
+    """The knowledge stock after one explicit-Euler step of length ``dt``."""
+    p_new = p + params.alpha_prod * a_cap**params.phi_elast * params.lp * dt
+    if not math.isfinite(p_new):
+        raise NumericError(f"knowledge stock p became non-finite: {p_new}")
+    return p_new
+
+
 def step_knowledge(state: EpistemicState, params: EpistemicParams, dt: float) -> EpistemicState:
     """Advance the knowledge stock by one explicit-Euler step of length ``dt``.
 
@@ -130,9 +142,7 @@ def step_knowledge(state: EpistemicState, params: EpistemicParams, dt: float) ->
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    p_new = state.p + params.alpha_prod * state.a_cap**params.phi_elast * params.lp * dt
-    if not math.isfinite(p_new):
-        raise NumericError(f"knowledge stock p became non-finite: {p_new}")
+    p_new = _stock_step(state.p, state.a_cap, params, dt)
     theta = _uncertainty(p_new, params)
     c = marginal_ideation_cost(params.c0, params.alpha_cost, state.a_cap)
     return EpistemicState(
@@ -148,11 +158,13 @@ def step_knowledge(state: EpistemicState, params: EpistemicParams, dt: float) ->
 
 @dataclass
 class ProblemPool:
-    """Dynamic pool of problems with emergence rate and alignment weighting.
+    """Dynamic pool of problems with emergence rate and alignment weighting,
+    the state of the one-step API (`research_output`, `step_problem_pool`).
 
     `problems` holds the complexity of every problem ever created, in
     creation order; `open` marks the unresolved ones (all, if not given).
-    Rebuilt every step, it does not check its parameters; Scenario does."""
+    Rebuilt every step, it does not check its parameters; Scenario does.
+    `run` keeps the same state as a list and a buffer instead."""
 
     problems: np.ndarray = field(default_factory=lambda: np.empty(0))
     open: np.ndarray | None = None
@@ -189,12 +201,42 @@ def research_output(pool: ProblemPool, a_cap: float) -> ResearchOutput:
     """
     if a_cap < 0:
         raise DomainError(f"capability must be >= 0, got {a_cap}")
-    raw = a_cap / (pool.problems[pool.open] + pool.eps_floor)
-    probs = np.minimum(raw, 1.0)
+    raw, probs, r = _research(pool.problems[pool.open].tolist(), a_cap,
+                              pool.lambda_align, pool.eps_floor)
+    return ResearchOutput(r=r, solve_probs=np.array(probs, dtype=float),
+                          clamped=sum(x > 1.0 for x in raw))
+
+
+def _research(open_c: list, a_cap: float, lambda_align: float, eps_floor: float):
+    """(raw ratios, solve probabilities, R) over the open complexities `open_c`."""
+    raw = [a_cap / (c + eps_floor) for c in open_c]
+    probs = [1.0 if x > 1.0 else x for x in raw]  # a NaN stays, as in np.minimum
     # Python's left-to-right sum: R is written to the artifact, and np.sum
     # adds in a different order.
-    r = pool.lambda_align * float(sum(probs.tolist()))
-    return ResearchOutput(r=r, solve_probs=probs, clamped=int(np.count_nonzero(raw > 1.0)))
+    return raw, probs, lambda_align * float(sum(probs))
+
+
+def _pool_draws(rng, items: list, probs: list, lambda_align: float, dt: float,
+                eta_rate: float, created: np.ndarray, n_created: int):
+    """One step's draws; returns (the `items` that stay open, the arrivals'
+    complexities or None).
+
+    `items` and `probs` run over the open problems in creation order, and
+    `created[:n_created]` holds every problem created so far. Draws come in a
+    fixed order: one uniform per open problem, then the arrival count, then
+    one exponential per arrival, with the mean of `created[:n_created]`.
+    """
+    # A uniform draw is below 1, so comparing it with lambda * pi_i * dt
+    # caps that probability at 1.
+    kept = [x for x, u, p in zip(items, rng.random(len(probs)).tolist(), probs)
+            if u >= lambda_align * p * dt]
+    n_new = rng.poisson(eta_rate * dt)
+    if not n_new:
+        return kept, None
+    # np.mean's pairwise sum over the contiguous values, without its per-call
+    # overhead; a running sum would round differently.
+    mean_c = float(created[:n_created].sum()) / n_created if n_created else 1.0
+    return kept, rng.exponential(mean_c, n_new)
 
 
 def step_problem_pool(
@@ -216,23 +258,20 @@ def step_problem_pool(
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    n_open = int(np.count_nonzero(pool.open))
-    if len(output.solve_probs) != n_open:
+    open_ids = np.flatnonzero(pool.open)
+    if len(output.solve_probs) != open_ids.size:
         raise InputError(
             f"solve_probs length {len(output.solve_probs)} does not match "
-            f"{n_open} open problems"
+            f"{open_ids.size} open problems"
         )
-    # A uniform draw is below 1, so comparing it with lambda * pi_i * dt
-    # caps that probability at 1.
-    is_open = pool.open.copy()
-    is_open[pool.open] = rng.random(n_open) >= pool.lambda_align * output.solve_probs * dt
     problems = pool.problems
-    n_new = rng.poisson(pool.eta_rate * dt)
-    if n_new:
-        # np.mean's pairwise sum over the size, without its per-call overhead
-        mean_c = float(problems.sum()) / problems.size if problems.size else 1.0
-        problems = np.concatenate((problems, rng.exponential(mean_c, n_new)))
-        is_open = np.concatenate((is_open, np.ones(n_new, dtype=bool)))
+    kept, arrivals = _pool_draws(rng, open_ids.tolist(), output.solve_probs.tolist(),
+                                 pool.lambda_align, dt, pool.eta_rate, problems, problems.size)
+    is_open = np.zeros(problems.size, dtype=bool)
+    is_open[kept] = True
+    if arrivals is not None:
+        problems = np.concatenate((problems, arrivals))
+        is_open = np.concatenate((is_open, np.ones(arrivals.size, dtype=bool)))
     new_pool = replace(pool, problems=problems, open=is_open)
     return new_pool, output.r > pool.eta_rate
 
@@ -295,32 +334,49 @@ class Scenario(EpistemicParams):
 
 
 def run(scenario: Scenario, seed: int):
-    """Trajectory of the domain and its pool, plus the mode-transition checks."""
+    """Trajectory of the domain and its pool, plus the mode-transition checks.
+
+    The same trajectory as stepping `initial_state`, `step_problem_pool`,
+    `step_knowledge` and `research_output`, without their per-step objects.
+    """
     s = scenario
-    rng_init = make_generator(seed, 0)
+    dt, eta, lam, eps = s.dt, s.eta_rate, s.lambda_align, s.eps_floor
     rng_pool = make_generator(seed, 1)
-    pool = ProblemPool(problems=rng_init.exponential(s.complexity_mean, s.n_problems),
-                       eta_rate=s.eta_rate, lambda_align=s.lambda_align,
-                       eps_floor=s.eps_floor)
+    # every problem ever created, in creation order; the buffer doubles when full
+    created = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems)
+    n_created = created.size
+    open_c = created.tolist()  # the open ones, in creation order
     state = initial_state(s, a_cap=s.a0, p0=s.p0)
-    out = research_output(pool, state.a_cap)
-    # out.solve_probs has one entry per open problem: the pool_size column.
-    rows = [[state.t, state.p, state.theta, state.c, state.pi, state.inverted,
-             out.r, len(out.solve_probs), out.r > pool.eta_rate]]
-    pis = [state.pi]
+    t, p, theta, c, pi, inverted, a_cap = (state.t, state.p, state.theta, state.c,
+                                           state.pi, state.inverted, state.a_cap)
+    _, probs, r = _research(open_c, a_cap, lam, eps)
+    rows = [[t, p, theta, c, pi, inverted, r, len(open_c), r > eta]]
+    pis = [pi]
     transition_ok = True
     for _ in range(s.horizon):
-        pool, surplus = step_problem_pool(pool, out, s.dt, rng_pool)
-        state = step_knowledge(state, s, s.dt)
+        surplus = r > eta
+        open_c, arrivals = _pool_draws(rng_pool, open_c, probs, lam, dt, eta, created, n_created)
+        if arrivals is not None:
+            n_new = arrivals.size
+            if n_created + n_new > created.size:
+                grown = np.empty(max(2 * created.size, n_created + n_new))
+                grown[:n_created] = created[:n_created]
+                created = grown
+            created[n_created:n_created + n_new] = arrivals
+            n_created += n_new
+            open_c += arrivals.tolist()
+        p = _stock_step(p, a_cap, s, dt)
+        theta = _uncertainty(p, s)
+        pi = discovery_probability(theta)
+        t += dt
         # capability grows between steps; refresh the cost-side quantities
-        a_cap = state.a_cap + s.a_growth * s.dt
+        a_cap = a_cap + s.a_growth * dt
         c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
-        state = replace(state, c=c, a_cap=a_cap, inverted=c < s.theta_star)
-        out = research_output(pool, state.a_cap)
-        rows.append([state.t, state.p, state.theta, state.c, state.pi,
-                     state.inverted, out.r, len(out.solve_probs), surplus])
-        pis.append(state.pi)
-        if state.p >= s.p_bar and state.theta != s.eps_resid:
+        inverted = c < s.theta_star
+        _, probs, r = _research(open_c, a_cap, lam, eps)
+        rows.append([t, p, theta, c, pi, inverted, r, len(open_c), surplus])
+        pis.append(pi)
+        if p >= s.p_bar and theta != s.eps_resid:
             transition_ok = False
     pi_monotone = all(b >= a - 1e-15 for a, b in zip(pis, pis[1:]))
     header = ["t", "P", "theta", "C", "pi", "inverted", "R", "pool_size", "surplus"]

@@ -46,6 +46,10 @@ def _fmt(value) -> str:
     strings quoted as the excel dialect of `csv` quotes them."""
     if type(value) is float:  # the common case, kept fast
         return repr(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is int:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

@@ -9,13 +9,16 @@ from hypothesis import given, strategies as st
 from emt_lab import DomainError, InputError, make_generator
 from emt_lab.epistemic import (
     EpistemicParams,
+    EpistemicState,
     ProblemPool,
+    Scenario,
     discovery_probability,
     hamiltonian_value,
     initial_state,
     inversion_crossing,
     marginal_ideation_cost,
     research_output,
+    run,
     step_knowledge,
     step_problem_pool,
 )
@@ -210,3 +213,77 @@ def test_params_validation():
         EpistemicParams(eps_resid=2.0, theta0=1.0)
     with pytest.raises(DomainError):
         EpistemicParams(c0=0.0)
+
+
+def _reference_run(s: Scenario, seed: int):
+    """run()'s rows and checks, stepped through the public one-step API."""
+    rng_pool = make_generator(seed, 1)
+    pool = ProblemPool(problems=make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems),
+                       eta_rate=s.eta_rate, lambda_align=s.lambda_align, eps_floor=s.eps_floor)
+    state = initial_state(s, a_cap=s.a0, p0=s.p0)
+    out = research_output(pool, state.a_cap)
+    rows = [[state.t, state.p, state.theta, state.c, state.pi, state.inverted,
+             out.r, len(out.solve_probs), out.r > s.eta_rate]]
+    states = [state]
+    for _ in range(s.horizon):
+        pool, surplus = step_problem_pool(pool, out, s.dt, rng_pool)
+        state = step_knowledge(state, s, s.dt)
+        a_cap = state.a_cap + s.a_growth * s.dt
+        c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
+        state = EpistemicState(t=state.t, p=state.p, theta=state.theta, c=c, a_cap=a_cap,
+                               pi=state.pi, inverted=c < s.theta_star)
+        out = research_output(pool, state.a_cap)
+        rows.append([state.t, state.p, state.theta, state.c, state.pi, state.inverted,
+                     out.r, int(np.count_nonzero(pool.open)), surplus])
+        states.append(state)
+    checks = {
+        "mode_transition": all(x.theta == s.eps_resid for x in states[1:] if x.p >= s.p_bar),
+        "pi_monotone": all(b.pi >= a.pi - 1e-15 for a, b in zip(states, states[1:])),
+    }
+    return rows, checks
+
+
+def _random_scenario(rng) -> Scenario:
+    theta0 = float(rng.uniform(0.1, 3.0))
+    return Scenario(
+        theta0=theta0, eps_resid=float(rng.uniform(0.0, 0.99 * theta0)),
+        p_bar=float(rng.uniform(0.5, 30.0)), alpha_prod=float(rng.uniform(0.0, 3.0)),
+        phi_elast=float(rng.uniform(0.0, 3.0)), c0=float(rng.uniform(0.1, 3.0)),
+        alpha_cost=float(rng.uniform(0.0, 3.0)), theta_star=float(rng.uniform(0.01, 1.0)),
+        lp=float(rng.uniform(0.0, 3.0)), a0=float(rng.uniform(0.0, 5.0)),
+        a_growth=float(rng.uniform(0.0, 2.0)), p0=float(rng.choice([0.0, rng.uniform(0.0, 20.0)])),
+        dt=float(rng.choice([1.0, 0.1, rng.uniform(0.001, 2.0)])),
+        horizon=int(rng.integers(1, 150)), n_problems=int(rng.integers(0, 40)),
+        complexity_mean=float(rng.uniform(0.05, 5.0)), eta_rate=float(rng.uniform(0.0, 40.0)),
+        lambda_align=float(rng.uniform(0.0, 1.0)),
+        eps_floor=float(rng.choice([1e-6, rng.uniform(1e-9, 1.0)])),
+    )
+
+
+EDGE_CASES = {
+    "no_arrivals": Scenario(eta_rate=0.0, horizon=50),
+    "no_initial_problems": Scenario(n_problems=0, eta_rate=3.0, horizon=50),
+    "never_any_problem": Scenario(n_problems=0, eta_rate=0.0, horizon=20),
+    "no_alignment": Scenario(lambda_align=0.0, eta_rate=5.0, horizon=50),
+    "unit_step": Scenario(dt=1.0, eta_rate=4.0, horizon=30),
+    "one_step": Scenario(horizon=1),
+    "integer_inputs": Scenario(a0=2, p0=3, dt=1, lambda_align=1, eta_rate=2, horizon=20),
+}
+
+
+def _assert_run_matches_reference(scenario, seed):
+    (_, rows), checks = run(scenario, seed)
+    ref_rows, ref_checks = _reference_run(scenario, seed)
+    assert repr(rows) == repr(ref_rows)
+    assert checks == ref_checks
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_run_matches_the_one_step_api_on_edge_cases(name):
+    _assert_run_matches_reference(EDGE_CASES[name], seed=11)
+
+
+def test_run_matches_the_one_step_api_on_random_scenarios():
+    rng = np.random.default_rng(20261018)
+    for _ in range(120):
+        _assert_run_matches_reference(_random_scenario(rng), seed=int(rng.integers(2**32)))

@@ -1,5 +1,5 @@
-"""Golden digests: the bytes of every bundled artifact, of one large-pool
-epistemic artifact, of one noisy feedback artifact, of one evt artifact with
+"""Golden digests: the bytes of every bundled artifact, of two large-pool
+epistemic artifacts, of one noisy feedback artifact, of one evt artifact with
 its m-values, of feedback trajectories under a callable target, of random mdp
 artifacts with a legacy policy, of every schema printout and every bundled
 config digest, pinned across versions.
@@ -44,6 +44,18 @@ LARGE_POOL = {
                "complexity_mean": 2.0, "lambda_align": 0.9},
 }
 LARGE_POOL_DIGEST = "dfa84571c4fc985e98e7bdb1c4b1f84bdc076a18aef14ddf21ee9b2312bc411b"
+
+# Some 16,000 problems over 8,000 steps: the buffer of created problems
+# doubles several times, and the mean complexity of arrivals is a pairwise
+# sum over up to 16,000 values.
+LONG_POOL = {
+    "name": "long_pool",
+    "module": "epistemic",
+    "seed": 7,
+    "params": {"horizon": 8000, "eta_rate": 20, "dt": 0.1, "n_problems": 10,
+               "complexity_mean": 2.0, "lambda_align": 0.9},
+}
+LONG_POOL_DIGEST = "ff0690d31cb39a4208b17911916a15d7518273019cd28581a78b32a1949a0624"
 
 # Neither bundled feedback scenario has noise or meta-learning; this one has
 # both, so the order and values of the normal draws shape its bytes.
@@ -122,6 +134,11 @@ def test_bundled_artifact_bytes(tmp_path):
 def test_large_pool_epistemic_artifact_bytes(tmp_path):
     report = run_scenario(validate_config(LARGE_POOL), out_dir=str(tmp_path))
     assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == LARGE_POOL_DIGEST
+
+
+def test_long_pool_epistemic_artifact_bytes(tmp_path):
+    report = run_scenario(validate_config(LONG_POOL), out_dir=str(tmp_path))
+    assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == LONG_POOL_DIGEST
 
 
 def test_noisy_feedback_artifact_bytes(tmp_path):

@@ -241,13 +241,17 @@ def test_cli_verify_unwritable_artifact_is_a_runtime_error(monkeypatch, capsys):
 
 
 def test_csv_cells_are_quoted_like_the_csv_module(tmp_path):
-    header = ["s,1", "q", "nl", "flag", "x", "n"]
-    rows = [["x,y", 'q"r', "a\nb", True, np.float64(0.1), 3], ["plain", "", "c\rd", False, 2.5, -1]]
+    header = ["s,1", "q", "nl", "flag", "x", "n", "np_n", "np_flag"]
+    rows = [["x,y", 'q"r', "a\nb", True, np.float64(0.1), 3, np.int64(-7), np.bool_(True)],
+            ["plain", "", "c\rd", False, 2.5, 0, np.int64(12), np.bool_(False)]]
     path = tmp_path / "a.csv"
     _write_artifact((header, rows), path)
     expected = io.StringIO(newline="")
-    csv.writer(expected).writerows([header, ["x,y", 'q"r', "a\nb", "true", "0.1", "3"],
-                                    ["plain", "", "c\rd", "false", "2.5", "-1"]])
+    csv.writer(expected).writerows([
+        header,
+        ["x,y", 'q"r', "a\nb", "true", "0.1", "3", "-7", "true"],
+        ["plain", "", "c\rd", "false", "2.5", "0", "12", "false"],
+    ])
     assert path.read_bytes() == expected.getvalue().encode()
 
 
@@ -285,7 +289,7 @@ def _run_leaves_nothing(cfg, tmp_path, capsys, *args):
     return capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["../../esc", "", "a\u0000b"])
+@pytest.mark.parametrize("name", ["../../esc", "", "a\u0000b", "a/", "a//"])
 def test_cli_name_must_give_a_path_inside_out(name, tmp_path, capsys):
     err = _run_leaves_nothing({"name": name, "module": "growth"}, tmp_path, capsys)
     assert "config error: name: " in err
