@@ -83,8 +83,9 @@ class ScenarioConfig:
         if self.output_format != mod.FORMAT:
             raise ConfigError(f"output.format: module {self.module!r} produces {mod.FORMAT} "
                               f"output, got {self.output_format!r}")
-        if not self.name.rsplit("/", 1)[-1]:
-            raise ConfigError(f"name: must not be empty or end in '/', got {self.name!r}")
+        if self.name.rsplit("/", 1)[-1] in ("", ".", ".."):
+            raise ConfigError(f"name: its last '/' part must not be empty, '.' or '..', "
+                              f"got {self.name!r}")
         path = self.artifact_path
         pure = PurePath(path)
         if pure.is_absolute() or ".." in pure.parts or not pure.name or "\0" in path:

@@ -126,7 +126,10 @@ def initial_state(params: EpistemicParams, a_cap: float = 0.0, p0: float = 0.0) 
 
 def _stock_step(p: float, a_cap: float, params: EpistemicParams, dt: float) -> float:
     """The knowledge stock after one explicit-Euler step of length ``dt``."""
-    p_new = p + params.alpha_prod * a_cap**params.phi_elast * params.lp * dt
+    try:
+        p_new = p + params.alpha_prod * a_cap**params.phi_elast * params.lp * dt
+    except OverflowError:  # a float power that overflows raises instead of giving inf
+        p_new = math.inf
     if not math.isfinite(p_new):
         raise NumericError(f"knowledge stock p became non-finite: {p_new}")
     return p_new

@@ -231,6 +231,16 @@ def test_cli_unwritable_artifact_is_a_runtime_error(tmp_path, capsys):
     assert "runtime error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [{"a0": 1e200, "phi_elast": 2.0}, {"a0": 1e200, "alpha_prod": 1e200}],
+                         ids=["power_overflows", "product_overflows"])
+def test_cli_knowledge_stock_overflow_is_a_runtime_error(params, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(params=params)))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "runtime error: knowledge stock p became non-finite: inf\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_verify_unwritable_artifact_is_a_runtime_error(monkeypatch, capsys):
     def refuse(artifact, path):
         raise PermissionError(f"cannot write {path}")
@@ -289,7 +299,7 @@ def _run_leaves_nothing(cfg, tmp_path, capsys, *args):
     return capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["../../esc", "", "a\u0000b", "a/", "a//"])
+@pytest.mark.parametrize("name", ["../../esc", "", "a\u0000b", "a/", "a//", ".", "a/.", "a/.."])
 def test_cli_name_must_give_a_path_inside_out(name, tmp_path, capsys):
     err = _run_leaves_nothing({"name": name, "module": "growth"}, tmp_path, capsys)
     assert "config error: name: " in err

@@ -1,12 +1,18 @@
 """Combinatorial magnitudes and the distribution-agnostic EVT law."""
 
+import json
 import math
+import os
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from emt_lab import ConfigError, DomainError, recombinant
+from emt_lab import ConfigError, DomainError, NumericError, recombinant
+from emt_lab._rng import make_generator
+from emt_lab.cli import main
 from emt_lab.recombinant import (
     EvtRunConfig,
     Scenario,
@@ -147,3 +153,80 @@ def test_run_draws_once_with_m_values(monkeypatch):
     assert calls == [3]
     assert report["m_values"] == draw(scenario.dist, EvtRunConfig(50, 40, seed=3)).tolist()
     assert checks == {"ks_pass": report["pass"]}
+
+
+def _serial_draw_max_statistic(dist, cfg):
+    """The per-replicate loop on one thread: the oracle of the fan-out."""
+    maxima = np.empty(cfg.replicates)
+    for i in range(cfg.replicates):
+        maxima[i] = np.max(dist.sample(make_generator(cfg.seed, i), cfg.k_draws))
+    return cfg.k_draws * dist.survival(maxima)
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [None, 3, 16], ids=["affinity", "3_cpus", "16_cpus"])
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: d.family)
+def test_fan_out_is_bitwise_the_serial_loop(dist, cpus, monkeypatch):
+    # 16 threads on fewer cores, switching every microsecond: a lost or
+    # misplaced write into the shared maxima would break the equality.
+    if cpus is not None:
+        _set_cpus(monkeypatch, cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for replicates in (1, 2, 3, 257):
+            cfg = EvtRunConfig(k_draws=64, replicates=replicates, seed=2**64 - 3)
+            got = draw_max_statistic(dist, cfg)
+            assert got.tobytes() == _serial_draw_max_statistic(dist, cfg).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    _set_cpus(monkeypatch, 5)
+    assert recombinant._cpus() == 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert recombinant._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert recombinant._cpus() == 1
+
+
+def _failing_sample(exc):
+    def sample(self, rng, size):
+        raise exc
+
+    return sample
+
+
+def test_a_worker_exception_reaches_the_caller_unchanged(monkeypatch):
+    _set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(TailDistribution, "sample", _failing_sample(ValueError("no draws")))
+    before = threading.active_count()
+    with pytest.raises(ValueError) as err:
+        draw_max_statistic(TailDistribution("exponential"), EvtRunConfig(10, 9))
+    assert type(err.value) is ValueError and str(err.value) == "no draws"
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_cli_exit_on_a_worker_exception_is_the_serial_one(cpus, monkeypatch, tmp_path, capsys):
+    _set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(TailDistribution, "sample", _failing_sample(NumericError("no draws")))
+    path = tmp_path / "evt.json"
+    path.write_text(json.dumps({"name": "evt", "module": "evt", "params": {"replicates": 9}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    # nothing else on stderr: no traceback, no "Exception in thread" report
+    assert capsys.readouterr().err == "runtime error: no draws\n"
+
+
+def test_an_evt_run_leaves_no_thread_behind(monkeypatch, tmp_path):
+    _set_cpus(monkeypatch, 4)
+    path = tmp_path / "evt.json"
+    path.write_text(json.dumps({"name": "evt", "module": "evt", "params": {"replicates": 50}}))
+    before = threading.active_count()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert threading.active_count() == before
