@@ -129,7 +129,8 @@ def _stock_step(p: float, a_cap: float, params: EpistemicParams, dt: float) -> f
     try:
         p_new = p + params.alpha_prod * a_cap**params.phi_elast * params.lp * dt
     except OverflowError:  # a float power that overflows raises instead of giving inf
-        p_new = math.inf
+        # a_cap > 1 here, so with alpha_prod 0 the growth term is a zero of alpha_prod's sign
+        p_new = p + params.alpha_prod * params.lp * dt if params.alpha_prod == 0 else math.inf
     if not math.isfinite(p_new):
         raise NumericError(f"knowledge stock p became non-finite: {p_new}")
     return p_new

@@ -9,9 +9,18 @@ once on discontinuity) is kept for sensitivity analysis.
 
 Equilibrium claims are verified exhaustively at small scale: strategy
 profiles from a bounded class are checked for subgame perfection by
-one-shot deviation tests at every history. Play is deterministic given a
-profile, so evaluation from any history follows a single path and the
-expectation over discontinuity events is exact.
+one-shot deviation tests. Play is deterministic given a profile, so
+evaluation from any history follows a single path and the expectation over
+discontinuity events is exact.
+
+`is_spne` walks every history of a profile of arbitrary callables, which is
+exponential in the horizon; with `evaluate_profile` it is the reference the
+tests hold the search to. `spne_search` gets the same verdicts in time
+linear in the horizon: the strategies of both bounded classes (constant and
+memory-one) read only whether the history is empty and its last joint
+action, so each one becomes an action table over those states, and a
+profile is tested by backward induction over (round, state) at one history
+per round and last joint action.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from itertools import product
 from typing import Callable, Sequence, Tuple
 
 from ._params import Params, param
-from .errors import InputError
+from .errors import DomainError, InputError
 
 FORMAT = "json"
 
@@ -156,7 +165,9 @@ def _all_histories(game: StageGame):
 
 
 def is_spne(game: StageGame, profile: Sequence[Strategy]) -> bool:
-    """One-shot deviation test at every history of every length < horizon.
+    """One-shot deviation test at every history of every length < horizon,
+    for any callable strategies; `spne_search` is the fast path for its
+    bounded classes.
 
     Valid for these preferences: survival composes multiplicatively and
     payoffs additively round by round, so continuation values are
@@ -193,20 +204,124 @@ def memory_one_strategy(initial: str, response: dict) -> Strategy:
     return strat
 
 
-def _enumerate_class(game: StageGame, strategy_class: str):
-    """All (label, Strategy) per player for the configured class."""
+MAX_PROFILES = 200_000
+_CLASSES = ("constant", "memory1")
+
+
+def profile_count(n_players: int, strategy_class: str, bound: int = MAX_PROFILES) -> int | None:
+    """The number of strategy profiles of `strategy_class` for `n_players`,
+    or None when it is larger than `bound`.
+
+    A player has 2 constant strategies, or 2 * 2**(2**n) memory-one ones (an
+    opening action and a response to each joint action). A count past the
+    bound is not formed: for memory1 it can have millions of digits.
+    """
+    if strategy_class not in _CLASSES:
+        raise InputError(f"unknown strategy class {strategy_class!r}")
+    if n_players >= bound.bit_length():  # at least 2**n_players > bound profiles
+        return None
+    per_player = 2 if strategy_class == "constant" else 2 * 2 ** (2 ** n_players)
+    count = per_player ** n_players
+    return count if count <= bound else None
+
+
+def _strategy_tables(n_players: int, strategy_class: str):
+    """The strategies of a class as action tables over history states.
+
+    A state stands for all the histories after which every strategy of the
+    class acts alike. A memory-one strategy reads only whether the history is
+    empty (state 0) and its last joint action k (state 1 + k); a constant
+    strategy has one state. Joint action k is the k-th tuple of
+    product(_ACTIONS, repeat=n), so player i defects in it when bit
+    n - 1 - i of k is set. Returns the strategies' labels, their tables of
+    0 for C and 1 for D by state, and the state after each joint action.
+    """
+    n_joint = 2**n_players
     if strategy_class == "constant":
-        return [(a, constant_strategy(a)) for a in _ACTIONS]
-    if strategy_class == "memory1":
-        joint = list(product(_ACTIONS, repeat=game.n_players))
-        out = []
-        for initial in _ACTIONS:
-            for resp_actions in product(_ACTIONS, repeat=len(joint)):
-                response = dict(zip(joint, resp_actions))
-                label = (initial,) + resp_actions
-                out.append((label, memory_one_strategy(initial, response)))
-        return out
-    raise InputError(f"unknown strategy class {strategy_class!r}")
+        return list(_ACTIONS), [(a == D,) for a in _ACTIONS], (0,) * n_joint
+    labels = [(first,) + response for first in _ACTIONS
+              for response in product(_ACTIONS, repeat=n_joint)]
+    return labels, [tuple(a == D for a in label) for label in labels], range(1, n_joint + 1)
+
+
+class _StateTables:
+    """A game's tables for the one-shot deviation test over history states.
+
+    Per joint action it holds the stage payoffs, the round's survival
+    probability s, s * delta_disc and (1 - s) * omega, and the values of the
+    last round, which no profile changes. A round's values are those of
+    `_path_values`, with the same float operations in the same order.
+    """
+
+    def __init__(self, game: StageGame, after):
+        n = game.n_players
+        self.horizon = game.horizon
+        self.finite = game.penalty_mode == "finite"
+        self.after = after
+        self.later = sorted(set(after))
+        self.flips = [(i, 1 << (n - 1 - i)) for i in range(n)]
+        self.stage = []
+        for actions in product(_ACTIONS, repeat=n):
+            s_round = (1.0 - game.p_disc) ** sum(1 for a in actions if a == D)
+            self.stage.append((game.stage_payoffs(actions), s_round,
+                               s_round * game.delta_disc, (1.0 - s_round) * game.omega))
+        zeros = (0.0,) * n
+        self.last = self._values(dict.fromkeys(self.later, (1.0, zeros, zeros)), range(2**n))
+        self.last_ok = [not self._deviates(self.last, k) for k in range(2**n)]
+
+    def _values(self, cont: dict, joint_actions) -> dict:
+        """(survival, payoffs, omega) of playing each of `joint_actions`, or a
+        one-player deviation from it, then the continuation `cont` of the
+        state it leads to."""
+        values = {}
+        for k in joint_actions:
+            for j in (k, *(k ^ bit for _, bit in self.flips)):
+                if j not in values:
+                    u, s_round, sd, om_round = self.stage[j]
+                    s_cont, pay_cont, om_cont = cont[self.after[j]]
+                    values[j] = (s_round * s_cont,
+                                 tuple([x + sd * y for x, y in zip(u, pay_cont)]),
+                                 tuple([om_round + s_round * y for y in om_cont]))
+        return values
+
+    def _deviates(self, values: dict, k: int) -> bool:
+        """Whether some player gains by a one-shot deviation from playing k."""
+        survival, pay, omega = values[k]
+        for i, bit in self.flips:
+            dev_survival, dev_pay, dev_omega = values[k ^ bit]
+            if self.finite:
+                if dev_pay[i] + dev_omega[i] > pay[i] + omega[i]:
+                    return True
+            elif (-(1.0 - dev_survival), dev_pay[i]) > (-(1.0 - survival), pay[i]):
+                return True
+        return False
+
+    def _played(self, plays: list, t: int) -> set:
+        """The joint actions played in the states of round t."""
+        return {plays[s] for s in (self.later if t else (0,))}
+
+    def test(self, plays: list, stop: bool):
+        """One-shot deviation test of the profile that plays joint action
+        `plays[s]` in state s, by backward induction from the last round.
+
+        Round 0 is tested at the empty history (state 0), every later round
+        at each state an earlier joint action leads to. Returns (passes,
+        (survival, payoffs, omega) from the empty history), the values None
+        when `stop` ends the test at a profitable deviation.
+        """
+        passes = all(self.last_ok[k] for k in self._played(plays, self.horizon - 1))
+        if stop and not passes:
+            return False, None
+        values = self.last
+        for t in reversed(range(self.horizon - 1)):
+            cont = {s: values[plays[s]] for s in self.later}
+            tested = self._played(plays, t)
+            values = self._values(cont, tested)
+            if any(self._deviates(values, k) for k in tested):
+                if stop:
+                    return False, None
+                passes = False
+        return passes, values[plays[0]]
 
 
 @dataclass(frozen=True)
@@ -214,38 +329,47 @@ class SpneReport:
     equilibria: tuple
     all_c_is_spne: bool
     all_d_is_spne: bool
+    all_c_continuity_prob: float
 
 
 def spne_search(
     game: StageGame,
     strategy_class: str = "constant",
-    max_profiles: int = 200_000,
+    max_profiles: int = MAX_PROFILES,
 ) -> SpneReport:
     """Exhaustive SPNE search over a bounded strategy class.
 
-    Always reports on the all-cooperate and all-defect profiles, which
-    belong to every supported class. Raises a size error when the profile
-    space exceeds `max_profiles`.
+    Every strategy of a class reads only whether the history is empty and
+    its last joint action, so each profile is tested by `_StateTables.test`
+    at one history per (round, last joint action) instead of at every
+    history as `is_spne` does; every joint action ends some history of each
+    length >= 1, so the verdicts are the same. Always reports on the
+    all-cooperate and all-defect profiles, which belong to every supported
+    class, and the all-cooperate continuity probability. Raises a size error
+    when the profile space exceeds `max_profiles`.
     """
-    per_player = _enumerate_class(game, strategy_class)
-    cardinality = len(per_player) ** game.n_players
-    if cardinality > max_profiles:
+    n = game.n_players
+    if profile_count(n, strategy_class, max_profiles) is None:
         raise InputError(
-            f"strategy-profile space has {cardinality} elements, "
-            f"exceeding the bound {max_profiles}"
+            f"strategy-profile space of {n} players in class {strategy_class!r} "
+            f"exceeds the bound {max_profiles}"
         )
+    labels, tables, after = _strategy_tables(n, strategy_class)
+    state_tables = _StateTables(game, after)
+    # player i's tables with each action moved to player i's bit
+    shifted = [[[d << (n - 1 - i) for d in table] for table in tables] for i in range(n)]
     equilibria = []
-    for combo in product(per_player, repeat=game.n_players):
-        labels = tuple(label for label, _ in combo)
-        profile = [strat for _, strat in combo]
-        if is_spne(game, profile):
-            equilibria.append(labels)
-    all_c = [constant_strategy(C)] * game.n_players
-    all_d = [constant_strategy(D)] * game.n_players
+    for profile, player_tables in zip(product(labels, repeat=n), product(*shifted)):
+        if state_tables.test(list(map(sum, zip(*player_tables))), stop=True)[0]:
+            equilibria.append(profile)
+    n_states = len(tables[0])
+    all_c_is_spne, (all_c_continuity_prob, _, _) = state_tables.test([0] * n_states, stop=False)
+    all_d_is_spne = state_tables.test([2**n - 1] * n_states, stop=True)[0]
     return SpneReport(
         equilibria=tuple(equilibria),
-        all_c_is_spne=is_spne(game, all_c),
-        all_d_is_spne=is_spne(game, all_d),
+        all_c_is_spne=all_c_is_spne,
+        all_d_is_spne=all_d_is_spne,
+        all_c_continuity_prob=all_c_continuity_prob,
     )
 
 
@@ -253,19 +377,26 @@ def spne_search(
 class Scenario(StageGame):
     """One exhaustive SPNE search over `strategy_class` profiles."""
 
-    strategy_class: str = param("constant", choices=("constant", "memory1"))
+    strategy_class: str = param("constant", choices=_CLASSES)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if profile_count(self.n_players, self.strategy_class) is None:
+            raise DomainError(
+                f"n_players: {self.n_players} players have more than {MAX_PROFILES} "
+                f"strategy profiles in strategy_class {self.strategy_class!r}"
+            )
 
 
 def run(scenario: Scenario, seed: int):
     """The equilibria found and the all-cooperate outcome; no checks."""
     found = spne_search(scenario, strategy_class=scenario.strategy_class)
-    all_c = evaluate_profile(scenario, [constant_strategy(C)] * scenario.n_players)
     report = {
         "all_c_is_spne": found.all_c_is_spne,
         "all_d_is_spne": found.all_d_is_spne,
         "n_equilibria": len(found.equilibria),
         "equilibria": [list(map(list, eq)) if isinstance(eq[0], tuple) else list(eq)
                        for eq in found.equilibria],
-        "all_c_continuity_prob": all_c.continuity_prob,
+        "all_c_continuity_prob": found.all_c_continuity_prob,
     }
     return report, {}

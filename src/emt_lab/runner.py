@@ -39,6 +39,8 @@ class RunReport:
 
 # Characters that make the excel CSV dialect quote a cell.
 _QUOTED = frozenset(',"\r\n')
+# Cell types whose %r is their CSV cell.
+_PLAIN = frozenset((float, int))
 
 
 def _fmt(value) -> str:
@@ -60,6 +62,14 @@ def _fmt(value) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _plain_rows(rows, k: int) -> bool:
+    """Whether every row has k cells, each exactly a float or an int. The
+    first row settles most other artifacts before every cell is scanned."""
+    if rows and not set(map(type, rows[0])) <= _PLAIN:
+        return False
+    return set(map(type, chain.from_iterable(rows))) <= _PLAIN and all(len(row) == k for row in rows)
+
+
 def _write_artifact(artifact, path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(artifact, dict):
@@ -68,8 +78,14 @@ def _write_artifact(artifact, path: Path):
             fh.write("\n")
     else:
         header, rows = artifact
+        k = len(header)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in chain([header], rows))
+            fh.write(",".join(map(_fmt, header)) + "\r\n")
+            if _plain_rows(rows, k):  # %r of a float or an int is its _fmt cell
+                line = ",".join(["%r"] * k) + "\r\n"
+                fh.writelines(line % tuple(row) for row in rows)
+            else:
+                fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> RunReport:

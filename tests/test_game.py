@@ -1,18 +1,23 @@
 """Cooperation game: exact evaluation and exhaustive equilibrium checks."""
 
+import json
+import random
 from itertools import product
 
 import pytest
 
 from emt_lab import DomainError, InputError
+from emt_lab.cli import main
 from emt_lab.game import (
     C,
     D,
+    SpneReport,
     StageGame,
     constant_strategy,
     evaluate_profile,
     is_spne,
     memory_one_strategy,
+    profile_count,
     spne_search,
 )
 
@@ -191,3 +196,86 @@ def test_validation():
     game = StageGame(**PD)
     with pytest.raises(InputError):
         evaluate_profile(game, [constant_strategy(C)])
+
+
+def walk_search(game, strategy_class):
+    """spne_search by the full walk: `is_spne` at every history, for every
+    profile of the class built from callables."""
+    n = game.n_players
+    joint = list(product((C, D), repeat=n))
+    if strategy_class == "constant":
+        per_player = [(a, constant_strategy(a)) for a in (C, D)]
+    else:
+        per_player = [((first,) + response, memory_one_strategy(first, dict(zip(joint, response))))
+                      for first in (C, D) for response in product((C, D), repeat=len(joint))]
+    equilibria = tuple(
+        tuple(label for label, _ in combo)
+        for combo in product(per_player, repeat=n)
+        if is_spne(game, [strategy for _, strategy in combo])
+    )
+    all_c = [constant_strategy(C)] * n
+    return SpneReport(
+        equilibria=equilibria,
+        all_c_is_spne=is_spne(game, all_c),
+        all_d_is_spne=is_spne(game, [constant_strategy(D)] * n),
+        all_c_continuity_prob=evaluate_profile(game, all_c).continuity_prob,
+    )
+
+
+def random_game(rng, n_players, horizon, mode):
+    """Payoffs from a few small integers, so that ties are common; a
+    discontinuity probability of 0 or 1 now and then."""
+    payoffs = {key: float(rng.choice((0, 1, 2, 3)))
+               for key in ("payoff_cc", "payoff_defector", "payoff_victim", "payoff_dd")}
+    return StageGame(**payoffs, n_players=n_players, horizon=horizon, penalty_mode=mode,
+                     p_disc=rng.choice((0.0, 1.0, 0.5, rng.random())),
+                     delta_disc=rng.choice((0.5, rng.uniform(0.01, 0.99))),
+                     omega=rng.choice((0.0, -1.0, -5.0, -rng.uniform(0, 10))))
+
+
+ORACLE_CASES = (
+    [("constant", 2, h) for h in range(1, 7)]
+    + [("constant", 3, h) for h in range(1, 5)]
+    + [("memory1", 2, h) for h in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("mode", ["finite", "lexicographic"])
+@pytest.mark.parametrize("strategy_class, n_players, horizon", ORACLE_CASES)
+def test_table_search_matches_the_walk(strategy_class, n_players, horizon, mode):
+    rng = random.Random(f"{strategy_class}-{n_players}-{horizon}-{mode}")
+    for _ in range(3):
+        game = random_game(rng, n_players, horizon, mode)
+        assert spne_search(game, strategy_class) == walk_search(game, strategy_class), game
+
+
+@pytest.mark.parametrize("mode", ["finite", "lexicographic"])
+@pytest.mark.parametrize("strategy_class", ["constant", "memory1"])
+def test_table_search_matches_the_walk_when_payoffs_overflow(strategy_class, mode):
+    # sums past the largest float give inf, and inf times a survival of 0 gives nan
+    game = StageGame(payoff_cc=1e308, payoff_defector=1.7e308, payoff_victim=-1.7e308,
+                     payoff_dd=1e308, p_disc=1.0, delta_disc=0.99, horizon=3,
+                     penalty_mode=mode, omega=-1e308)
+    assert spne_search(game, strategy_class) == walk_search(game, strategy_class)
+
+
+def test_constant_search_at_a_long_horizon_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"name": "long", "module": "game",
+                                "params": {"strategy_class": "constant", "horizon": 3000}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "long.json").read_text())
+    assert report["all_c_is_spne"] and report["all_c_continuity_prob"] == 1.0
+
+
+def test_profile_count():
+    assert profile_count(2, "constant") == 4
+    assert profile_count(17, "constant") == 2**17
+    assert profile_count(18, "constant") is None
+    assert profile_count(2, "memory1") == 32**2
+    assert profile_count(3, "memory1") is None
+    assert profile_count(10**18, "memory1") is None
+    assert profile_count(3, "memory1", bound=512**3) == 512**3
+    with pytest.raises(InputError):
+        profile_count(2, "memory2")

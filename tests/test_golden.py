@@ -1,7 +1,7 @@
 """Golden digests: the bytes of every bundled artifact, of two large-pool
 epistemic artifacts, of one noisy feedback artifact, of one evt artifact with
 its m-values, of feedback trajectories under a callable target, of random mdp
-artifacts with a legacy policy, of every schema printout and every bundled
+artifacts with a legacy policy, of game searches past the bundled size, of every schema printout and every bundled
 config digest, pinned across versions.
 
 Criterion 13 only compares two reruns of one version; these digests hold the
@@ -94,6 +94,30 @@ RANDOM_MDP_DIGESTS = {
     (50, 0.9, 1e-14): "d39bc179ca07cb77205d8e20608824fa24b4c80baa04e8f53df55e6fece5e3f6",
 }
 
+# The bundled game is memory1 at horizon 2; these search the constant class
+# with 3 players over 6 rounds (snowdrift payoffs, so some equilibria are
+# asymmetric) and memory1 over 3 rounds, in both penalty modes. The digests
+# were computed by the full walk over every history.
+SNOWDRIFT = {"payoff_cc": 2.0, "payoff_defector": 3.0, "payoff_victim": 1.0, "payoff_dd": 0.0}
+GAME_SEARCHES = {
+    ("constant", "finite"): (
+        {**SNOWDRIFT, "n_players": 3, "horizon": 6, "strategy_class": "constant",
+         "penalty_mode": "finite", "p_disc": 0.05, "omega": -5.0},
+        "f96b26af1895a6a5406a35bce6845872286fd7f3b18decd089f5b40829223e3c"),
+    ("constant", "lexicographic"): (
+        {**SNOWDRIFT, "n_players": 3, "horizon": 6, "strategy_class": "constant",
+         "penalty_mode": "lexicographic", "p_disc": 1.0},
+        "d22b6901dd456485c82ee81175bc737b1245349b5b01fa9b3785157416c303c0"),
+    ("memory1", "finite"): (
+        {"horizon": 3, "strategy_class": "memory1", "penalty_mode": "finite",
+         "p_disc": 0.2, "delta_disc": 0.5, "omega": -5.0},
+        "3ad9e3f83f3ba0222e872793e5cf19436cd1023fe9c3ff06d79bd2cd40053d38"),
+    ("memory1", "lexicographic"): (
+        {"horizon": 3, "strategy_class": "memory1", "penalty_mode": "lexicographic",
+         "p_disc": 1.0},
+        "24064159900f8062c17dd4d162d479366d26763552bd95f1faa95cacca5d4255"),
+}
+
 SCHEMAS = {
     "epistemic": "739dae5b0396a2442563c8b6ac01c72da875ba3ea0a1faca6af3091cc8732c44",
     "growth": "67d71fc6aaa165394b0620a396f078e9b9ca8973c660106dfac58b04e4cafcfe",
@@ -184,6 +208,14 @@ def test_random_mdp_artifact_bytes(n_states, beta, tol, tmp_path):
     report = run_scenario(cfg, out_dir=str(tmp_path))
     digest = _sha256(Path(report.artifact_paths[0]).read_bytes())
     assert digest == RANDOM_MDP_DIGESTS[n_states, beta, tol]
+
+
+@pytest.mark.parametrize("strategy_class, mode", sorted(GAME_SEARCHES))
+def test_game_search_artifact_bytes(strategy_class, mode, tmp_path):
+    params, digest = GAME_SEARCHES[strategy_class, mode]
+    cfg = validate_config({"name": "game", "module": "game", "params": params})
+    report = run_scenario(cfg, out_dir=str(tmp_path))
+    assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == digest
 
 
 @pytest.mark.parametrize("module", sorted(SCHEMAS))

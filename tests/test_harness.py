@@ -199,6 +199,8 @@ def test_cli_runs_several_configs(tmp_path):
      "eta: must be finite"),
     ("mdp", {"params": {"legacy_policy": [5]}}, "legacy_policy contains invalid action indices"),
     ("mdp", {"params": {"legacy_policy": [0, 0]}}, "legacy_policy must have shape (1,)"),
+    ("game", {"params": {"n_players": 30}}, "n_players: 30 players have more than 200000 strategy profiles"),
+    ("game", {"params": {"n_players": 3, "strategy_class": "memory1"}}, "in strategy_class 'memory1'"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -241,6 +243,14 @@ def test_cli_knowledge_stock_overflow_is_a_runtime_error(params, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_knowledge_stock_power_overflow_without_growth_runs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(params={"a0": 1e200, "phi_elast": 2.0, "alpha_prod": 0})))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader((tmp_path / "out" / "t.csv").open(newline="")))
+    assert len(rows) == 201 and {row["P"] for row in rows} == {"0.0"}
+
+
 def test_cli_verify_unwritable_artifact_is_a_runtime_error(monkeypatch, capsys):
     def refuse(artifact, path):
         raise PermissionError(f"cannot write {path}")
@@ -263,6 +273,24 @@ def test_csv_cells_are_quoted_like_the_csv_module(tmp_path):
         ["plain", "", "c\rd", "false", "2.5", "0", "12", "false"],
     ])
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("odd_row", [None, [True, 1.0, 2], [np.float64(0.1), 1.0, 2], [1.0, 2.0]],
+                         ids=["plain", "bool", "np_float64", "ragged"])
+def test_csv_rows_of_floats_and_ints_are_written_as_fmt_writes_them(odd_row, at, tmp_path, monkeypatch):
+    header = ["a", "b", "c"]
+    rows = [[-0.0, float("inf"), float("nan")], [10**300, -(2**100), 0], [0.1, 1e-300, -7]]
+    if odd_row is not None:
+        rows.insert(at, odd_row)
+    expected = "".join(",".join(map(_fmt, row)) + "\r\n" for row in [header] + rows)
+    cells = []
+    monkeypatch.setattr(runner, "_fmt", lambda value: cells.append(value) or _fmt(value))
+    path = tmp_path / "a.csv"
+    _write_artifact((header, rows), path)
+    assert path.read_bytes() == expected.encode()
+    # only the header goes through _fmt when every row is plain floats and ints
+    assert len(cells) == len(header) + (0 if odd_row is None else sum(map(len, rows)))
 
 
 @pytest.mark.parametrize("path", ["../escape.json", "a/../../escape.json", "absolute", ".",
