@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from importlib import resources
@@ -28,7 +29,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(prog="emt-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"emt-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,9 +11,12 @@ analytic survival functions per family.
 `draw_max_statistic` fans the replicates out over one thread per CPU the
 process may use: numpy's bulk draws and `np.max` run without the GIL, and
 each replicate draws from its own stream, so the m-values and the artifact
-bytes do not depend on that count or on the schedule. Peak draw memory is
-therefore workers x k_draws x 8 bytes, one draw array per worker (pareto and
-weibull briefly hold a second while they scale it).
+bytes do not depend on that count or on the schedule. A worker seeds its
+replicates' generators `_SEED_BLOCK` at a time in one vectorized pass
+(`make_generators`); what stays serial per replicate, under the GIL, is
+building its PCG64 and Generator objects (about 2-3 us) and the calls into
+numpy. Peak draw memory is workers x k_draws x 8 bytes, one draw array per
+worker (pareto and weibull briefly hold a second while they scale it).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._params import Params, param
-from ._rng import make_generator
+from ._rng import make_generators
 from .errors import ConfigError, DomainError
 
 FORMAT = "json"
@@ -154,19 +157,28 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Replicates a worker seeds per vectorized pass: enough to spread the pass's
+# fixed cost, and a constant, so the generators a worker holds at once do not
+# grow with `replicates`.
+_SEED_BLOCK = 256
+
+
 def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig) -> np.ndarray:
     """Per-replicate m = K * survival(max of K draws).
 
     Replicate i uses the stream derived from (seed, i), so the result is
     independent of any batching or execution order: worker w of n draws
-    replicates w, w + n, w + 2n, ... into the shared maxima, and an exception
-    in a worker reaches the caller unchanged.
+    replicates w, w + n, w + 2n, ... into the shared maxima, seeding them
+    `_SEED_BLOCK` at a time, and an exception in a worker reaches the caller
+    unchanged.
     """
     maxima = np.empty(cfg.replicates)
 
     def draw(share: range) -> None:
-        for i in share:
-            maxima[i] = np.max(dist.sample(make_generator(cfg.seed, i), cfg.k_draws))
+        for start in range(0, len(share), _SEED_BLOCK):
+            block = share[start:start + _SEED_BLOCK]
+            for i, rng in zip(block, make_generators(cfg.seed, block)):
+                maxima[i] = np.max(dist.sample(rng, cfg.k_draws))
 
     workers = min(_cpus(), cfg.replicates)
     if workers == 1:
@@ -223,6 +235,17 @@ def evt_report(dist: TailDistribution, cfg: EvtRunConfig, m_values: np.ndarray) 
     }
 
 
+# Bounds on a scenario's size, checked at validation. Each worker holds a
+# k_draws x 8-byte draw array (pareto and weibull briefly two), so 10**7
+# draws is 80 MB per worker. The draw budget is about a minute on a 2-core
+# Xeon VM, which draws the bundled 2 x 10**7 in 0.12-0.16 s. The m-values
+# are replicates x 8 bytes, more as a JSON list, and each replicate costs a
+# few microseconds beyond its draws: 10**6 of them take seconds and MBs.
+MAX_K_DRAWS = 10**7
+MAX_DRAWS = 10**10
+MAX_REPLICATES = 10**6
+
+
 @dataclass(frozen=True)
 class Scenario(EvtRunConfig):
     """One EVT check of a tail family; the run's seed replaces `seed`."""
@@ -234,6 +257,15 @@ class Scenario(EvtRunConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.k_draws > MAX_K_DRAWS:
+            raise DomainError(f"k_draws: {self.k_draws} is above the bound of {MAX_K_DRAWS} "
+                              f"draws held per worker")
+        if self.replicates > MAX_REPLICATES:
+            raise DomainError(f"replicates: {self.replicates} is above the bound of "
+                              f"{MAX_REPLICATES}")
+        if self.k_draws * self.replicates > MAX_DRAWS:
+            raise DomainError(f"k_draws x replicates: {self.k_draws} x {self.replicates} draws "
+                              f"are above the budget of {MAX_DRAWS}")
         object.__setattr__(self, "dist", TailDistribution(self.family, dict(self.family_params)))
 
 

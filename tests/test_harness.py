@@ -16,7 +16,7 @@ import emt_lab
 from emt_lab import ConfigError, load_config, module_schema, validate_config
 from emt_lab.cli import bundled_scenarios, main
 from emt_lab.config import MODULES
-from emt_lab import runner
+from emt_lab import cli, runner
 from emt_lab.runner import _fmt, _write_artifact, run_scenario
 
 SCENARIO_DIR = Path(emt_lab.__file__).parent / "scenarios"
@@ -201,6 +201,9 @@ def test_cli_runs_several_configs(tmp_path):
     ("mdp", {"params": {"legacy_policy": [0, 0]}}, "legacy_policy must have shape (1,)"),
     ("game", {"params": {"n_players": 30}}, "n_players: 30 players have more than 200000 strategy profiles"),
     ("game", {"params": {"n_players": 3, "strategy_class": "memory1"}}, "in strategy_class 'memory1'"),
+    ("game", {"params": {"horizon": 100000000}},
+     "horizon: 100000000 rounds x 4 profiles of 2 players in strategy_class 'constant' x 4 joint "
+     "actions are above the search bound of 10000000"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -209,6 +212,54 @@ def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path,
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"k_draws": 100000000, "replicates": 100},
+     "params: k_draws: 100000000 is above the bound of 10000000 draws held per worker"),
+    ({"k_draws": 10000000, "replicates": 1001},
+     "params: k_draws x replicates: 10000000 x 1001 draws are above the budget of 10000000000"),
+    ({"k_draws": 1, "replicates": 1000001},
+     "params: replicates: 1000001 is above the bound of 1000000"),
+], ids=["k_draws", "draw_budget", "replicates"])
+def test_cli_evt_size_above_its_bounds_is_a_config_error(params, message, tmp_path, capsys):
+    path = tmp_path / "evt.json"
+    path.write_text(json.dumps(minimal(module="evt", params=params)))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evt_sizes_at_their_bounds_are_valid():
+    from emt_lab.recombinant import MAX_DRAWS, MAX_K_DRAWS, MAX_REPLICATES
+
+    for k_draws, replicates in ((MAX_K_DRAWS, MAX_DRAWS // MAX_K_DRAWS), (1, MAX_REPLICATES)):
+        validate_config(minimal(module="evt", params={"k_draws": k_draws, "replicates": replicates}))
+
+
+def test_cli_parser_is_reused_across_calls(tmp_path, capsys):
+    # a cached parser must not carry one call's --seed into the next
+    assert cli._build_parser() is cli._build_parser()
+    path = tmp_path / "evt.json"
+    path.write_text(json.dumps(minimal(module="evt", seed=11, params={"k_draws": 20, "replicates": 30})))
+    assert main(["run", str(path), "--out", str(tmp_path / "a"), "--seed", "5"]) in (0, 1)
+    assert main(["run", str(path), "--out", str(tmp_path / "b")]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    seeded = dataclasses.replace(load_config(str(path)), seed=5)
+    assert f"digest={seeded.digest()[:12]}" in lines[0]
+    assert f"digest={load_config(str(path)).digest()[:12]}" in lines[1]
+    run_scenario(load_config(str(path)), out_dir=tmp_path / "c")
+    runs = {d: (tmp_path / d / "t.json").read_bytes() for d in "abc"}
+    assert runs["b"] == runs["c"] != runs["a"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"emt-lab {emt_lab.__version__}\n"
+    assert main(["schema", "evt"]) == 0
+    assert capsys.readouterr().out == json.dumps(module_schema("evt"), indent=2, sort_keys=True) + "\n"
 
 
 def test_array_literal_too_large_for_a_float_is_a_config_error(tmp_path, capsys):

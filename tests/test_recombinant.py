@@ -230,3 +230,22 @@ def test_an_evt_run_leaves_no_thread_behind(monkeypatch, tmp_path):
     before = threading.active_count()
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64 + 7])
+def test_master_seeds_outside_64_bits_draw_as_the_serial_loop(seed):
+    # derive_stream masks the master seed to 64 bits; the block seeding must too
+    dist = TailDistribution("exponential")
+    cfg = EvtRunConfig(k_draws=32, replicates=300, seed=seed)
+    assert draw_max_statistic(dist, cfg).tobytes() == _serial_draw_max_statistic(dist, cfg).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 16])
+def test_seeding_block_edges_draw_as_the_serial_loop(cpus, monkeypatch):
+    # around one and two seeding blocks per worker, and a share that ends mid-block
+    _set_cpus(monkeypatch, cpus)
+    dist = TailDistribution("pareto", {"xm": 1.0, "shape": 2.5})
+    for replicates in (255, 256, 257, 513):
+        cfg = EvtRunConfig(k_draws=8, replicates=replicates, seed=99)
+        got = draw_max_statistic(dist, cfg)
+        assert got.tobytes() == _serial_draw_max_statistic(dist, cfg).tobytes(), replicates
