@@ -21,7 +21,7 @@ def main():
                         [2.5, 2.0], [1.5, 1.0]]),
         p_vec=np.array([1.0, 1.0]),
     )
-    print(f"initial gravity field: {gravity_field(state):.3f}")
+    print(f"initial gravity field: {gravity_field(state, alpha_g=1.0, beta_g=1.0):.3f}")
     print(f"initial potential energy U: {np.sum(state.n_vec**2):.1f}")
     print()
 

@@ -7,7 +7,7 @@
 `--seed` replaces each config's seed and, like it, must lie in [0, 2**64 - 1].
 
 Exit codes: 0 success, 1 embedded check failure, 2 configuration error,
-3 runtime error (a model failure, or an artifact that cannot be written).
+3 runtime error (a model failure, an unwritable artifact, an internal error).
 """
 
 from __future__ import annotations
@@ -120,11 +120,15 @@ def _cmd_schema(module: str) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify()
-    return _cmd_schema(args.module)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "verify":
+            return _cmd_verify()
+        return _cmd_schema(args.module)
+    except Exception as exc:  # the last resort: no input ends in a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
 
 
 if __name__ == "__main__":

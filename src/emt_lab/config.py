@@ -60,29 +60,23 @@ def scenario_module(module: str):
 class ScenarioConfig:
     """A fully validated scenario ready to run; `scenario` is built from `params`.
 
-    Its fields are a scenario file's top-level keys (`output_*` the keys of its
-    `output` block). It is checked whenever built, by `dataclasses.replace` too.
+    Its fields are a scenario file's top-level keys (`output_path` the one key
+    of its `output` block). It is checked whenever built, by
+    `dataclasses.replace` too. The artifact format is the module's `FORMAT`.
     """
 
     name: str = param()
     module: str = param(choices=MODULES)
     params: dict = param({})
     seed: int = param(0, min=0, max=2**64 - 1)
-    output_format: str | None = param(None, choices=("csv", "json"))
     output_path: str | None = param(None)
     scenario: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mod = scenario_module(self.module) if self.module in MODULES else None
-        if self.output_format is None and mod:
-            object.__setattr__(self, "output_format", mod.FORMAT)
         try:
             check(self)
         except EmtLabError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.output_format != mod.FORMAT:
-            raise ConfigError(f"output.format: module {self.module!r} produces {mod.FORMAT} "
-                              f"output, got {self.output_format!r}")
         if self.name.rsplit("/", 1)[-1] in ("", ".", ".."):
             raise ConfigError(f"name: its last '/' part must not be empty, '.' or '..', "
                               f"got {self.name!r}")
@@ -92,10 +86,15 @@ class ScenarioConfig:
             key = "name" if self.output_path is None else "output.path"
             raise ConfigError(f"{key}: must give a relative file path inside --out, got {path!r}")
         try:
-            scenario = mod.Scenario(**self.params)
+            scenario = scenario_module(self.module).Scenario(**self.params)
         except (EmtLabError, ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from exc
         object.__setattr__(self, "scenario", scenario)
+
+    @property
+    def output_format(self) -> str:
+        """The artifact format, "csv" or "json": the module's `FORMAT`."""
+        return scenario_module(self.module).FORMAT
 
     @property
     def artifact_path(self) -> str:
@@ -118,7 +117,7 @@ class ScenarioConfig:
 
 # The keys of a scenario file and of its `output` block, from ScenarioConfig.
 _TOP = param_schema(ScenarioConfig)
-_OUTPUT = {key: _TOP.pop(f"output_{key}") for key in ("format", "path")}
+_OUTPUT = {"path": _TOP.pop("output_path")}
 _TOP["output"] = {"type": "object", "default": {}}
 
 
@@ -161,7 +160,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(name=top["name"], module=module, params=params, seed=top["seed"],
-                          output_format=output["format"], output_path=output["path"])
+                          output_path=output["path"])
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -356,7 +356,6 @@ def run(scenario: Scenario, seed: int):
     _, probs, r = _research(open_c, a_cap, lam, eps)
     rows = [[t, p, theta, c, pi, inverted, r, len(open_c), r > eta]]
     pis = [pi]
-    transition_ok = True
     for _ in range(s.horizon):
         surplus = r > eta
         open_c, arrivals = _pool_draws(rng_pool, open_c, probs, lam, dt, eta, created, n_created)
@@ -380,8 +379,9 @@ def run(scenario: Scenario, seed: int):
         _, probs, r = _research(open_c, a_cap, lam, eps)
         rows.append([t, p, theta, c, pi, inverted, r, len(open_c), surplus])
         pis.append(pi)
-        if p >= s.p_bar and theta != s.eps_resid:
-            transition_ok = False
+    # theta follows the threshold law on both sides of p_bar, stated apart from _uncertainty
+    transition_ok = all(row[2] == (s.eps_resid if row[1] >= s.p_bar else s.theta0 / (1.0 + row[1]))
+                        for row in rows)
     pi_monotone = all(b >= a - 1e-15 for a, b in zip(pis, pis[1:]))
     header = ["t", "P", "theta", "C", "pi", "inverted", "R", "pool_size", "surplus"]
     return (header, rows), {"mode_transition": transition_ok, "pi_monotone": pi_monotone}

@@ -93,7 +93,10 @@ def simulate_loop(params: FeedbackParams) -> list[FeedbackState]:
             e = params.target(t)
         eps_new = e - o
         # exact discrete telescope of d(gamma)/dt = theta * d(eps^2)/dt
-        gamma = max(0.0, gamma + theta * (eps_new**2 - eps**2))
+        try:
+            gamma = max(0.0, gamma + theta * (eps_new**2 - eps**2))
+        except OverflowError:
+            raise NumericError(f"loop diverged at step {k + 1}: O={o}, eps^2 overflows") from None
         eps = eps_new
         traj.append(FeedbackState(t, o, a, gamma, eps))
     return traj

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._params import check, param
+from ._params import Params, param
 from .errors import DomainError, InputError
 from .growth import cobb_douglas
 
@@ -25,18 +25,14 @@ PRODUCTION = {"a": 1.0, "k": 1.0, "l": 1.0, "alpha": 0.5}
 
 
 @dataclass(frozen=True)
-class NeedsState:
-    """Need intensities, sector potentials, and the distance matrix.
-
-    Rebuilt every flywheel step, it checks only its arrays; Scenario checks
-    the scalar bounds."""
+class NeedsState(Params):
+    """Need intensities, sector potentials, the distance matrix and the
+    responsiveness of flows to them."""
 
     n_vec: np.ndarray                      # need intensities, length n
     d_mat: np.ndarray                      # epistemic distances, n x m, all > 0
     p_vec: np.ndarray                      # sector potentials, length m
     g_resp: float = param(1.0, min=0)      # responsiveness coefficient G(t)
-    alpha_g: float = param(1.0, min=0)     # need-intensity elasticity
-    beta_g: float = param(1.0, min=0)      # distance elasticity
 
     def __post_init__(self):
         object.__setattr__(self, "n_vec", np.asarray(self.n_vec, dtype=float))
@@ -51,6 +47,7 @@ class NeedsState:
             raise DomainError("need intensities and potentials must be >= 0")
         if np.any(self.d_mat <= 0):
             raise DomainError("all distances must be > 0 (singularity)")
+        super().__post_init__()
 
     @property
     def nearest_distance(self) -> np.ndarray:
@@ -67,15 +64,18 @@ def need_gravity(n_i: float, d_i: float, alpha_g: float, beta_g: float) -> float
     return n_i**alpha_g / d_i**beta_g
 
 
-def gravity_field(state: NeedsState) -> float:
-    """Total field: sum of per-need gravities at the nearest-sector distance."""
+def gravity_field(state: NeedsState, alpha_g: float, beta_g: float) -> float:
+    """Total field: sum of per-need gravities N^alpha / D^beta at the
+    nearest-sector distance."""
     d_near = state.nearest_distance
-    return float(np.sum(state.n_vec**state.alpha_g / d_near**state.beta_g))
+    return float(np.sum(state.n_vec**alpha_g / d_near**beta_g))
 
 
-def need_sector_flow(state: NeedsState) -> np.ndarray:
-    """Flow matrix F_ij = G * N_i * P_j / D_ij^2 (inverse-square law)."""
-    return state.g_resp * np.outer(state.n_vec, state.p_vec) / state.d_mat**2
+def need_sector_flow(state: NeedsState, n_vec: np.ndarray | None = None) -> np.ndarray:
+    """Flow matrix F_ij = G * N_i * P_j / D_ij^2 (inverse-square law), at the
+    state's need intensities or at `n_vec`."""
+    n_vec = state.n_vec if n_vec is None else n_vec
+    return state.g_resp * np.outer(n_vec, state.p_vec) / state.d_mat**2
 
 
 def potential_energy(n_vec: np.ndarray) -> float:
@@ -86,16 +86,17 @@ def potential_energy(n_vec: np.ndarray) -> float:
     return float(np.sum(n**2))
 
 
-def _flow_shares(state: NeedsState) -> np.ndarray:
-    """Allocation shares proportional to the row sums of the flow matrix.
+def _flow_shares(state: NeedsState, n_vec: np.ndarray) -> np.ndarray:
+    """Allocation shares proportional to the row sums of the flow matrix at
+    need intensities n_vec.
 
     If total flow is zero (all needs met or G=0), fall back to a uniform
     split so the allocation stays a valid distribution.
     """
-    rows = need_sector_flow(state).sum(axis=1)
+    rows = need_sector_flow(state, n_vec).sum(axis=1)
     total = rows.sum()
     if total <= 0:
-        return np.full(state.n_vec.size, 1.0 / state.n_vec.size)
+        return np.full(n_vec.size, 1.0 / n_vec.size)
     return rows / total
 
 
@@ -140,7 +141,7 @@ def flywheel_compare(
         raise DomainError(f"kappa must be >= 0, got {kappa}")
     y = production_output(production)
     weights0 = state0.n_vec.copy()
-    shares_blind = _flow_shares(state0)
+    shares_blind = _flow_shares(state0, state0.n_vec)
 
     n_blind = state0.n_vec.copy()
     n_aligned = state0.n_vec.copy()
@@ -152,15 +153,7 @@ def flywheel_compare(
     for _ in range(horizon):
         y_series.append(y)
         n_blind = np.maximum(0.0, n_blind - kappa * y * shares_blind)
-        aligned_state = NeedsState(
-            n_vec=n_aligned,
-            d_mat=state0.d_mat,
-            p_vec=state0.p_vec,
-            g_resp=state0.g_resp,
-            alpha_g=state0.alpha_g,
-            beta_g=state0.beta_g,
-        )
-        n_aligned = np.maximum(0.0, n_aligned - kappa * y * _flow_shares(aligned_state))
+        n_aligned = np.maximum(0.0, n_aligned - kappa * y * _flow_shares(state0, n_aligned))
         u_b.append(potential_energy(n_blind))
         u_a.append(potential_energy(n_aligned))
         cov_b.append(coverage_operator(n_blind <= coverage_eps, weights0))
@@ -203,7 +196,6 @@ class Scenario(NeedsState):
 
     def __post_init__(self):
         super().__post_init__()
-        check(self)
         production_output(self.production)  # fails on unknown keys or bad inputs
 
 

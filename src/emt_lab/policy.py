@@ -123,17 +123,16 @@ class SubsidySolution:
     note: str = ""
 
 
-def optimize_subsidies(problem: SubsidyProblem, tol: float = 1e-10) -> SubsidySolution:
+def optimize_subsidies(problem: SubsidyProblem) -> SubsidySolution:
     """KKT solution of the subsidy planner.
 
     When every occupation has lambda_align * eta = 0 the objective is flat
     and the canonical answer s = 0 is returned with a note. Otherwise the
     objective is strictly increasing in some coordinate, the budget binds,
     and the multiplier solves spend(mu) = B by root-finding (spend is
-    continuous and strictly decreasing in mu).
+    continuous and strictly decreasing in mu). Both root-finds run to fixed
+    tolerances near machine precision.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     occs = problem.occupations
     if all(o.lambda_align * o.eta == 0 for o in occs):
         s0 = np.zeros(len(occs))
@@ -211,19 +210,18 @@ def recursive_utility(u_series: Sequence[float], beta: float, u_tail: float = 0.
 
 @dataclass(frozen=True)
 class Scenario(SubsidyProblem):
-    """One subsidy plan, solved to `tol`."""
+    """One subsidy plan."""
 
     occupations: list = param([
         {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0},
         {"w": 1.0, "l_bar": 2.0, "eta": 1.0, "lambda_align": 1.0},
         {"w": 2.0, "l_bar": 1.0, "eta": 2.0, "lambda_align": 3.0},
     ])
-    tol: float = param(1e-10, exmin=0)
 
 
 def run(scenario: Scenario, seed: int):
     """The optimal subsidies, plus a budget-binding check where it must bind."""
-    sol = optimize_subsidies(scenario, tol=scenario.tol)
+    sol = optimize_subsidies(scenario)
     report = {
         "s_star": [float(s) for s in sol.s_star],
         "objective": sol.objective,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from emt_lab import DomainError, InputError, make_generator
+from emt_lab import DomainError, InputError, epistemic, make_generator
 from emt_lab.epistemic import (
     EpistemicParams,
     EpistemicState,
@@ -287,3 +287,16 @@ def test_run_matches_the_one_step_api_on_random_scenarios():
     rng = np.random.default_rng(20261018)
     for _ in range(120):
         _assert_run_matches_reference(_random_scenario(rng), seed=int(rng.integers(2**32)))
+
+
+@pytest.mark.parametrize("switch_at", [0.5, math.inf], ids=["half_threshold", "never"])
+def test_mode_transition_check_fails_when_theta_leaves_the_law(switch_at, monkeypatch):
+    # the default run crosses p_bar = 10, with rows on both sides of p_bar / 2
+    def mutant(p, params):
+        if p >= switch_at * params.p_bar:
+            return params.eps_resid
+        return params.theta0 / (1.0 + p)
+
+    assert run(Scenario(), 0)[1]["mode_transition"]
+    monkeypatch.setattr(epistemic, "_uncertainty", mutant)
+    assert not run(Scenario(), 0)[1]["mode_transition"]

@@ -1,10 +1,12 @@
 """Cybernetic loop against the harmonic-oscillator closed form."""
 
+import json
 import math
 
 import pytest
 
 from emt_lab import DomainError, NumericError
+from emt_lab.cli import main
 from emt_lab.feedback import FeedbackParams, loop_diagnostics, simulate_loop
 
 TWO_PI = 2.0 * math.pi
@@ -99,3 +101,17 @@ def test_param_validation():
         FeedbackParams(gamma0=-1.0)
     with pytest.raises(DomainError):
         loop_diagnostics([])
+
+
+@pytest.mark.parametrize("params", [
+    {"theta_meta": 8.0, "dt": 0.12, "horizon": 2000},
+    {"phi_gain": 1e8, "o0": 1e-300, "horizon": 3000},
+], ids=["meta_learning", "high_gain"])
+def test_cli_squared_error_overflow_is_a_runtime_error(params, tmp_path, capsys):
+    # O is still finite when (E - O)^2 overflows in the gamma update
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "t", "module": "feedback", "params": params}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: loop diverged at step ") and "eps^2 overflows" in err
+    assert not (tmp_path / "out").exists()

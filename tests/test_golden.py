@@ -1,8 +1,9 @@
 """Golden digests: the bytes of every bundled artifact, of two large-pool
 epistemic artifacts, of one noisy feedback artifact, of one evt artifact with
 its m-values, of feedback trajectories under a callable target, of random mdp
-artifacts with a legacy policy, of game searches past the bundled size, of every schema printout and every bundled
-config digest, pinned across versions.
+artifacts with a legacy policy, of game searches past the bundled size, of a
+long gravity flywheel, of every schema printout and every bundled config
+digest, pinned across versions.
 
 Criterion 13 only compares two reruns of one version; these digests hold the
 bytes fixed from one change to the next. A digest that moves on purpose is
@@ -118,15 +119,37 @@ GAME_SEARCHES = {
         "24064159900f8062c17dd4d162d479366d26763552bd95f1faa95cacca5d4255"),
 }
 
+# The bundled flywheel runs 5 needs x 2 sectors for 50 steps at g_resp 1; this
+# one runs 9 needs x 3 sectors (so the sum over needs takes numpy's unrolled
+# pairwise path) for 5,000 steps at g_resp 0.7. The aligned economy drains
+# every need, so the clamp at zero and the uniform fallback shape its bytes.
+LONG_FLYWHEEL = {
+    "name": "long_flywheel",
+    "module": "gravity",
+    "params": {
+        "n_vec": [9.0, 7.5, 6.0, 5.5, 4.0, 3.25, 2.5, 1.75, 0.5],
+        "d_mat": [[1.0, 2.0, 3.0], [2.0, 1.0, 1.5], [1.0, 1.5, 2.5], [2.5, 2.0, 0.5],
+                  [1.5, 1.0, 2.0], [3.0, 0.75, 1.25], [0.8, 2.2, 1.7], [1.9, 2.4, 0.6],
+                  [2.7, 1.1, 3.3]],
+        "p_vec": [1.0, 0.6, 1.4],
+        "g_resp": 0.7,
+        "production": {"a": 1.2, "k": 2.0, "l": 0.5, "alpha": 0.3},
+        "kappa": 0.012,
+        "horizon": 5000,
+        "coverage_eps": 0.01,
+    },
+}
+LONG_FLYWHEEL_DIGEST = "f7d41459501c90653f921f0805fd0de067c47c300c7cb9fab0e96008cebcafa1"
+
 SCHEMAS = {
     "epistemic": "739dae5b0396a2442563c8b6ac01c72da875ba3ea0a1faca6af3091cc8732c44",
     "growth": "67d71fc6aaa165394b0620a396f078e9b9ca8973c660106dfac58b04e4cafcfe",
     "evt": "516c1f9c4d6876c529042c2d408b34bb536b5cd0e4bc17a0069aa41d157329d2",
-    "gravity": "4d9f257f232321885638a256de4b0d831b253b7b3789f5b48ea8c10378464aae",
+    "gravity": "42b788705997c6be23c2476b4118f366fc1766dbb9f1f15ee2dcf7ebd1afd78d",
     "mdp": "b61fc27d76127aedc113e090680bc897a2ec35d5866d037b3561f24159e615b7",
     "feedback": "616a93ec06b97a84e9063d4e9a7563003916720a6d63c6f12bbdec725c1aa335",
     "game": "3fd3b2225da445e4a9b4703541efdd97eec4ec898e64807013ed71ff63a26d9f",
-    "policy": "5f1038ddd437eab8c5d2d9226c6dcfcb578eab67cf24a5e6ec3c5781a8cde233",
+    "policy": "abaa5ae6200cb7bf11cb0eaf58038afc4286a8b2ca7e7918a143976f0758d3fb",
 }
 
 CONFIG_DIGESTS = {
@@ -134,11 +157,11 @@ CONFIG_DIGESTS = {
     "evt_exponential.json": "a66bce28d7f68a0b2f09655900e6be26405c2c799be5311ba7c6c3a7022106f9",
     "feedback_default.json": "1d89de453d4ede38bbcd7f7bad748399b729568474b51206fc9177af63820199",
     "feedback_unstable.json": "c5397c7b0b90e68e17061c6183bebf39a10e71dfc5a672af3b6d4c95529897de",
-    "flywheel_default.json": "89c71bbb420f6466430bc72f250b3229252c9eb2e3ddc7cd25223a86d2c89b8b",
+    "flywheel_default.json": "f2d2649d39479e12f3b3b92f5c67c7a688e4a6f99cc9c3281de12cefd265b14f",
     "game_default.json": "9982289c4bb2eecfd27b882f3e37e64c4974560857c3aa5023d4e7ce5525c8d8",
     "growth_default.json": "d9e60bd98313b6a83f2156f923632aac0ce8174a06156245bf2f59e6a32be37e",
     "mdp_default.json": "0c010c0ddfa96061ab9b4ea466f0227d0f9e9a4c3950f0edbc2c52f5e5e2a747",
-    "policy_default.json": "4e017ff5e88e7a27e8d06126a1b854b6f32adf6858ae7d45e6ba2c7ae3adbfa1",
+    "policy_default.json": "fdf7e6dcdf27bd899064167aa9b5a4ae46e482928a2bcc67f90667e999f1bcbe",
 }
 
 
@@ -216,6 +239,11 @@ def test_game_search_artifact_bytes(strategy_class, mode, tmp_path):
     cfg = validate_config({"name": "game", "module": "game", "params": params})
     report = run_scenario(cfg, out_dir=str(tmp_path))
     assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == digest
+
+
+def test_long_flywheel_artifact_bytes(tmp_path):
+    report = run_scenario(validate_config(LONG_FLYWHEEL), out_dir=str(tmp_path))
+    assert _sha256(Path(report.artifact_paths[0]).read_bytes()) == LONG_FLYWHEEL_DIGEST
 
 
 @pytest.mark.parametrize("module", sorted(SCHEMAS))

@@ -35,16 +35,16 @@ def test_need_gravity_values():
 
 
 def test_gravity_field_additivity_and_homogeneity():
-    state = _state(alpha_g=1.3, beta_g=0.7)
+    state = _state()
     d_near = state.nearest_distance
     manual = sum(
         need_gravity(n, d, 1.3, 0.7) for n, d in zip(state.n_vec, d_near)
     )
-    assert gravity_field(state) == pytest.approx(manual)
-    scaled = _state(n=3.0 * state.n_vec, alpha_g=1.3, beta_g=0.7)
-    assert gravity_field(scaled) == pytest.approx(3.0**1.3 * gravity_field(state))
-    zero = _state(n=[0.0] * 5, alpha_g=1.3, beta_g=0.7)
-    assert gravity_field(zero) == 0.0
+    assert gravity_field(state, 1.3, 0.7) == pytest.approx(manual)
+    scaled = _state(n=3.0 * state.n_vec)
+    assert gravity_field(scaled, 1.3, 0.7) == pytest.approx(3.0**1.3 * gravity_field(state, 1.3, 0.7))
+    zero = _state(n=[0.0] * 5)
+    assert gravity_field(zero, 1.3, 0.7) == 0.0
 
 
 def test_flow_matrix_values_and_inverse_square():
@@ -82,6 +82,15 @@ def test_potential_energy():
 def test_distance_singularity_rejected():
     with pytest.raises(DomainError):
         _state(d=[[1.0, 0.0], [1, 1], [1, 1], [1, 1], [1, 1]])
+
+
+def test_needs_state_checks_its_bounds_and_finiteness():
+    with pytest.raises(DomainError, match="g_resp"):
+        _state(g_resp=-1.0)
+    with pytest.raises(DomainError, match="n_vec"):
+        _state(n=[np.nan, 4.0, 3.0, 2.0, 1.0])
+    with pytest.raises(DomainError, match="p_vec"):
+        _state(p=[1.0, np.inf])
 
 
 def test_flywheel_kappa_zero_constant():

@@ -182,7 +182,7 @@ def test_cli_runs_several_configs(tmp_path):
     ("evt", {"params": {"family_params": {"bogus": 1}}}, "bogus"),
     ("gravity", {"params": {"p_vec": [1.0]}}, "distance matrix shape"),
     ("mdp", {"params": {"shock_probs": [0.5, 0.5]}}, "transition shape"),
-    ("mdp", {"output": {"format": "csv"}}, "produces json output"),
+    ("mdp", {"output": {"format": "json"}}, "output.unknown key 'format'"),
     ("growth", {"params": {"psi": 2.0}}, "no equilibrium"),
     ("gravity", {"params": {"production": {"alpha": 2}}}, "alpha must lie in (0, 1)"),
     ("gravity", {"params": {"production": {"alpha": 0.5, "beta": 1}}}, "unknown keys ['beta']"),
@@ -204,6 +204,9 @@ def test_cli_runs_several_configs(tmp_path):
     ("game", {"params": {"horizon": 100000000}},
      "horizon: 100000000 rounds x 4 profiles of 2 players in strategy_class 'constant' x 4 joint "
      "actions are above the search bound of 10000000"),
+    ("gravity", {"params": {"alpha_g": 1.0}}, "params.unknown key 'alpha_g'"),
+    ("gravity", {"params": {"beta_g": 1.0}}, "params.unknown key 'beta_g'"),
+    ("policy", {"params": {"tol": 1e-10}}, "params.unknown key 'tol'"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -292,6 +295,23 @@ def test_cli_knowledge_stock_overflow_is_a_runtime_error(params, tmp_path, capsy
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "runtime error: knowledge stock p became non-finite: inf\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_other_exceptions_are_internal_errors(tmp_path, capsys):
+    # numpy's Poisson draw rejects the arrival rate eta_rate * dt
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(params={"dt": 1e300})))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "internal error: ValueError: lam value too large\n"
+
+
+def test_cli_verify_other_exceptions_are_internal_errors(monkeypatch, capsys):
+    def fail(artifact, path):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(runner, "_write_artifact", fail)
+    assert main(["verify"]) == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
 
 
 def test_cli_knowledge_stock_power_overflow_without_growth_runs(tmp_path):
