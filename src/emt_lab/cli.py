@@ -71,14 +71,16 @@ def _cmd_run(args) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    try:
-        reports = [runner.run_scenario(cfg, out_dir=args.out) for cfg in configs]
-    except (EmtLabError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    for report in reports:
-        print(_report_line(report))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    passed = True
+    for cfg in configs:  # each line prints when its run ends, before a later run can fail
+        try:
+            report = runner.run_scenario(cfg, out_dir=args.out)
+        except (EmtLabError, OSError) as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME_ERROR
+        print(_report_line(report), flush=True)
+        passed = passed and report.passed
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def bundled_scenarios():

@@ -337,6 +337,10 @@ class Scenario(EpistemicParams):
     eps_floor: float = param_of(ProblemPool, "eps_floor")
 
 
+# The CSV cells of a bool, indexed by it.
+_FLAG = ("false", "true")
+
+
 def run(scenario: Scenario, seed: int):
     """Trajectory of the domain and its pool, plus the mode-transition checks.
 
@@ -354,7 +358,7 @@ def run(scenario: Scenario, seed: int):
     t, p, theta, c, pi, inverted, a_cap = (state.t, state.p, state.theta, state.c,
                                            state.pi, state.inverted, state.a_cap)
     _, probs, r = _research(open_c, a_cap, lam, eps)
-    rows = [[t, p, theta, c, pi, inverted, r, len(open_c), r > eta]]
+    rows = [[t, p, theta, c, pi, _FLAG[inverted], r, len(open_c), _FLAG[r > eta]]]
     pis = [pi]
     for _ in range(s.horizon):
         surplus = r > eta
@@ -377,7 +381,7 @@ def run(scenario: Scenario, seed: int):
         c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
         inverted = c < s.theta_star
         _, probs, r = _research(open_c, a_cap, lam, eps)
-        rows.append([t, p, theta, c, pi, inverted, r, len(open_c), surplus])
+        rows.append([t, p, theta, c, pi, _FLAG[inverted], r, len(open_c), _FLAG[surplus]])
         pis.append(pi)
     # theta follows the threshold law on both sides of p_bar, stated apart from _uncertainty
     transition_ok = all(row[2] == (s.eps_resid if row[1] >= s.p_bar else s.theta0 / (1.0 + row[1]))

@@ -337,11 +337,7 @@ class SpneReport:
     all_c_continuity_prob: float
 
 
-def spne_search(
-    game: StageGame,
-    strategy_class: str = "constant",
-    max_profiles: int = MAX_PROFILES,
-) -> SpneReport:
+def spne_search(game: StageGame, strategy_class: str = "constant") -> SpneReport:
     """Exhaustive SPNE search over a bounded strategy class.
 
     Every strategy of a class reads only whether the history is empty and
@@ -351,13 +347,13 @@ def spne_search(
     length >= 1, so the verdicts are the same. Always reports on the
     all-cooperate and all-defect profiles, which belong to every supported
     class, and the all-cooperate continuity probability. Raises a size error
-    when the profile space exceeds `max_profiles`.
+    when the profile space exceeds `MAX_PROFILES`.
     """
     n = game.n_players
-    if profile_count(n, strategy_class, max_profiles) is None:
+    if profile_count(n, strategy_class) is None:
         raise InputError(
             f"strategy-profile space of {n} players in class {strategy_class!r} "
-            f"exceeds the bound {max_profiles}"
+            f"exceeds the bound {MAX_PROFILES}"
         )
     labels, tables, after = _strategy_tables(n, strategy_class)
     state_tables = _StateTables(game, after)
@@ -408,8 +404,7 @@ def run(scenario: Scenario, seed: int):
         "all_c_is_spne": found.all_c_is_spne,
         "all_d_is_spne": found.all_d_is_spne,
         "n_equilibria": len(found.equilibria),
-        "equilibria": [list(map(list, eq)) if isinstance(eq[0], tuple) else list(eq)
-                       for eq in found.equilibria],
+        "equilibria": found.equilibria,  # json writes tuples as arrays
         "all_c_continuity_prob": found.all_c_continuity_prob,
     }
     return report, {}

@@ -102,11 +102,12 @@ def _flow_shares(state: NeedsState, n_vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlywheelResult:
-    """Potential-energy and output trajectories for both allocation modes."""
+    """Potential-energy and coverage trajectories for both allocation modes,
+    and the output both produce each step."""
 
     u_blind: np.ndarray
     u_aligned: np.ndarray
-    y_series: np.ndarray
+    y: float
     coverage_blind: np.ndarray
     coverage_aligned: np.ndarray
 
@@ -149,9 +150,7 @@ def flywheel_compare(
     u_a = [potential_energy(n_aligned)]
     cov_b = [coverage_operator(n_blind <= coverage_eps, weights0)]
     cov_a = [coverage_operator(n_aligned <= coverage_eps, weights0)]
-    y_series = []
     for _ in range(horizon):
-        y_series.append(y)
         n_blind = np.maximum(0.0, n_blind - kappa * y * shares_blind)
         n_aligned = np.maximum(0.0, n_aligned - kappa * y * _flow_shares(state0, n_aligned))
         u_b.append(potential_energy(n_blind))
@@ -161,7 +160,7 @@ def flywheel_compare(
     return FlywheelResult(
         u_blind=np.array(u_b),
         u_aligned=np.array(u_a),
-        y_series=np.array(y_series),
+        y=y,
         coverage_blind=np.array(cov_b),
         coverage_aligned=np.array(cov_a),
     )
@@ -203,11 +202,12 @@ def run(scenario: Scenario, seed: int):
     """Both trajectories, row per (step, mode), plus the dominance check."""
     s = scenario
     res = flywheel_compare(s, s.production, s.horizon, s.kappa, coverage_eps=s.coverage_eps)
-    y = res.y_series[0]  # the same every step
+    u_b, u_a = res.u_blind.tolist(), res.u_aligned.tolist()
+    cov_b, cov_a = res.coverage_blind.tolist(), res.coverage_aligned.tolist()
     rows = []
     for t in range(s.horizon + 1):
-        rows.append([t, "blind", res.u_blind[t], res.coverage_blind[t], y])
-        rows.append([t, "aligned", res.u_aligned[t], res.coverage_aligned[t], y])
+        rows.append([t, "blind", u_b[t], cov_b[t], res.y])
+        rows.append([t, "aligned", u_a[t], cov_a[t], res.y])
     checks = {}
     if s.check_dominance:
         dominated = bool(np.all(res.u_aligned <= res.u_blind + 1e-12))

@@ -217,13 +217,14 @@ def test_params_validation():
 
 def _reference_run(s: Scenario, seed: int):
     """run()'s rows and checks, stepped through the public one-step API."""
+    flag = ("false", "true")  # the CSV cells of a bool
     rng_pool = make_generator(seed, 1)
     pool = ProblemPool(problems=make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems),
                        eta_rate=s.eta_rate, lambda_align=s.lambda_align, eps_floor=s.eps_floor)
     state = initial_state(s, a_cap=s.a0, p0=s.p0)
     out = research_output(pool, state.a_cap)
-    rows = [[state.t, state.p, state.theta, state.c, state.pi, state.inverted,
-             out.r, len(out.solve_probs), out.r > s.eta_rate]]
+    rows = [[state.t, state.p, state.theta, state.c, state.pi, flag[state.inverted],
+             out.r, len(out.solve_probs), flag[out.r > s.eta_rate]]]
     states = [state]
     for _ in range(s.horizon):
         pool, surplus = step_problem_pool(pool, out, s.dt, rng_pool)
@@ -233,8 +234,8 @@ def _reference_run(s: Scenario, seed: int):
         state = EpistemicState(t=state.t, p=state.p, theta=state.theta, c=c, a_cap=a_cap,
                                pi=state.pi, inverted=c < s.theta_star)
         out = research_output(pool, state.a_cap)
-        rows.append([state.t, state.p, state.theta, state.c, state.pi, state.inverted,
-                     out.r, int(np.count_nonzero(pool.open)), surplus])
+        rows.append([state.t, state.p, state.theta, state.c, state.pi, flag[state.inverted],
+                     out.r, int(np.count_nonzero(pool.open)), flag[surplus]])
         states.append(state)
     checks = {
         "mode_transition": all(x.theta == s.eps_resid for x in states[1:] if x.p >= s.p_bar),

@@ -9,15 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import emt_lab
 from emt_lab import ConfigError, load_config, module_schema, validate_config
 from emt_lab.cli import bundled_scenarios, main
-from emt_lab.config import MODULES
+from emt_lab.config import MODULES, scenario_module
 from emt_lab import cli, runner
-from emt_lab.runner import _fmt, _write_artifact, run_scenario
+from emt_lab.runner import _write_artifact, run_scenario
+from test_golden import LARGE_POOL, LONG_FLYWHEEL, LONG_POOL, NOISY_FEEDBACK
 
 SCENARIO_DIR = Path(emt_lab.__file__).parent / "scenarios"
 
@@ -177,6 +177,20 @@ def test_cli_runs_several_configs(tmp_path):
     assert (out / "a.json").exists() and (out / "b.json").exists()
 
 
+def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    bad = tmp_path / "bad.json"
+    ok.write_text(json.dumps({"name": "okrun", "module": "mdp"}))
+    bad.write_text(json.dumps(minimal(params={"a0": 1e200, "phi_elast": 2.0})))
+    out = tmp_path / "o"
+    assert main(["run", str(ok), str(bad), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"okrun: wrote {out / 'okrun.json'} in ")
+    assert "digest=" in captured.out and captured.out.count("\n") == 1
+    assert captured.err == "runtime error: knowledge stock p became non-finite: inf\n"
+    assert list(out.iterdir()) == [out / "okrun.json"]
+
+
 @pytest.mark.parametrize("module, extra, message", [
     ("epistemic", {"params": {"eps_resid": 2.0}}, "eps_resid"),
     ("evt", {"params": {"family_params": {"bogus": 1}}}, "bogus"),
@@ -331,37 +345,50 @@ def test_cli_verify_unwritable_artifact_is_a_runtime_error(monkeypatch, capsys):
     assert "runtime error: cannot write" in capsys.readouterr().err
 
 
-def test_csv_cells_are_quoted_like_the_csv_module(tmp_path):
-    header = ["s,1", "q", "nl", "flag", "x", "n", "np_n", "np_flag"]
-    rows = [["x,y", 'q"r', "a\nb", True, np.float64(0.1), 3, np.int64(-7), np.bool_(True)],
-            ["plain", "", "c\rd", False, 2.5, 0, np.int64(12), np.bool_(False)]]
-    path = tmp_path / "a.csv"
-    _write_artifact((header, rows), path)
-    expected = io.StringIO(newline="")
-    csv.writer(expected).writerows([
-        header,
-        ["x,y", 'q"r', "a\nb", "true", "0.1", "3", "-7", "true"],
-        ["plain", "", "c\rd", "false", "2.5", "0", "12", "false"],
-    ])
-    assert path.read_bytes() == expected.getvalue().encode()
-
-
 @pytest.mark.parametrize("at", [0, 1])
-@pytest.mark.parametrize("odd_row", [None, [True, 1.0, 2], [np.float64(0.1), 1.0, 2], [1.0, 2.0]],
-                         ids=["plain", "bool", "np_float64", "ragged"])
-def test_csv_rows_of_floats_and_ints_are_written_as_fmt_writes_them(odd_row, at, tmp_path, monkeypatch):
+@pytest.mark.parametrize("odd_row", [None, [1.0, 2.0]], ids=["plain", "ragged"])
+def test_csv_rows_of_floats_and_ints_are_written_as_fmt_writes_them(odd_row, at, tmp_path):
+    """Each cell of a float or an int is its repr; a ragged row raises."""
     header = ["a", "b", "c"]
     rows = [[-0.0, float("inf"), float("nan")], [10**300, -(2**100), 0], [0.1, 1e-300, -7]]
-    if odd_row is not None:
-        rows.insert(at, odd_row)
-    expected = "".join(",".join(map(_fmt, row)) + "\r\n" for row in [header] + rows)
-    cells = []
-    monkeypatch.setattr(runner, "_fmt", lambda value: cells.append(value) or _fmt(value))
     path = tmp_path / "a.csv"
-    _write_artifact((header, rows), path)
-    assert path.read_bytes() == expected.encode()
-    # only the header goes through _fmt when every row is plain floats and ints
-    assert len(cells) == len(header) + (0 if odd_row is None else sum(map(len, rows)))
+    if odd_row is None:
+        _write_artifact((header, rows), path)
+        expected = [header] + [list(map(repr, row)) for row in rows]
+        assert path.read_bytes() == "".join(",".join(row) + "\r\n" for row in expected).encode()
+        return
+    rows.insert(at, odd_row)
+    with pytest.raises(TypeError):
+        _write_artifact((header, rows), path)
+    # the rows before the short one are written whole, and no line is ragged
+    assert [line.count(b",") for line in path.read_bytes().split(b"\r\n")[:-1]] == [2] * (1 + at)
+
+
+def _contract_configs():
+    configs = [(fname, cfg) for fname, cfg in bundled_scenarios() if cfg.output_format == "csv"]
+    golden = [LARGE_POOL, LONG_POOL, NOISY_FEEDBACK, LONG_FLYWHEEL]
+    return configs + [(cfg["name"], validate_config(cfg)) for cfg in golden]
+
+
+def test_every_csv_artifact_keeps_the_cell_contract(tmp_path):
+    """Every cell a module hands the writer is a Python int, float or str; in
+    the written file each line splits on "," into one cell per column,
+    csv.reader reads back the same cells, no cell holds a '"', and no cell is
+    the str of a bool."""
+    configs = _contract_configs()
+    assert {cfg.module for _, cfg in configs} == {"epistemic", "feedback", "gravity", "growth"}
+    for name, cfg in configs:
+        artifact, _ = scenario_module(cfg.module).run(cfg.scenario, cfg.seed)
+        assert {type(cell) for row in artifact[1] for cell in row} <= {int, float, str}, name
+        path = tmp_path / f"{cfg.module}.csv"
+        _write_artifact(artifact, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text.endswith("\r\n"), name
+        split = [line.split(",") for line in text[:-2].split("\r\n")]
+        assert list(csv.reader(io.StringIO(text, newline=""))) == split, name
+        assert {len(row) for row in split} == {len(artifact[0])}, name
+        cells = {cell for row in split for cell in row}
+        assert not {"True", "False"} & cells and not any('"' in cell for cell in cells), name
 
 
 @pytest.mark.parametrize("path", ["../escape.json", "a/../../escape.json", "absolute", ".",
@@ -422,15 +449,6 @@ def test_replace_checks_the_config():
     assert dataclasses.replace(cfg, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ConfigError, match="seed: must be >= 0, got -1"):
         dataclasses.replace(cfg, seed=-1)
-
-
-def test_fmt_numpy_scalars():
-    assert _fmt(np.float64(0.1)) == _fmt(0.1) == "0.1"
-    assert _fmt(np.float32(0.5)) == "0.5"
-    assert _fmt(np.bool_(True)) == _fmt(True) == "true"
-    assert _fmt(np.bool_(False)) == "false"
-    assert _fmt(np.int64(3)) == _fmt(3) == "3"
-    assert _fmt("blind") == "blind"
 
 
 def test_non_policy_scenarios_do_not_import_scipy(tmp_path):
