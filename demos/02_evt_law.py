@@ -9,12 +9,7 @@ draws you take, not by the shape of the source distribution.
 Run:  python3 demos/02_evt_law.py
 """
 
-from emt_lab.recombinant import (
-    EvtRunConfig,
-    TailDistribution,
-    log2_combinations,
-    run_evt,
-)
+from emt_lab.recombinant import Scenario, log2_combinations, run
 
 
 def main():
@@ -24,7 +19,7 @@ def main():
         print(f"  A={a:4d}, phi=0.5 -> log2(combinations) = {log2_combinations(a, 0.5):6.1f}")
     print()
 
-    cfg = EvtRunConfig(k_draws=10_000, replicates=2000, seed=7)
+    k_draws = 10_000
     print(f"{'family':>12} {'mean(m)':>9} {'K/(K+1)':>9} {'KS dist':>8}  Exp(1)?")
     for family, params in [
         ("exponential", {"rate": 1.0}),
@@ -33,9 +28,10 @@ def main():
         ("lognormal", {"mu": 0.0, "sigma": 1.0}),
         ("weibull", {"scale": 1.0, "shape": 0.7}),
     ]:
-        report = run_evt(TailDistribution(family, params), cfg)
+        scenario = Scenario(family=family, family_params=params, k_draws=k_draws, replicates=2000)
+        report, _ = run(scenario, 7)
         print(f"{family:>12} {report['mean']:9.4f} "
-              f"{cfg.k_draws / (cfg.k_draws + 1):9.4f} {report['ks']:8.4f}  "
+              f"{k_draws / (k_draws + 1):9.4f} {report['ks']:8.4f}  "
               f"{'yes' if report['pass'] else 'NO'}")
     print()
     print("identical seeds give identical diagnostics; the law holds for")

@@ -2,15 +2,17 @@
 
 The annotation gives the type, the default the default, and the keywords the
 bounds ("min", "exmin", "max", "exmax") and "choices". `check` enforces them
-on an instance, along with one rule for every field: a float, or an element of
-a float array, is finite. Config derives validation and `emt-lab schema` from
-the fields.
+on an instance, along with one rule for every field: a float, an element of a
+float array, or a field annotated `float` or `int` is a number (`is_number`,
+the rule of every number in a config). Config derives validation and
+`emt-lab schema` from the fields.
 """
 
 from __future__ import annotations
 
 import copy
-import math
+import numbers
+import sys
 from dataclasses import MISSING, field, fields
 
 import numpy as np
@@ -25,7 +27,7 @@ _BOUNDS = (
 )
 
 _TYPES = {"float": "number", "int": "integer", "str": "string", "bool": "boolean",
-          "dict": "object", "list": "array"}
+          "dict": "object", "list": "array", "tuple": "array", "np.ndarray": "array"}
 
 
 def param(default=MISSING, **bounds):
@@ -42,6 +44,21 @@ def param_of(cls, name: str):
     return field(default=f.default, metadata=f.metadata)
 
 
+def is_number(value) -> bool:
+    """A real number finite as a float: not a bool, NaN or an infinity, and no
+    integer too large to convert."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def check_number(name: str, value) -> None:
+    """Raise unless `value` is a number (`is_number`)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name}: expected number, got {value!r}")
+    if not is_number(value):
+        raise DomainError(f"{name}: must be finite, got {value}")
+
+
 def bound_problems(name: str, bounds: dict, value) -> list:
     """One message per bound or choice of `bounds` that `value` breaks."""
     out = []
@@ -54,14 +71,14 @@ def bound_problems(name: str, bounds: dict, value) -> list:
 
 
 def check(obj) -> None:
-    """Raise if an init field of `obj` holds a number that is not finite, or
-    a parameter field breaks its bounds or choices."""
+    """Raise if an init field of `obj` annotated `float` or `int`, or holding
+    a float, is no number, or a parameter field breaks its bounds or choices."""
     for f in fields(obj):
         if not f.init:
             continue
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{f.name}: must be finite, got {value}")
+        if f.type in ("float", "int") or isinstance(value, float):
+            check_number(f.name, value)
         if isinstance(value, np.ndarray) and value.dtype.kind == "f" and not np.isfinite(value).all():
             raise DomainError(f"{f.name}: every element must be finite")
         bounds = f.metadata.get("param")

@@ -18,11 +18,10 @@ import difflib
 import hashlib
 import importlib
 import json
-import sys
 from dataclasses import MISSING, dataclass, field
 from pathlib import PurePath
 
-from ._params import bound_problems, check, param, schema as param_schema
+from ._params import bound_problems, check, is_number, param, schema as param_schema
 from .errors import ConfigError, EmtLabError
 
 # Scenario module name -> the emt_lab module defining its `Scenario` dataclass,
@@ -40,9 +39,7 @@ MODULES = {
 }
 
 _TYPE_CHECKS = {
-    # finite as a float: no NaN, no Infinity, no integer too large to convert
-    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                         and abs(v) <= sys.float_info.max),
+    "number": is_number,
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),

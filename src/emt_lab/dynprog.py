@@ -4,15 +4,14 @@ path-dependence sensitivity.
 The expectation over innovation shocks is taken over an explicit finite
 support, so Bellman backups are exact and the solver is deterministic.
 Value iteration from zero yields the same iterates whatever the tolerance, so
-`run` computes one sequence per scenario: the looser of the scenario solve
-and the real-time-surplus solve runs from zero, and the tighter one continues
-it (`value_iteration(..., start=...)`). Policy evaluation is an exact dense
-linear solve, intended for state spaces up to about a thousand states.
+`run`'s real-time-surplus solve continues the scenario solve when it is the
+tighter one (`value_iteration(..., start=...)`). Policy evaluation is an exact
+dense linear solve, intended for state spaces up to about a thousand states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,9 +39,9 @@ class MdpSpec(Params):
     beta        discount factor in (0, 1)
     """
 
-    rewards: np.ndarray
-    shock_probs: np.ndarray
-    transition: np.ndarray
+    rewards: np.ndarray = param([[0.0, 1.0]])
+    shock_probs: np.ndarray = param([1.0])
+    transition: np.ndarray = param([[[0], [0]]])
     beta: float = param(0.9, exmin=0, exmax=1)
 
     def __post_init__(self):
@@ -190,9 +189,7 @@ SURPLUS_TOL = 1e-12
 
 def realtime_surplus(spec: MdpSpec, legacy_policy: np.ndarray, tol: float = SURPLUS_TOL) -> np.ndarray:
     """Per-state surplus of optimal play over a fixed legacy policy."""
-    sol = value_iteration(spec, tol=tol)
-    v_legacy = evaluate_policy(spec, legacy_policy)
-    return sol.values - v_legacy
+    return value_iteration(spec, tol=tol).values - evaluate_policy(spec, legacy_policy)
 
 
 def path_sensitivity(
@@ -211,12 +208,7 @@ def path_sensitivity(
         raise DomainError(f"h must be > 0, got {h}")
     if perturb is None:
         def perturb(base: MdpSpec, p: float) -> MdpSpec:
-            return MdpSpec(
-                rewards=base.rewards + p,
-                shock_probs=base.shock_probs,
-                transition=base.transition,
-                beta=base.beta,
-            )
+            return replace(base, rewards=base.rewards + p)
     v_plus = value_iteration(perturb(spec, h), tol=tol).values
     v_minus = value_iteration(perturb(spec, -h), tol=tol).values
     return (v_plus - v_minus) / (2.0 * h)
@@ -248,9 +240,6 @@ def enumerate_policies_value(spec: MdpSpec) -> tuple[np.ndarray, np.ndarray]:
 class Scenario(MdpSpec):
     """One MDP solve, plus the real-time surplus over an optional legacy policy."""
 
-    rewards: list = param([[0.0, 1.0]])
-    shock_probs: list = param([1.0])
-    transition: list = param([[[0], [0]]])
     tol: float = param(1e-12, exmin=0)
     max_iter: int = param(100000, min=1)
     legacy_policy: list | None = param(None)
@@ -265,23 +254,7 @@ class Scenario(MdpSpec):
 
 def run(scenario: Scenario, seed: int):
     """Values, greedy policy and solver telemetry, plus the surplus check."""
-    own = {"tol": scenario.tol, "max_iter": scenario.max_iter}
-    # The scenario solve and the surplus solve stop at two points of one VI
-    # sequence from zero: the looser tolerance runs first, the tighter one
-    # continues it.
-    if scenario.legacy_policy is None:
-        sol = value_iteration(scenario, **own)
-    elif scenario.tol >= SURPLUS_TOL:
-        sol = value_iteration(scenario, **own)
-        best = value_iteration(scenario, tol=SURPLUS_TOL, start=sol)
-    else:
-        try:
-            best = value_iteration(scenario, tol=SURPLUS_TOL)
-        except ConvergenceError:
-            # The scenario solve's own error, if it fails too, comes first.
-            value_iteration(scenario, **own)
-            raise
-        sol = value_iteration(scenario, **own, start=best)
+    sol = value_iteration(scenario, tol=scenario.tol, max_iter=scenario.max_iter)
     report = {
         "values": [float(v) for v in sol.values],
         "policy": [int(a) for a in sol.policy],
@@ -290,6 +263,8 @@ def run(scenario: Scenario, seed: int):
     }
     checks = {}
     if scenario.legacy_policy is not None:
+        best = value_iteration(scenario, tol=SURPLUS_TOL,
+                               start=sol if scenario.tol >= SURPLUS_TOL else None)
         surplus = best.values - evaluate_policy(scenario, scenario.legacy_policy)
         report["realtime_surplus"] = [float(s) for s in surplus]
         checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)

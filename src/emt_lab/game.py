@@ -104,33 +104,31 @@ def _path_values(
 ) -> tuple:
     """Continuation values (survival, payoff vector) from a history.
 
-    Follows the deterministic play path. Each round's payoffs accrue before
-    that round's discontinuity draw; on discontinuity, play stops and (in
-    finite mode) omega is added once, undiscounted. `override` = (player,
-    action) replaces one player's first-round action, for deviation tests.
+    Follows the deterministic play path forward, then sums it backward from
+    its last round, so the walk is a loop at any horizon. Each round's
+    payoffs accrue before that round's discontinuity draw; on discontinuity,
+    play stops and (in finite mode) omega is added once, undiscounted.
+    `override` = (player, action) replaces one player's first-round action,
+    for deviation tests.
     Returns (continuation survival probability, per-player expected
     discounted payoffs excluding omega, per-player omega contribution).
     """
-    t = len(history)
-    if t >= game.horizon:
-        n = game.n_players
-        return 1.0, (0.0,) * n, (0.0,) * n
-    actions = [_action_at(s, history) for s in profile]
-    if override is not None:
-        actions[override[0]] = override[1]
-    actions = tuple(actions)
-    u = game.stage_payoffs(actions)
-    defections = sum(1 for a in actions if a == D)
-    s_round = (1.0 - game.p_disc) ** defections
-    s_cont, pay_cont, om_cont = _path_values(game, profile, history + (actions,))
-    survival = s_round * s_cont
-    pay = tuple(
-        u[i] + s_round * game.delta_disc * pay_cont[i] for i in range(game.n_players)
-    )
-    omega = tuple(
-        (1.0 - s_round) * game.omega + s_round * om_cont[i]
-        for i in range(game.n_players)
-    )
+    rounds = []  # (stage payoffs, survival) of each round on the path
+    while len(history) < game.horizon:
+        actions = [_action_at(s, history) for s in profile]
+        if override is not None:
+            actions[override[0]] = override[1]
+            override = None
+        actions = tuple(actions)
+        defections = sum(1 for a in actions if a == D)
+        rounds.append((game.stage_payoffs(actions), (1.0 - game.p_disc) ** defections))
+        history = history + (actions,)
+    n = game.n_players
+    survival, pay, omega = 1.0, (0.0,) * n, (0.0,) * n
+    for u, s_round in reversed(rounds):
+        survival = s_round * survival
+        pay = tuple(u[i] + s_round * game.delta_disc * pay[i] for i in range(n))
+        omega = tuple((1.0 - s_round) * game.omega + s_round * omega[i] for i in range(n))
     return survival, pay, omega
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._params import Params, param
+from ._params import Params, check_number, param
 from .errors import DomainError, InputError
 from .growth import cobb_douglas
 
@@ -29,10 +29,11 @@ class NeedsState(Params):
     """Need intensities, sector potentials, the distance matrix and the
     responsiveness of flows to them."""
 
-    n_vec: np.ndarray                      # need intensities, length n
-    d_mat: np.ndarray                      # epistemic distances, n x m, all > 0
-    p_vec: np.ndarray                      # sector potentials, length m
-    g_resp: float = param(1.0, min=0)      # responsiveness coefficient G(t)
+    n_vec: np.ndarray = param([5.0, 4.0, 3.0, 2.0, 1.0])  # need intensities, length n
+    # epistemic distances, n x m, all > 0
+    d_mat: np.ndarray = param([[1.0, 2.0], [2.0, 1.0], [1.0, 1.5], [2.5, 2.0], [1.5, 1.0]])
+    p_vec: np.ndarray = param([1.0, 1.0])                 # sector potentials, length m
+    g_resp: float = param(1.0, min=0)                     # responsiveness coefficient G(t)
 
     def __post_init__(self):
         object.__setattr__(self, "n_vec", np.asarray(self.n_vec, dtype=float))
@@ -117,6 +118,8 @@ def production_output(production: dict) -> float:
     unknown = sorted(set(production) - set(PRODUCTION))
     if unknown:
         raise InputError(f"production: unknown keys {unknown}; known: {list(PRODUCTION)}")
+    for key, value in production.items():
+        check_number(f"production.{key}", value)
     return cobb_douglas(**{**PRODUCTION, **production})
 
 
@@ -184,9 +187,6 @@ def coverage_operator(satisfied: np.ndarray, weights: np.ndarray) -> float:
 class Scenario(NeedsState):
     """One flywheel comparison of the blind and aligned economies."""
 
-    n_vec: list = param([5.0, 4.0, 3.0, 2.0, 1.0])
-    d_mat: list = param([[1.0, 2.0], [2.0, 1.0], [1.0, 1.5], [2.5, 2.0], [1.5, 1.0]])
-    p_vec: list = param([1.0, 1.0])
     production: dict = param(PRODUCTION)
     kappa: float = param(0.05, min=0)
     horizon: int = param(50, min=1)

@@ -39,7 +39,11 @@ class SubsidyProblem(Params):
     """Occupations (Occupation objects or their fields as dicts) plus the
     total subsidy budget."""
 
-    occupations: tuple
+    occupations: tuple = param([
+        {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0},
+        {"w": 1.0, "l_bar": 2.0, "eta": 1.0, "lambda_align": 1.0},
+        {"w": 2.0, "l_bar": 1.0, "eta": 2.0, "lambda_align": 3.0},
+    ])
     budget: float = param(2.0, exmin=0)
 
     def __post_init__(self):
@@ -211,12 +215,6 @@ def recursive_utility(u_series: Sequence[float], beta: float, u_tail: float = 0.
 @dataclass(frozen=True)
 class Scenario(SubsidyProblem):
     """One subsidy plan."""
-
-    occupations: list = param([
-        {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0},
-        {"w": 1.0, "l_bar": 2.0, "eta": 1.0, "lambda_align": 1.0},
-        {"w": 2.0, "l_bar": 1.0, "eta": 2.0, "lambda_align": 3.0},
-    ])
 
 
 def run(scenario: Scenario, seed: int):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._params import Params, param
+from ._params import Params, check_number, param
 from ._rng import make_generators
 from .errors import ConfigError, DomainError
 
@@ -75,6 +75,7 @@ class TailDistribution:
             )
         merged = {**defaults, **self.params}
         for key, val in merged.items():
+            check_number(f"{self.family} parameter {key}", val)
             if key != "mu" and val <= 0:
                 raise DomainError(f"{self.family} parameter {key} must be > 0, got {val}")
         object.__setattr__(self, "params", merged)
@@ -217,24 +218,6 @@ def evt_diagnostics(m_values: np.ndarray, ks_threshold: float = 0.05) -> dict:
     }
 
 
-def run_evt(dist: TailDistribution, cfg: EvtRunConfig) -> dict:
-    """Full EVT verification for one family: draw, diagnose, report."""
-    return evt_report(dist, cfg, draw_max_statistic(dist, cfg))
-
-
-def evt_report(dist: TailDistribution, cfg: EvtRunConfig, m_values: np.ndarray) -> dict:
-    """The EVT report for one family from its drawn m-values."""
-    diag = evt_diagnostics(m_values, cfg.ks_threshold)
-    return {
-        "family": dist.family,
-        "K": cfg.k_draws,
-        "replicates": cfg.replicates,
-        "mean": diag["mean"],
-        "ks": diag["ks_distance"],
-        "pass": diag["pass"],
-    }
-
-
 # Bounds on a scenario's size, checked at validation. Each worker holds a
 # k_draws x 8-byte draw array (pareto and weibull briefly two), so 10**7
 # draws is 80 MB per worker. The draw budget is about a minute on a 2-core
@@ -273,7 +256,9 @@ def run(scenario: Scenario, seed: int):
     """The EVT report, with the m-values if asked for, plus the KS check."""
     cfg = replace(scenario, seed=seed)
     m = draw_max_statistic(cfg.dist, cfg)
-    report = evt_report(cfg.dist, cfg, m)
+    diag = evt_diagnostics(m, cfg.ks_threshold)
+    report = {"family": cfg.family, "K": cfg.k_draws, "replicates": cfg.replicates,
+              "mean": diag["mean"], "ks": diag["ks_distance"], "pass": diag["pass"]}
     if cfg.write_m_values:
         report["m_values"] = m.tolist()
-    return report, {"ks_pass": report["pass"]}
+    return report, {"ks_pass": diag["pass"]}

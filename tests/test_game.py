@@ -38,6 +38,15 @@ def test_all_c_geometric_payoff_any_p():
         assert all(u == pytest.approx(expected) for u in ev.expected_payoffs)
 
 
+def test_all_c_geometric_payoff_past_the_recursion_limit():
+    game = StageGame(**PD, p_disc=0.5, delta_disc=0.9, horizon=3000,
+                     penalty_mode="finite", omega=-1.0)
+    ev = evaluate_profile(game, [constant_strategy(C)] * 2)
+    assert ev.continuity_prob == 1.0
+    expected = geometric(2.0, 0.9, 3000)
+    assert all(u == pytest.approx(expected) for u in ev.expected_payoffs)
+
+
 def test_single_defection_certain_discontinuity():
     game = StageGame(**PD, p_disc=1.0, horizon=2)
     profile = [constant_strategy(D), constant_strategy(C)]

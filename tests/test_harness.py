@@ -221,6 +221,19 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     ("gravity", {"params": {"alpha_g": 1.0}}, "params.unknown key 'alpha_g'"),
     ("gravity", {"params": {"beta_g": 1.0}}, "params.unknown key 'beta_g'"),
     ("policy", {"params": {"tol": 1e-10}}, "params.unknown key 'tol'"),
+    ("evt", {"params": {"family_params": {"rate": float("nan")}}},
+     "exponential parameter rate: must be finite, got nan"),
+    ("evt", {"params": {"family_params": {"rate": float("inf")}}},
+     "exponential parameter rate: must be finite, got inf"),
+    ("evt", {"params": {"family": "lognormal", "family_params": {"mu": float("nan")}}},
+     "lognormal parameter mu: must be finite, got nan"),
+    ("evt", {"params": {"family_params": {"rate": True}}},
+     "exponential parameter rate: expected number, got True"),
+    ("evt", {"params": {"family_params": {"rate": "x"}}},
+     "exponential parameter rate: expected number, got 'x'"),
+    ("gravity", {"params": {"production": {"a": True}}}, "production.a: expected number, got True"),
+    ("policy", {"params": {"occupations": [{"w": True, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}]}},
+     "w: expected number, got True"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -21,7 +21,6 @@ from emt_lab.recombinant import (
     evt_diagnostics,
     log2_combinations,
     quantile_frontier,
-    run_evt,
 )
 
 ALL_FAMILIES = [
@@ -129,11 +128,10 @@ def test_diagnostics_degenerate_and_empty():
 
 
 def test_run_evt_deterministic():
+    scenario = Scenario(family="weibull", k_draws=500, replicates=200)
+    assert recombinant.run(scenario, 11) == recombinant.run(scenario, 11)
     dist = TailDistribution("weibull")
     cfg = EvtRunConfig(k_draws=500, replicates=200, seed=11)
-    r1 = run_evt(dist, cfg)
-    r2 = run_evt(dist, cfg)
-    assert r1 == r2
     m1 = draw_max_statistic(dist, cfg)
     m2 = draw_max_statistic(dist, cfg)
     assert np.array_equal(m1, m2)

@@ -8,13 +8,14 @@ acts. The table must cover exactly the schema keys, so a new setting needs a
 row here.
 """
 
+import dataclasses
 import json
 import re
 
 import pytest
 
 from emt_lab.cli import main
-from emt_lab.config import MODULES, module_schema
+from emt_lab.config import MODULES, module_schema, scenario_module
 
 OCCUPATIONS = [
     {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0},
@@ -142,6 +143,16 @@ def _outcome(module: str, params: dict, tmp_path, capsys) -> tuple:
 
 def test_the_table_covers_every_setting():
     assert set(VARIANTS) == {(module, key) for module in MODULES for key in module_schema(module)}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_scenario_redeclares_no_field_of_its_parameter_type(module):
+    # a Scenario adds run settings and checks; each parameter is declared once
+    scenario = scenario_module(module).Scenario
+    own = set(vars(scenario).get("__annotations__", {}))
+    inherited = {f.name for base in scenario.__mro__[1:] if dataclasses.is_dataclass(base)
+                 for f in dataclasses.fields(base)}
+    assert not own & inherited
 
 
 @pytest.mark.parametrize("module, key", sorted(VARIANTS))
