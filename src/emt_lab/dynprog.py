@@ -5,8 +5,10 @@ The expectation over innovation shocks is taken over an explicit finite
 support, so Bellman backups are exact and the solver is deterministic.
 Value iteration from zero yields the same iterates whatever the tolerance, so
 `run`'s real-time-surplus solve continues the scenario solve when it is the
-tighter one (`value_iteration(..., start=...)`). Policy evaluation is an exact
-dense linear solve, intended for state spaces up to about a thousand states.
+tighter one (`value_iteration(..., start=...)`). A fixed policy is evaluated
+by sweeps of the same backup, in O(states x shocks) memory and with no BLAS
+call, so its values do not depend on the BLAS thread count;
+`exact_policy_values` keeps the dense linear solve as the test-scale oracle.
 """
 
 from __future__ import annotations
@@ -156,8 +158,52 @@ def value_iteration(
     return Solution(values=v, policy=policy, iterations=it, residual=residual)
 
 
-def evaluate_policy(spec: MdpSpec, policy: np.ndarray) -> np.ndarray:
-    """Exact V_pi from the linear system (I - beta*P_pi) V = r_pi."""
+SURPLUS_TOL = 1e-12
+
+
+def evaluate_policy(
+    spec: MdpSpec,
+    policy: np.ndarray,
+    tol: float = SURPLUS_TOL,
+    max_iter: int = 100_000,
+) -> np.ndarray:
+    """V_pi within `tol` in sup norm, by successive approximation on the
+    fixed policy from zero (Puterman 1994, section 6.3).
+
+    Each sweep adds the increment d = v_k - v_(k-1), carried by
+    d' = beta * E_shock[d(s')], so d is free of the rounding of v. With
+    c = beta / (1 - beta), V_pi lies between v + c*min(d) and v + c*max(d)
+    (MacQueen-Porteus bounds, section 6.6.3). The sweeps stop once that
+    interval is at most `tol` wide and return its midpoint: half of `tol`
+    bounds the truncation, and the other half is left for rounding.
+    """
+    if tol <= 0:
+        raise DomainError(f"tol must be > 0, got {tol}")
+    policy = np.asarray(policy, dtype=int)
+    _check_policy(spec, "policy", policy)
+    states = np.arange(spec.n_states)
+    t_pi = spec.transition[states, policy]
+    c = spec.beta / (1.0 - spec.beta)
+    v, d = np.zeros(spec.n_states), spec.rewards[states, policy]
+    width = np.inf
+    for _ in range(max_iter):
+        v = v + d
+        lo, hi = float(d.min()), float(d.max())
+        width = c * (hi - lo)
+        if width <= tol:
+            return v + c * (hi + lo) / 2.0
+        # The einsum of value_iteration's backup; `@` would go through
+        # BLAS, whose rounding depends on its thread count.
+        d = spec.beta * np.einsum("k,sk->s", spec.shock_probs, d[t_pi])
+    raise ConvergenceError(
+        f"policy evaluation did not converge in {max_iter} sweeps",
+        residual=width / 2.0,
+    )
+
+
+def exact_policy_values(spec: MdpSpec, policy: np.ndarray) -> np.ndarray:
+    """Exact V_pi from the dense linear system (I - beta*P_pi) V = r_pi:
+    the oracle for `evaluate_policy`, O(states^2) memory."""
     policy = np.asarray(policy, dtype=int)
     _check_policy(spec, "policy", policy)
     p_pi = spec.policy_transition_matrix(policy)
@@ -184,12 +230,16 @@ def ideation_surplus(marginal_reward: float, c_ideation: float, eps_guard: float
     return marginal_reward / c_ideation
 
 
-SURPLUS_TOL = 1e-12
-
-
-def realtime_surplus(spec: MdpSpec, legacy_policy: np.ndarray, tol: float = SURPLUS_TOL) -> np.ndarray:
-    """Per-state surplus of optimal play over a fixed legacy policy."""
-    return value_iteration(spec, tol=tol).values - evaluate_policy(spec, legacy_policy)
+def realtime_surplus(
+    spec: MdpSpec,
+    legacy_policy: np.ndarray,
+    tol: float = SURPLUS_TOL,
+    start: Solution | None = None,
+) -> np.ndarray:
+    """Per-state surplus of optimal play over a fixed legacy policy; V* and
+    V_legacy are each within `tol`. `start` is passed on to `value_iteration`."""
+    best = value_iteration(spec, tol=tol, start=start)
+    return best.values - evaluate_policy(spec, legacy_policy, tol=tol)
 
 
 def path_sensitivity(
@@ -228,7 +278,7 @@ def enumerate_policies_value(spec: MdpSpec) -> tuple[np.ndarray, np.ndarray]:
     best_sum = -np.inf
     for actions in product(range(spec.n_actions), repeat=spec.n_states):
         pi = np.array(actions, dtype=int)
-        v = evaluate_policy(spec, pi)
+        v = exact_policy_values(spec, pi)
         best_v = np.maximum(best_v, v)
         total = float(v.sum())
         if total > best_sum:
@@ -263,9 +313,8 @@ def run(scenario: Scenario, seed: int):
     }
     checks = {}
     if scenario.legacy_policy is not None:
-        best = value_iteration(scenario, tol=SURPLUS_TOL,
-                               start=sol if scenario.tol >= SURPLUS_TOL else None)
-        surplus = best.values - evaluate_policy(scenario, scenario.legacy_policy)
+        surplus = realtime_surplus(scenario, scenario.legacy_policy,
+                                   start=sol if scenario.tol >= SURPLUS_TOL else None)
         report["realtime_surplus"] = [float(s) for s in surplus]
         checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)
     return report, checks

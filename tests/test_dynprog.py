@@ -1,5 +1,7 @@
 """Bellman solver against closed forms and the policy-enumeration oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from util_mdp import random_mdp
@@ -8,8 +10,10 @@ from emt_lab import ConvergenceError, DomainError, InputError, NumericError, mak
 from emt_lab.dynprog import (
     MdpSpec,
     Scenario,
+    SURPLUS_TOL,
     enumerate_policies_value,
     evaluate_policy,
+    exact_policy_values,
     ideation_surplus,
     path_sensitivity,
     realtime_surplus,
@@ -121,10 +125,74 @@ def test_evaluate_policy_matches_long_simulation_free_check():
     # V_pi satisfies V = r_pi + beta * P_pi V by construction
     spec = random_mdp(7)
     pi = np.zeros(spec.n_states, dtype=int)
-    v = evaluate_policy(spec, pi)
+    v = exact_policy_values(spec, pi)
     r_pi = spec.rewards[np.arange(spec.n_states), pi]
     p_pi = spec.policy_transition_matrix(pi)
     assert np.allclose(v, r_pi + spec.beta * p_pi @ v, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
+def test_evaluate_policy_within_tol_of_exact(beta):
+    for seed in range(12):
+        n_states = (5, 30, 100)[seed % 3]
+        spec = random_mdp(seed, n_states=n_states, n_shocks=1 + seed % 4, beta=beta)
+        policy = make_generator(seed, 1).integers(0, spec.n_actions, n_states)
+        exact = exact_policy_values(spec, policy)
+        assert np.max(np.abs(evaluate_policy(spec, policy) - exact)) <= SURPLUS_TOL
+
+
+def two_cycle(beta):
+    """One action, one shock: states 0 and 1 swap every step, rewards 1 and 0."""
+    return MdpSpec(rewards=[[1.0], [0.0]], shock_probs=[1.0], transition=[[[1]], [[0]]],
+                   beta=beta)
+
+
+def test_evaluate_policy_on_a_periodic_chain():
+    # The increments alternate between the states, so the span of d shrinks
+    # by exactly beta per sweep and never faster.
+    spec = two_cycle(0.9)
+    v = evaluate_policy(spec, np.array([0, 0]))
+    closed_form = np.array([1.0, 0.9]) / (1.0 - 0.9**2)
+    assert np.max(np.abs(v - closed_form)) <= SURPLUS_TOL
+
+
+def test_evaluate_policy_raises_when_out_of_sweeps():
+    spec = two_cycle(0.9)
+    with pytest.raises(ConvergenceError, match="did not converge in 100 sweeps") as err:
+        evaluate_policy(spec, np.array([0, 0]), max_iter=100)
+    # after 100 sweeps the span of d is beta**99, so V_pi is known to within
+    # half of c * beta**99
+    assert err.value.residual == pytest.approx(9.0 * 0.9**99 / 2.0)
+
+
+def test_evaluate_policy_memory_is_linear_in_states():
+    # The dense (I - beta*P_pi) of this MDP alone would take 200 MB.
+    spec = random_mdp(21, n_states=5000, n_actions=3, n_shocks=3)
+    policy = make_generator(21, 1).integers(0, 3, 5000)
+    tracemalloc.start()
+    try:
+        evaluate_policy(spec, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_run_surplus_is_realtime_surplus_without_linalg(monkeypatch):
+    spec = random_mdp(17, n_states=40, beta=0.95)
+    legacy = make_generator(17, 1).integers(0, 3, 40)
+    scenario = Scenario(rewards=spec.rewards, shock_probs=spec.shock_probs,
+                        transition=spec.transition, beta=0.95, tol=1e-10,
+                        legacy_policy=legacy.tolist())
+    expected = realtime_surplus(spec, legacy)
+
+    def no_linalg(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_linalg)
+    report, checks = run(scenario, seed=0)
+    assert np.array(report["realtime_surplus"]).tobytes() == expected.tobytes()
+    assert checks == {"surplus_nonneg": True}
 
 
 def test_path_sensitivity_uniform_offset():
@@ -193,7 +261,7 @@ def test_evaluate_policy_matrix_and_solve_match_eye_minus_beta_p(seed, n_states,
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    values = evaluate_policy(spec, policy)
+    values = exact_policy_values(spec, policy)
     assert seen[0].tobytes() == expected.tobytes()
     assert values.tobytes() == solve(expected, r_pi).tobytes()
 

@@ -11,7 +11,12 @@ updated here, with the reason recorded in CHANGES.md.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -90,9 +95,9 @@ CALLABLE_TARGET_DIGESTS = {
 # scenario solve first, 1e-12 stops both together and 1e-14 stops the surplus
 # solve first. The first is the size of a benchmark input.
 RANDOM_MDP_DIGESTS = {
-    (600, 0.95, 1e-10): "6ed6eae9302dabf4bdb07da716c0fa6fd121187995e8367071095147730c4b59",
-    (50, 0.9, 1e-12): "d0b0928b5982d665628843c2ab12f6fd984b3d46ddd0a9823c44d54be1ae5566",
-    (50, 0.9, 1e-14): "d39bc179ca07cb77205d8e20608824fa24b4c80baa04e8f53df55e6fece5e3f6",
+    (600, 0.95, 1e-10): "07a568c1ba96ddd636b53b8ae10c1d8af01229757abfa4089e09e41413d467f4",
+    (50, 0.9, 1e-12): "7418b4493e1eaabc30f8744aa5adb441900b07b768e286fbb1f6888f70b4b7e6",
+    (50, 0.9, 1e-14): "6e6a6dbc62f043d8dbf2d79af69c21052b27aefd291afe557cf9700ee19beb14",
 }
 
 # The bundled game is memory1 at horizon 2; these search the constant class
@@ -231,6 +236,29 @@ def test_random_mdp_artifact_bytes(n_states, beta, tol, tmp_path):
     report = run_scenario(cfg, out_dir=str(tmp_path))
     digest = _sha256(Path(report.artifact_paths[0]).read_bytes())
     assert digest == RANDOM_MDP_DIGESTS[n_states, beta, tol]
+
+
+def test_mdp_artifact_bytes_on_one_blas_thread(tmp_path):
+    # OPENBLAS_NUM_THREADS is read when numpy loads, so the one-thread run
+    # needs its own process. The bytes must not depend on the thread count.
+    paths, expected = [], {}
+    for i, key in enumerate(sorted(RANDOM_MDP_DIGESTS)):
+        cfg = {**_random_mdp_config(*key), "name": f"random_mdp{i}"}
+        paths.append(tmp_path / f"random_mdp{i}.json")
+        paths[-1].write_text(json.dumps(cfg))
+        expected[f"random_mdp{i}.json"] = RANDOM_MDP_DIGESTS[key]
+    paths.append(resources.files("emt_lab") / "scenarios" / "mdp_default.json")
+    expected["mdp_default.json"] = ARTIFACTS["mdp_default.json"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "emt_lab.cli", "run", *map(str, paths),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert {name: _sha256((out / name).read_bytes()) for name in expected} == expected
 
 
 @pytest.mark.parametrize("strategy_class, mode", sorted(GAME_SEARCHES))
