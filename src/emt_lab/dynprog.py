@@ -13,6 +13,7 @@ call, so its values do not depend on the BLAS thread count;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,8 +172,9 @@ def evaluate_policy(
     fixed policy from zero (Puterman 1994, section 6.3).
 
     Each sweep adds the increment d = v_k - v_(k-1), carried by
-    d' = beta * E_shock[d(s')], so d is free of the rounding of v. With
-    c = beta / (1 - beta), V_pi lies between v + c*min(d) and v + c*max(d)
+    d' = beta * E_shock[d(s')], so d is free of the rounding of v. Every
+    row of beta*P_pi sums to b = beta * sum(shock_probs), so with
+    c = b / (1 - b), V_pi lies between v + c*min(d) and v + c*max(d)
     (MacQueen-Porteus bounds, section 6.6.3). The sweeps stop once that
     interval is at most `tol` wide and return its midpoint: half of `tol`
     bounds the truncation, and the other half is left for rounding.
@@ -183,7 +185,15 @@ def evaluate_policy(
     _check_policy(spec, "policy", policy)
     states = np.arange(spec.n_states)
     t_pi = spec.transition[states, policy]
-    c = spec.beta / (1.0 - spec.beta)
+    # The shock probabilities may sum to 1 - gap with |gap| up to 1e-12, and
+    # c multiplies d, which is near the mean reward when the sweeps stop, so
+    # c must keep its relative precision as beta nears 1: 1 - b is formed as
+    # (1 - beta) + beta*gap with gap summed exactly, not as 1 minus a rounded b.
+    gap = math.fsum([1.0, *(-spec.shock_probs)])
+    one_minus_b = (1.0 - spec.beta) + spec.beta * gap
+    if one_minus_b <= 0:
+        raise DomainError("beta * sum(shock_probs) must be < 1 for V_pi to be finite")
+    c = spec.beta * (1.0 - gap) / one_minus_b
     v, d = np.zeros(spec.n_states), spec.rewards[states, policy]
     width = np.inf
     for _ in range(max_iter):

@@ -1,6 +1,7 @@
 """Bellman solver against closed forms and the policy-enumeration oracle."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,45 @@ def test_evaluate_policy_within_tol_of_exact(beta):
         policy = make_generator(seed, 1).integers(0, spec.n_actions, n_states)
         exact = exact_policy_values(spec, policy)
         assert np.max(np.abs(evaluate_policy(spec, policy) - exact)) <= SURPLUS_TOL
+
+
+# Validation lets the shock probabilities sum to within 1e-12 of 1, and every
+# row of P_pi then sums to that, not to 1.
+SHORT_SUPPORT = [0.3333333333333] * 3
+LONG_SUPPORT = [0.2, 0.3, 0.5 + 5e-13]
+
+
+@pytest.mark.parametrize("probs", [SHORT_SUPPORT, LONG_SUPPORT])
+def test_evaluate_policy_within_tol_when_shocks_do_not_sum_to_one(probs):
+    for seed in range(6):
+        n_states = (5, 30, 100)[seed % 3]
+        rng = make_generator(seed, 2)
+        spec = MdpSpec(rewards=rng.uniform(0.0, 1.0, (n_states, 3)), shock_probs=probs,
+                       transition=rng.integers(0, n_states, (n_states, 3, 3)), beta=0.99)
+        policy = rng.integers(0, 3, n_states)
+        exact = exact_policy_values(spec, policy)
+        assert np.max(np.abs(evaluate_policy(spec, policy) - exact)) <= SURPLUS_TOL
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("probs", [SHORT_SUPPORT, LONG_SUPPORT])
+def test_evaluate_policy_constant_reward_closed_form(probs, beta):
+    # With one reward r everywhere, V_pi = r / (1 - beta * sum(probs)) in
+    # every state, taken here in exact rational arithmetic; at beta 0.999 the
+    # dense solve is itself further than SURPLUS_TOL from V_pi.
+    rng = make_generator(5, 2)
+    spec = MdpSpec(rewards=np.full((40, 1), 0.5), shock_probs=probs,
+                   transition=rng.integers(0, 40, (40, 1, 3)), beta=beta)
+    exact = Fraction(0.5) / (1 - Fraction(beta) * sum(map(Fraction, probs)))
+    v = evaluate_policy(spec, np.zeros(40, dtype=int))
+    assert max(abs(Fraction(x) - exact) for x in v) <= SURPLUS_TOL
+
+
+def test_evaluate_policy_rejects_a_chain_that_does_not_contract():
+    spec = MdpSpec(rewards=[[1.0]], shock_probs=LONG_SUPPORT, transition=[[[0, 0, 0]]],
+                   beta=1.0 - 2**-50)
+    with pytest.raises(DomainError, match="must be < 1"):
+        evaluate_policy(spec, np.array([0]))
 
 
 def two_cycle(beta):
