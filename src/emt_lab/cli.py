@@ -20,7 +20,7 @@ import sys
 from importlib import resources
 
 from . import __version__, runner
-from .config import MODULES, load_config, module_schema, validate_config
+from .config import MODULES, load_config, module_schema
 from .errors import ConfigError, EmtLabError
 
 EXIT_OK = 0
@@ -71,10 +71,16 @@ def _cmd_run(args) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    return _run_all(configs, args.out)
+
+
+def _run_all(configs, out_dir: str) -> int:
+    """Run each config into `out_dir`. Its report line prints when its run
+    ends, before a later run can fail."""
     passed = True
-    for cfg in configs:  # each line prints when its run ends, before a later run can fail
+    for cfg in configs:
         try:
-            report = runner.run_scenario(cfg, out_dir=args.out)
+            report = runner.run_scenario(cfg, out_dir=out_dir)
         except (EmtLabError, OSError) as exc:
             print(f"runtime error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME_ERROR
@@ -86,28 +92,16 @@ def _cmd_run(args) -> int:
 def bundled_scenarios():
     """(name, validated config) for every bundled scenario, sorted by name."""
     root = resources.files("emt_lab") / "scenarios"
-    out = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out.append((entry.name, validate_config(json.loads(entry.read_text()))))
-    return out
+    return [(entry.name, load_config(str(entry)))
+            for entry in sorted(root.iterdir(), key=lambda e: e.name)
+            if entry.name.endswith(".json")]
 
 
 def _cmd_verify() -> int:
     import tempfile
 
-    failures = 0
     with tempfile.TemporaryDirectory(prefix="emt-lab-verify-") as tmp:
-        for fname, cfg in bundled_scenarios():
-            try:
-                report = runner.run_scenario(cfg, out_dir=tmp)
-            except (EmtLabError, OSError) as exc:
-                print(f"{fname}: runtime error: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME_ERROR
-            status = "ok" if report.passed else "CHECK FAILED"
-            print(f"{fname}: {status} [{_report_line(report)}]")
-            failures += 0 if report.passed else 1
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+        return _run_all([cfg for _, cfg in bundled_scenarios()], tmp)
 
 
 def _cmd_schema(module: str) -> int:

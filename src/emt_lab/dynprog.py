@@ -103,6 +103,12 @@ def _check_policy(spec: MdpSpec, name: str, policy: np.ndarray) -> None:
         raise InputError(f"{name} contains invalid action indices")
 
 
+# The sweep cap of value iteration and of policy evaluation, and the
+# tolerance of the real-time-surplus solves.
+MAX_SWEEPS = 100_000
+SURPLUS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class Solution:
     """Converged value function, greedy policy, and solver telemetry."""
@@ -116,7 +122,7 @@ class Solution:
 def value_iteration(
     spec: MdpSpec,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
+    max_iter: int = MAX_SWEEPS,
     start: Solution | None = None,
 ) -> Solution:
     """Standard value iteration; greedy ties broken by lowest action index.
@@ -159,28 +165,19 @@ def value_iteration(
     return Solution(values=v, policy=policy, iterations=it, residual=residual)
 
 
-SURPLUS_TOL = 1e-12
-
-
-def evaluate_policy(
-    spec: MdpSpec,
-    policy: np.ndarray,
-    tol: float = SURPLUS_TOL,
-    max_iter: int = 100_000,
-) -> np.ndarray:
-    """V_pi within `tol` in sup norm, by successive approximation on the
-    fixed policy from zero (Puterman 1994, section 6.3).
+def evaluate_policy(spec: MdpSpec, policy: np.ndarray) -> np.ndarray:
+    """V_pi within SURPLUS_TOL in sup norm, by successive approximation on
+    the fixed policy from zero (Puterman 1994, section 6.3), in at most
+    MAX_SWEEPS sweeps.
 
     Each sweep adds the increment d = v_k - v_(k-1), carried by
     d' = beta * E_shock[d(s')], so d is free of the rounding of v. Every
     row of beta*P_pi sums to b = beta * sum(shock_probs), so with
     c = b / (1 - b), V_pi lies between v + c*min(d) and v + c*max(d)
     (MacQueen-Porteus bounds, section 6.6.3). The sweeps stop once that
-    interval is at most `tol` wide and return its midpoint: half of `tol`
-    bounds the truncation, and the other half is left for rounding.
+    interval is at most SURPLUS_TOL wide and return its midpoint: half of
+    it bounds the truncation, and the other half is left for rounding.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     policy = np.asarray(policy, dtype=int)
     _check_policy(spec, "policy", policy)
     states = np.arange(spec.n_states)
@@ -196,17 +193,17 @@ def evaluate_policy(
     c = spec.beta * (1.0 - gap) / one_minus_b
     v, d = np.zeros(spec.n_states), spec.rewards[states, policy]
     width = np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         v = v + d
         lo, hi = float(d.min()), float(d.max())
         width = c * (hi - lo)
-        if width <= tol:
+        if width <= SURPLUS_TOL:
             return v + c * (hi + lo) / 2.0
         # The einsum of value_iteration's backup; `@` would go through
         # BLAS, whose rounding depends on its thread count.
         d = spec.beta * np.einsum("k,sk->s", spec.shock_probs, d[t_pi])
     raise ConvergenceError(
-        f"policy evaluation did not converge in {max_iter} sweeps",
+        f"policy evaluation did not converge in {MAX_SWEEPS} sweeps",
         residual=width / 2.0,
     )
 
@@ -243,13 +240,13 @@ def ideation_surplus(marginal_reward: float, c_ideation: float, eps_guard: float
 def realtime_surplus(
     spec: MdpSpec,
     legacy_policy: np.ndarray,
-    tol: float = SURPLUS_TOL,
     start: Solution | None = None,
 ) -> np.ndarray:
     """Per-state surplus of optimal play over a fixed legacy policy; V* and
-    V_legacy are each within `tol`. `start` is passed on to `value_iteration`."""
-    best = value_iteration(spec, tol=tol, start=start)
-    return best.values - evaluate_policy(spec, legacy_policy, tol=tol)
+    V_legacy are each within SURPLUS_TOL. `start` is passed on to
+    `value_iteration`."""
+    best = value_iteration(spec, tol=SURPLUS_TOL, start=start)
+    return best.values - evaluate_policy(spec, legacy_policy)
 
 
 def path_sensitivity(
@@ -301,7 +298,7 @@ class Scenario(MdpSpec):
     """One MDP solve, plus the real-time surplus over an optional legacy policy."""
 
     tol: float = param(1e-12, exmin=0)
-    max_iter: int = param(100000, min=1)
+    max_iter: int = param(MAX_SWEEPS, min=1)
     legacy_policy: list | None = param(None)
 
     def __post_init__(self):

@@ -189,7 +189,10 @@ class Scenario(NeedsState):
 
     production: dict = param(PRODUCTION)
     kappa: float = param(0.05, min=0)
-    horizon: int = param(50, min=1)
+    # A step of the default 5-need, 2-sector economy costs about 45 us on a
+    # 2-core Xeon VM, so about 23 s at the bound; the cost grows with
+    # needs x sectors too.
+    horizon: int = param(50, min=1, max=5 * 10**5)
     coverage_eps: float = param(1e-3, exmin=0)
     check_dominance: bool = param(False)
 

@@ -30,11 +30,18 @@ import numpy as np
 
 from ._params import Params, check_number, param
 from ._rng import make_generators
-from .errors import ConfigError, DomainError
+from .errors import DomainError, InputError
 
 FORMAT = "json"
 
-_FAMILIES = ("exponential", "uniform", "pareto", "lognormal", "weibull")
+# Each supported tail family and the defaults of its parameters.
+_FAMILIES = {
+    "exponential": {"rate": 1.0},
+    "uniform": {"b": 1.0},
+    "pareto": {"xm": 1.0, "shape": 2.0},
+    "lognormal": {"mu": 0.0, "sigma": 1.0},
+    "weibull": {"scale": 1.0, "shape": 1.5},
+}
 
 
 @dataclass(frozen=True)
@@ -57,20 +64,14 @@ class TailDistribution:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ConfigError(
+            raise InputError(
                 f"unsupported tail family {self.family!r}; "
                 f"supported: {', '.join(_FAMILIES)}"
             )
-        defaults = {
-            "exponential": {"rate": 1.0},
-            "uniform": {"b": 1.0},
-            "pareto": {"xm": 1.0, "shape": 2.0},
-            "lognormal": {"mu": 0.0, "sigma": 1.0},
-            "weibull": {"scale": 1.0, "shape": 1.5},
-        }[self.family]
+        defaults = _FAMILIES[self.family]
         unknown = set(self.params) - set(defaults)
         if unknown:
-            raise ConfigError(
+            raise InputError(
                 f"unknown parameter(s) {sorted(unknown)} for family {self.family!r}"
             )
         merged = {**defaults, **self.params}
@@ -127,12 +128,23 @@ class TailDistribution:
         return p["scale"] * (-math.log(u)) ** (1.0 / p["shape"])
 
 
+# Bounds on a scenario's size, checked at validation. Each worker holds a
+# k_draws x 8-byte draw array (pareto and weibull briefly two), so 10**7
+# draws is 80 MB per worker. The draw budget is about a minute on a 2-core
+# Xeon VM, which draws the bundled 2 x 10**7 in 0.12-0.16 s. The m-values
+# are replicates x 8 bytes, more as a JSON list, and each replicate costs a
+# few microseconds beyond its draws: 10**6 of them take seconds and MBs.
+MAX_K_DRAWS = 10**7
+MAX_DRAWS = 10**10
+MAX_REPLICATES = 10**6
+
+
 @dataclass(frozen=True)
 class EvtRunConfig(Params):
     """Monte Carlo configuration for the extreme-value law."""
 
-    k_draws: int = param(1000, min=1)
-    replicates: int = param(2000, min=1)
+    k_draws: int = param(1000, min=1, max=MAX_K_DRAWS)
+    replicates: int = param(2000, min=1, max=MAX_REPLICATES)
     seed: int = 0
     ks_threshold: float = param(0.05, exmin=0)
 
@@ -182,11 +194,8 @@ def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig) -> np.ndarray:
                 maxima[i] = np.max(dist.sample(rng, cfg.k_draws))
 
     workers = min(_cpus(), cfg.replicates)
-    if workers == 1:
-        draw(range(cfg.replicates))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw, [range(w, cfg.replicates, workers) for w in range(workers)]))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(draw, [range(w, cfg.replicates, workers) for w in range(workers)]))
     return cfg.k_draws * dist.survival(maxima)
 
 
@@ -218,34 +227,17 @@ def evt_diagnostics(m_values: np.ndarray, ks_threshold: float = 0.05) -> dict:
     }
 
 
-# Bounds on a scenario's size, checked at validation. Each worker holds a
-# k_draws x 8-byte draw array (pareto and weibull briefly two), so 10**7
-# draws is 80 MB per worker. The draw budget is about a minute on a 2-core
-# Xeon VM, which draws the bundled 2 x 10**7 in 0.12-0.16 s. The m-values
-# are replicates x 8 bytes, more as a JSON list, and each replicate costs a
-# few microseconds beyond its draws: 10**6 of them take seconds and MBs.
-MAX_K_DRAWS = 10**7
-MAX_DRAWS = 10**10
-MAX_REPLICATES = 10**6
-
-
 @dataclass(frozen=True)
 class Scenario(EvtRunConfig):
     """One EVT check of a tail family; the run's seed replaces `seed`."""
 
-    family: str = param("exponential", choices=_FAMILIES)
+    family: str = param("exponential", choices=tuple(_FAMILIES))
     family_params: dict = param({})
     write_m_values: bool = param(False)
     dist: TailDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.k_draws > MAX_K_DRAWS:
-            raise DomainError(f"k_draws: {self.k_draws} is above the bound of {MAX_K_DRAWS} "
-                              f"draws held per worker")
-        if self.replicates > MAX_REPLICATES:
-            raise DomainError(f"replicates: {self.replicates} is above the bound of "
-                              f"{MAX_REPLICATES}")
         if self.k_draws * self.replicates > MAX_DRAWS:
             raise DomainError(f"k_draws x replicates: {self.k_draws} x {self.replicates} draws "
                               f"are above the budget of {MAX_DRAWS}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from util_mdp import random_mdp
 
-from emt_lab import ConvergenceError, DomainError, InputError, NumericError, make_generator
+from emt_lab import ConvergenceError, DomainError, InputError, NumericError, dynprog, make_generator
 from emt_lab.dynprog import (
     MdpSpec,
     Scenario,
@@ -196,10 +196,11 @@ def test_evaluate_policy_on_a_periodic_chain():
     assert np.max(np.abs(v - closed_form)) <= SURPLUS_TOL
 
 
-def test_evaluate_policy_raises_when_out_of_sweeps():
+def test_evaluate_policy_raises_when_out_of_sweeps(monkeypatch):
     spec = two_cycle(0.9)
+    monkeypatch.setattr(dynprog, "MAX_SWEEPS", 100)
     with pytest.raises(ConvergenceError, match="did not converge in 100 sweeps") as err:
-        evaluate_policy(spec, np.array([0, 0]), max_iter=100)
+        evaluate_policy(spec, np.array([0, 0]))
     # after 100 sweeps the span of d is beta**99, so V_pi is known to within
     # half of c * beta**99
     assert err.value.residual == pytest.approx(9.0 * 0.9**99 / 2.0)

@@ -149,10 +149,10 @@ LONG_FLYWHEEL_DIGEST = "f7d41459501c90653f921f0805fd0de067c47c300c7cb9fab0e96008
 SCHEMAS = {
     "epistemic": "739dae5b0396a2442563c8b6ac01c72da875ba3ea0a1faca6af3091cc8732c44",
     "growth": "67d71fc6aaa165394b0620a396f078e9b9ca8973c660106dfac58b04e4cafcfe",
-    "evt": "516c1f9c4d6876c529042c2d408b34bb536b5cd0e4bc17a0069aa41d157329d2",
-    "gravity": "42b788705997c6be23c2476b4118f366fc1766dbb9f1f15ee2dcf7ebd1afd78d",
+    "evt": "ba325405b39f9e54b397ed1f2a3a76d21fe3d858d4413c497b930c07b5d8f07e",
+    "gravity": "d622c38043bab79d9479b55aa01a3904364eb5e9fa06084f0c1963b76d0002ca",
     "mdp": "b61fc27d76127aedc113e090680bc897a2ec35d5866d037b3561f24159e615b7",
-    "feedback": "616a93ec06b97a84e9063d4e9a7563003916720a6d63c6f12bbdec725c1aa335",
+    "feedback": "7a51a0dc0255f12a716ce0b7d0f41da9e6af89a17131a42eb488bddf403780bc",
     "game": "3fd3b2225da445e4a9b4703541efdd97eec4ec898e64807013ed71ff63a26d9f",
     "policy": "abaa5ae6200cb7bf11cb0eaf58038afc4286a8b2ca7e7918a143976f0758d3fb",
 }

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -234,6 +235,8 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     ("gravity", {"params": {"production": {"a": True}}}, "production.a: expected number, got True"),
     ("policy", {"params": {"occupations": [{"w": True, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}]}},
      "w: expected number, got True"),
+    ("feedback", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
+    ("gravity", {"params": {"horizon": 5 * 10**5 + 1}}, "params.horizon: must be <= 500000, got 500001"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -246,11 +249,11 @@ def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path,
 
 @pytest.mark.parametrize("params, message", [
     ({"k_draws": 100000000, "replicates": 100},
-     "params: k_draws: 100000000 is above the bound of 10000000 draws held per worker"),
+     "params.k_draws: must be <= 10000000, got 100000000"),
     ({"k_draws": 10000000, "replicates": 1001},
      "params: k_draws x replicates: 10000000 x 1001 draws are above the budget of 10000000000"),
     ({"k_draws": 1, "replicates": 1000001},
-     "params: replicates: 1000001 is above the bound of 1000000"),
+     "params.replicates: must be <= 1000000, got 1000001"),
 ], ids=["k_draws", "draw_budget", "replicates"])
 def test_cli_evt_size_above_its_bounds_is_a_config_error(params, message, tmp_path, capsys):
     path = tmp_path / "evt.json"
@@ -268,6 +271,12 @@ def test_evt_sizes_at_their_bounds_are_valid():
 
     for k_draws, replicates in ((MAX_K_DRAWS, MAX_DRAWS // MAX_K_DRAWS), (1, MAX_REPLICATES)):
         validate_config(minimal(module="evt", params={"k_draws": k_draws, "replicates": replicates}))
+
+
+@pytest.mark.parametrize("module, bound", [("feedback", 10**6), ("gravity", 5 * 10**5)])
+def test_horizon_at_its_bound_is_valid(module, bound):
+    assert module_schema(module)["horizon"]["max"] == bound
+    assert validate_config(minimal(module=module, params={"horizon": bound})).scenario.horizon == bound
 
 
 def test_cli_parser_is_reused_across_calls(tmp_path, capsys):
@@ -339,6 +348,13 @@ def test_cli_verify_other_exceptions_are_internal_errors(monkeypatch, capsys):
     monkeypatch.setattr(runner, "_write_artifact", fail)
     assert main(["verify"]) == 3
     assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+
+
+def test_cli_verify_prints_a_run_report_line_per_bundled_scenario(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": wrote ")[0] for line in lines] == [cfg.name for _, cfg in bundled_scenarios()]
+    assert all(" digest=" in line and "FAIL" not in line for line in lines)
 
 
 def test_cli_knowledge_stock_power_overflow_without_growth_runs(tmp_path):
@@ -444,6 +460,16 @@ def test_cli_name_must_give_a_path_inside_out(name, tmp_path, capsys):
     assert "config error: name: " in err
 
 
+@pytest.mark.parametrize("raw, problem", [
+    ({"module": "growth"}, "name: required"),
+    ({"name": "t"}, "module: required"),
+    ([{"name": "t", "module": "growth"}], "scenario must be a JSON object, got list"),
+], ids=["no_name", "no_module", "array"])
+def test_cli_malformed_scenario_is_a_config_error(raw, problem, tmp_path, capsys):
+    err = _run_leaves_nothing(raw, tmp_path, capsys)
+    assert f"config error: {problem}" in err.splitlines()
+
+
 @pytest.mark.parametrize("seed", ["-5", str(2**64)])
 def test_cli_seed_override_is_validated(seed, tmp_path, capsys):
     err = _run_leaves_nothing(minimal(module="growth"), tmp_path, capsys, "--seed", seed)
@@ -477,3 +503,15 @@ def test_non_policy_scenarios_do_not_import_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_wraps_attributes_that_exist():
+    """Every (module, attribute) the benchmark's tracer wraps is on its
+    emt_lab module, so a rename fails here and not only in the benchmark."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for module, attr, _, _ in tracing.PATCHES:
+        assert hasattr(importlib.import_module(f"emt_lab.{module}"), attr), (module, attr)

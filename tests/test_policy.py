@@ -1,11 +1,13 @@
 """Subsidy planner against a grid-search oracle; selection operators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from emt_lab import DomainError, InputError
+from emt_lab.cli import main
 from emt_lab.policy import (
     IdeaRecord,
     NeedsKnowledgeLink,
@@ -111,6 +113,33 @@ def test_planner_flat_objective():
     assert np.all(sol.s_star == 0.0)
     assert sol.spend == 0.0
     assert sol.note
+
+
+RIGID = {"w": 1.0, "l_bar": 1.0, "eta": 0.0, "lambda_align": 1.0}
+
+
+def _cli_run(occupations, budget, tmp_path, capsys):
+    """`emt-lab run` on one policy scenario: exit code, report line, artifact."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"name": "p", "module": "policy",
+                                "params": {"occupations": occupations, "budget": budget}}))
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().out, json.loads((tmp_path / "out" / "p.json").read_text())
+
+
+@pytest.mark.parametrize("budget", [0.5, 2.0, 8.0])
+def test_run_checks_the_budget_wherever_its_multiplier_is_positive(budget, tmp_path, capsys):
+    # the rigid occupation has lambda_align * eta = 0, yet the budget binds
+    occs = [RIGID, {"w": 1.0, "l_bar": 2.0, "eta": 1.0, "lambda_align": 1.0}]
+    code, line, doc = _cli_run(occs, budget, tmp_path, capsys)
+    assert code == 0 and "[budget_binds=pass]" in line
+    assert doc["multiplier"] > 0 and doc["spend"] == pytest.approx(budget, rel=1e-12)
+
+
+def test_run_of_a_flat_objective_has_a_note_and_no_checks(tmp_path, capsys):
+    code, line, doc = _cli_run([RIGID], 1.0, tmp_path, capsys)
+    assert code == 0 and "[no embedded checks]" in line
+    assert doc["note"] and doc["multiplier"] == 0.0
 
 
 def test_planner_budget_monotonicity():

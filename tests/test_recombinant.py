@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from emt_lab import ConfigError, DomainError, NumericError, recombinant
+from emt_lab import DomainError, InputError, NumericError, recombinant
 from emt_lab._rng import make_generator
 from emt_lab.cli import main
 from emt_lab.recombinant import (
@@ -51,9 +51,9 @@ def test_log2_combinations_matches_binomial_sum():
 
 
 def test_unsupported_family_and_bad_params():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         TailDistribution("normal")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         TailDistribution("exponential", {"rte": 1.0})
     with pytest.raises(DomainError):
         TailDistribution("pareto", {"shape": -1.0})
