@@ -2,13 +2,11 @@
 path-dependence sensitivity.
 
 The expectation over innovation shocks is taken over an explicit finite
-support, so Bellman backups are exact and the solver is deterministic.
-Value iteration from zero yields the same iterates whatever the tolerance, so
-`run`'s real-time-surplus solve continues the scenario solve when it is the
-tighter one (`value_iteration(..., start=...)`). A fixed policy is evaluated
-by sweeps of the same backup, in O(states x shocks) memory and with no BLAS
-call, so its values do not depend on the BLAS thread count;
-`exact_policy_values` keeps the dense linear solve as the test-scale oracle.
+support, so Bellman backups are exact and the solver is deterministic. A
+fixed policy is evaluated by sweeps of the same backup, in O(states x
+shocks) memory and with no BLAS call, so its values do not depend on the
+BLAS thread count; `exact_policy_values` keeps the dense linear solve as
+the test-scale oracle.
 """
 
 from __future__ import annotations
@@ -119,32 +117,15 @@ class Solution:
     residual: float
 
 
-def value_iteration(
-    spec: MdpSpec,
-    tol: float = 1e-12,
-    max_iter: int = MAX_SWEEPS,
-    start: Solution | None = None,
-) -> Solution:
-    """Standard value iteration; greedy ties broken by lowest action index.
-
-    `start` is a solution of this function for the same spec at a `tol` no
-    tighter than this one; the sequence from zero is continued from it, so
-    the result equals a solve from zero. `max_iter` counts sweeps from
-    zero, so a start past it is set aside and the sequence runs again from
-    zero.
-    """
+def value_iteration(spec: MdpSpec, tol: float = 1e-12, max_iter: int = MAX_SWEEPS) -> Solution:
+    """Standard value iteration from zero; greedy ties broken by lowest action index."""
     if tol <= 0:
         raise DomainError(f"tol must be > 0, got {tol}")
     # Stopping at this threshold bounds both the Bellman residual of the
     # returned iterate and its sup-norm distance to V* by tol.
     threshold = tol * min(1.0, (1.0 - spec.beta) / spec.beta)
-    if start is not None and start.iterations <= max_iter:
-        if start.residual <= threshold:
-            return start
-        v, residual, done = start.values, start.residual, start.iterations
-    else:
-        v, residual, done = np.zeros(spec.n_states), np.inf, 0
-    for it in range(done + 1, max_iter + 1):
+    v, residual = np.zeros(spec.n_states), np.inf
+    for it in range(1, max_iter + 1):
         q = spec.rewards + spec.beta * spec.expected_next_values(v)
         # A chain of np.maximum over the few action columns is exact and
         # much faster than the axis reduction q.max(axis=1).
@@ -237,15 +218,10 @@ def ideation_surplus(marginal_reward: float, c_ideation: float, eps_guard: float
     return marginal_reward / c_ideation
 
 
-def realtime_surplus(
-    spec: MdpSpec,
-    legacy_policy: np.ndarray,
-    start: Solution | None = None,
-) -> np.ndarray:
+def realtime_surplus(spec: MdpSpec, legacy_policy: np.ndarray) -> np.ndarray:
     """Per-state surplus of optimal play over a fixed legacy policy; V* and
-    V_legacy are each within SURPLUS_TOL. `start` is passed on to
-    `value_iteration`."""
-    best = value_iteration(spec, tol=SURPLUS_TOL, start=start)
+    V_legacy are each within SURPLUS_TOL."""
+    best = value_iteration(spec, tol=SURPLUS_TOL)
     return best.values - evaluate_policy(spec, legacy_policy)
 
 
@@ -298,7 +274,7 @@ class Scenario(MdpSpec):
     """One MDP solve, plus the real-time surplus over an optional legacy policy."""
 
     tol: float = param(1e-12, exmin=0)
-    max_iter: int = param(MAX_SWEEPS, min=1)
+    max_iter: int = param(MAX_SWEEPS, min=1, max=MAX_SWEEPS)
     legacy_policy: list | None = param(None)
 
     def __post_init__(self):
@@ -310,8 +286,13 @@ class Scenario(MdpSpec):
 
 
 def run(scenario: Scenario, seed: int):
-    """Values, greedy policy and solver telemetry, plus the surplus check."""
-    sol = value_iteration(scenario, tol=scenario.tol, max_iter=scenario.max_iter)
+    """Values, greedy policy and solver telemetry, plus the surplus check.
+
+    With a legacy policy the one solve runs to the tighter of `tol` and
+    SURPLUS_TOL, so the reported values are the V* the surplus is taken from.
+    """
+    tol = scenario.tol if scenario.legacy_policy is None else min(scenario.tol, SURPLUS_TOL)
+    sol = value_iteration(scenario, tol=tol, max_iter=scenario.max_iter)
     report = {
         "values": [float(v) for v in sol.values],
         "policy": [int(a) for a in sol.policy],
@@ -320,8 +301,7 @@ def run(scenario: Scenario, seed: int):
     }
     checks = {}
     if scenario.legacy_policy is not None:
-        surplus = realtime_surplus(scenario, scenario.legacy_policy,
-                                   start=sol if scenario.tol >= SURPLUS_TOL else None)
+        surplus = sol.values - evaluate_policy(scenario, scenario.legacy_policy)
         report["realtime_surplus"] = [float(s) for s in surplus]
         checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)
     return report, checks

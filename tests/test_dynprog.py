@@ -322,39 +322,36 @@ def test_value_iteration_matches_axis_max_reference(seed):
     assert np.array_equal(sol.policy, q.argmax(axis=1))
 
 
-@pytest.mark.parametrize("loose, tight", [(1e-6, 1e-12), (1e-10, 1e-14), (1e-12, 1e-12)])
-def test_continued_solve_equals_solve_from_zero(loose, tight):
-    spec = random_mdp(8, n_states=40, beta=0.95)
-    start = value_iteration(spec, tol=loose)
-    continued = value_iteration(spec, tol=tight, start=start)
-    fresh = value_iteration(spec, tol=tight)
-    assert continued.values.tobytes() == fresh.values.tobytes()
-    assert np.array_equal(continued.policy, fresh.policy)
-    assert (continued.iterations, continued.residual) == (fresh.iterations, fresh.residual)
-    if loose == tight:
-        assert continued is start
-
-
 def test_tiny_max_iter_raises_the_same_error():
     spec = random_mdp(9, n_states=20)
     _, _, residual = reference_value_iteration(spec, 1e-12, 3)
-    start = value_iteration(spec, tol=1e-2)
-    assert start.iterations > 3
-    for kwargs in ({}, {"start": start}):
-        with pytest.raises(ConvergenceError, match="did not converge in 3 iterations") as err:
-            value_iteration(spec, max_iter=3, **kwargs)
-        assert err.value.residual == residual
-    # a start at exactly max_iter sweeps that misses the tighter tolerance
-    with pytest.raises(ConvergenceError) as err:
-        value_iteration(spec, tol=1e-12, max_iter=start.iterations, start=start)
-    assert err.value.residual == start.residual
+    with pytest.raises(ConvergenceError, match="did not converge in 3 iterations") as err:
+        value_iteration(spec, max_iter=3)
+    assert err.value.residual == residual
 
 
-def test_run_reports_the_scenario_solve_error_first():
-    # The surplus solve (tol 1e-12, 100,000 sweeps) fails here as well; the
-    # scenario solve's error comes first, as when the two solves ran apart.
+def test_run_with_a_legacy_policy_reports_its_one_solve_error():
+    # The one solve runs to min(tol, SURPLUS_TOL) = 1e-13 and stops at
+    # max_iter; no second solve runs after it.
     scenario = Scenario(rewards=[[0.0, 1.0]], beta=0.9999, tol=1e-13, max_iter=10, legacy_policy=[0])
     _, _, residual = reference_value_iteration(scenario, 1e-13, 10)
     with pytest.raises(ConvergenceError, match="did not converge in 10 iterations") as err:
         run(scenario, seed=0)
     assert err.value.residual == residual
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+def test_run_with_a_legacy_policy_reports_the_surplus_solve(tol):
+    spec = random_mdp(8, n_states=40, beta=0.95)
+    legacy = make_generator(8, 1).integers(0, spec.n_actions, spec.n_states).tolist()
+    scenario = Scenario(spec.rewards, spec.shock_probs, spec.transition, spec.beta,
+                        tol=tol, max_iter=5_000, legacy_policy=legacy)
+    report, checks = run(scenario, seed=0)
+    sol = value_iteration(spec, min(tol, SURPLUS_TOL), 5_000)
+    assert np.array(report["values"]).tobytes() == sol.values.tobytes()
+    assert report["policy"] == sol.policy.tolist()
+    assert (report["iterations"], report["residual"]) == (sol.iterations, sol.residual)
+    if tol >= SURPLUS_TOL:
+        surplus = realtime_surplus(spec, np.array(legacy))
+        assert np.array(report["realtime_surplus"]).tobytes() == surplus.tobytes()
+    assert checks == {"surplus_nonneg": True}

@@ -90,15 +90,19 @@ CALLABLE_TARGET_DIGESTS = {
     0.02: "1d77bb58cbb6789b52f7e7e591ff2128b3fe4f8141c19f58f7fde90a6d76f6b2",
 }
 
-# Random MDPs with a legacy policy, so that the scenario solve at `tol` and
-# the real-time-surplus solve at 1e-12 both shape the bytes: 1e-10 stops the
-# scenario solve first, 1e-12 stops both together and 1e-14 stops the surplus
-# solve first. The first is the size of a benchmark input.
+# Random MDPs with a legacy policy. Such a run solves value iteration once, to
+# the tighter of `tol` and the surplus tolerance 1e-12, and both the report
+# and the real-time surplus come from that solve: `tol` 1e-10 and 1e-12 give
+# the same solve, and 1e-14 a tighter one. The first is the size of a
+# benchmark input.
 RANDOM_MDP_DIGESTS = {
-    (600, 0.95, 1e-10): "07a568c1ba96ddd636b53b8ae10c1d8af01229757abfa4089e09e41413d467f4",
+    (600, 0.95, 1e-10): "882d9b83369cc9b626d3c421d21d5e655194c810cc987a4cd37f116c7a3b9c34",
     (50, 0.9, 1e-12): "7418b4493e1eaabc30f8744aa5adb441900b07b768e286fbb1f6888f70b4b7e6",
-    (50, 0.9, 1e-14): "6e6a6dbc62f043d8dbf2d79af69c21052b27aefd291afe557cf9700ee19beb14",
+    (50, 0.9, 1e-14): "d8f4c361385730825ecd02bdfb0e6895e437f273d1fd14bb961037e069915fd5",
 }
+# The sha256 of json.dumps of the first one's `realtime_surplus` list, the
+# same as when its report came from a looser solve at `tol` 1e-10.
+RANDOM_MDP_SURPLUS_DIGEST = "61d25da76ef683373ddd3887ea62a978a77051574c93ac1789692648de89fa11"
 
 # The bundled game is memory1 at horizon 2; these search the constant class
 # with 3 players over 6 rounds (snowdrift payoffs, so some equilibria are
@@ -151,7 +155,7 @@ SCHEMAS = {
     "growth": "67d71fc6aaa165394b0620a396f078e9b9ca8973c660106dfac58b04e4cafcfe",
     "evt": "ba325405b39f9e54b397ed1f2a3a76d21fe3d858d4413c497b930c07b5d8f07e",
     "gravity": "d622c38043bab79d9479b55aa01a3904364eb5e9fa06084f0c1963b76d0002ca",
-    "mdp": "b61fc27d76127aedc113e090680bc897a2ec35d5866d037b3561f24159e615b7",
+    "mdp": "b44aa11a4d98919c2b7b9e2b83c3f08a0d00bb23e21a3e30f5f0343ed0269b3e",
     "feedback": "7a51a0dc0255f12a716ce0b7d0f41da9e6af89a17131a42eb488bddf403780bc",
     "game": "3fd3b2225da445e4a9b4703541efdd97eec4ec898e64807013ed71ff63a26d9f",
     "policy": "abaa5ae6200cb7bf11cb0eaf58038afc4286a8b2ca7e7918a143976f0758d3fb",
@@ -236,6 +240,13 @@ def test_random_mdp_artifact_bytes(n_states, beta, tol, tmp_path):
     report = run_scenario(cfg, out_dir=str(tmp_path))
     digest = _sha256(Path(report.artifact_paths[0]).read_bytes())
     assert digest == RANDOM_MDP_DIGESTS[n_states, beta, tol]
+
+
+def test_random_mdp_surplus_bytes(tmp_path):
+    cfg = validate_config(_random_mdp_config(600, 0.95, 1e-10))
+    report = run_scenario(cfg, out_dir=str(tmp_path))
+    surplus = json.loads(Path(report.artifact_paths[0]).read_bytes())["realtime_surplus"]
+    assert _sha256(json.dumps(surplus).encode()) == RANDOM_MDP_SURPLUS_DIGEST
 
 
 def test_mdp_artifact_bytes_on_one_blas_thread(tmp_path):

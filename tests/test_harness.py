@@ -237,6 +237,7 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
      "w: expected number, got True"),
     ("feedback", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
     ("gravity", {"params": {"horizon": 5 * 10**5 + 1}}, "params.horizon: must be <= 500000, got 500001"),
+    ("mdp", {"params": {"max_iter": 10**5 + 1}}, "params.max_iter: must be <= 100000, got 100001"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -277,6 +278,11 @@ def test_evt_sizes_at_their_bounds_are_valid():
 def test_horizon_at_its_bound_is_valid(module, bound):
     assert module_schema(module)["horizon"]["max"] == bound
     assert validate_config(minimal(module=module, params={"horizon": bound})).scenario.horizon == bound
+
+
+def test_mdp_max_iter_at_its_bound_is_valid():
+    assert module_schema("mdp")["max_iter"]["max"] == 10**5
+    assert validate_config(minimal(module="mdp", params={"max_iter": 10**5})).scenario.max_iter == 10**5
 
 
 def test_cli_parser_is_reused_across_calls(tmp_path, capsys):
@@ -330,6 +336,17 @@ def test_cli_knowledge_stock_overflow_is_a_runtime_error(params, tmp_path, capsy
     cfg.write_text(json.dumps(minimal(params=params)))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "runtime error: knowledge stock p became non-finite: inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_mdp_legacy_solve_out_of_sweeps_is_a_runtime_error(tmp_path, capsys):
+    # With a legacy policy the one solve runs to 1e-12, which 200 sweeps at
+    # beta 0.9 do not reach, though the scenario's own tol 1e-6 would be.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module="mdp", params={
+        "beta": 0.9, "tol": 1e-6, "legacy_policy": [0], "max_iter": 200})))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "runtime error: value iteration did not converge in 200 iterations\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -505,13 +522,40 @@ def test_non_policy_scenarios_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _bench_module(name):
+    """`bench/<name>.py`, loaded by path: bench/ is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_tracer_wraps_attributes_that_exist():
     """Every (module, attribute) the benchmark's tracer wraps is on its
     emt_lab module, so a rename fails here and not only in the benchmark."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing")
     assert tracing.PATCHES
     for module, attr, _, _ in tracing.PATCHES:
         assert hasattr(importlib.import_module(f"emt_lab.{module}"), attr), (module, attr)
+
+
+def test_bench_tiny_inputs_pass_the_bench_checks(tmp_path, capsys):
+    """What the benchmark asks of every op, on each workload's --tiny inputs
+    at seed 3: exit 0, the report line, a well-formed artifact (checks.py)
+    and the same bytes on a second run."""
+    workloads, checks = _bench_module("workloads"), _bench_module("checks")
+    for workload in workloads.WORKLOADS:
+        in_dir, out = tmp_path / workload / "inputs", tmp_path / workload / "out"
+        in_dir.mkdir(parents=True)
+        for scenario, data in workloads.generate(workload, 3, True, SCENARIO_DIR):
+            path = in_dir / f"{scenario['name']}.json"
+            path.write_bytes(data)
+            artifact = out / checks.artifact_name(scenario)
+            runs = []
+            for _ in range(2):
+                assert main(["run", str(path), "--out", str(out)]) == 0, (workload, path.name)
+                assert capsys.readouterr().out.startswith(f"{scenario['name']}: wrote "), path.name
+                runs.append(artifact.read_bytes())
+            assert checks.check_artifact(scenario, runs[0]) is None, (workload, path.name)
+            assert runs[1] == runs[0], (workload, path.name)
