@@ -4,7 +4,8 @@ The annotation gives the type, the default the default, and the keywords the
 bounds ("min", "exmin", "max", "exmax") and "choices". `check` enforces them
 on an instance, along with one rule for every field: a float, an element of a
 float array, or a field annotated `float` or `int` is a number (`is_number`,
-the rule of every number in a config). Config derives validation and
+the rule of every number in a config). An array parameter is converted by
+`float_array`, which rejects a bool inside it. Config derives validation and
 `emt-lab schema` from the fields.
 """
 
@@ -14,6 +15,7 @@ import copy
 import numbers
 import sys
 from dataclasses import MISSING, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -57,6 +59,21 @@ def check_number(name: str, value) -> None:
         raise InputError(f"{name}: expected number, got {value!r}")
     if not is_number(value):
         raise DomainError(f"{name}: must be finite, got {value}")
+
+
+def float_array(name: str, values) -> np.ndarray:
+    """`values` as a float array; no element of a nested list may be a bool,
+    which np.asarray would read as 0.0 or 1.0. The scan takes the set of
+    types of one nesting level at a time, and lists only the levels whose
+    elements are all lists."""
+    level, types = [values], {type(values)}
+    while types == {list}:
+        types = set(map(type, chain.from_iterable(level)))
+        if types == {list}:
+            level = list(chain.from_iterable(level))
+    if bool in types:
+        raise InputError(f"{name}: every element must be a number, not a bool")
+    return np.asarray(values, dtype=float)
 
 
 def bound_problems(name: str, bounds: dict, value) -> list:

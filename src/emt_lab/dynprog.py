@@ -2,11 +2,14 @@
 path-dependence sensitivity.
 
 The expectation over innovation shocks is taken over an explicit finite
-support, so Bellman backups are exact and the solver is deterministic. A
-fixed policy is evaluated by sweeps of the same backup, in O(states x
-shocks) memory and with no BLAS call, so its values do not depend on the
-BLAS thread count; `exact_policy_values` keeps the dense linear solve as
-the test-scale oracle.
+support, so Bellman backups are exact and the solver is deterministic.
+Value iteration and the evaluation of a fixed policy both stop on the
+MacQueen-Porteus bounds of their increments (Puterman 1994, section 6.6.3):
+once the bounds are at most the tolerance wide, they return the midpoint.
+The value-iteration `residual` is the Bellman residual of the values it
+returns. Both run in O(states x shocks) memory and with no BLAS call, so
+their values do not depend on the BLAS thread count; `exact_policy_values`
+keeps the dense linear solve as the test-scale oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._params import Params, param
+from ._params import Params, float_array, param
 from .errors import ConvergenceError, DomainError, InputError, NumericError
 
 FORMAT = "json"
@@ -24,7 +27,7 @@ FORMAT = "json"
 
 def _indices(name: str, values) -> np.ndarray:
     """`values` as an int array; every element must be a finite whole number."""
-    arr = np.asarray(values, dtype=float)
+    arr = float_array(name, values)
     if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
         raise InputError(f"{name}: every element must be a whole number")
     return arr.astype(int)
@@ -46,8 +49,8 @@ class MdpSpec(Params):
     beta: float = param(0.9, exmin=0, exmax=1)
 
     def __post_init__(self):
-        object.__setattr__(self, "rewards", np.atleast_2d(np.asarray(self.rewards, dtype=float)))
-        object.__setattr__(self, "shock_probs", np.asarray(self.shock_probs, dtype=float))
+        object.__setattr__(self, "rewards", np.atleast_2d(float_array("rewards", self.rewards)))
+        object.__setattr__(self, "shock_probs", float_array("shock_probs", self.shock_probs))
         object.__setattr__(self, "transition", _indices("transition", self.transition))
         super().__post_init__()
         n_s, n_a = self.rewards.shape
@@ -117,14 +120,45 @@ class Solution:
     residual: float
 
 
+def _bound_factor(spec: MdpSpec) -> float:
+    """c = b / (1 - b), with b = beta * sum(shock_probs), the factor of the
+    MacQueen-Porteus bounds (Puterman 1994, section 6.6.3).
+
+    Every row of every beta*P_pi sums to b. The shock probabilities may sum
+    to 1 - gap with |gap| up to 1e-12, and c multiplies an increment that is
+    near the mean reward when the sweeps stop, so c must keep its relative
+    precision as beta nears 1: 1 - b is formed as (1 - beta) + beta*gap with
+    gap summed exactly, not as 1 minus a rounded b.
+    """
+    gap = math.fsum([1.0, *(-spec.shock_probs)])
+    one_minus_b = (1.0 - spec.beta) + spec.beta * gap
+    if one_minus_b <= 0:
+        raise DomainError("beta * sum(shock_probs) must be < 1 for the values to be finite")
+    return spec.beta * (1.0 - gap) / one_minus_b
+
+
 def value_iteration(spec: MdpSpec, tol: float = 1e-12, max_iter: int = MAX_SWEEPS) -> Solution:
-    """Standard value iteration from zero; greedy ties broken by lowest action index."""
+    """Value iteration from zero, stopped on the MacQueen-Porteus bounds.
+
+    With d = v_n - v_(n-1) the increment of sweep n and c = b / (1 - b)
+    (`_bound_factor`), V* lies between v_n + c*min(d) and v_n + c*max(d)
+    (Puterman 1994, section 6.6.3). The sweeps stop once that interval is at
+    most `tol` wide, and the values returned are its midpoint, so they are
+    within tol/2 of V* up to rounding. The greedy policy (lowest action index
+    on ties) and `residual`, the sup-norm Bellman residual of the returned
+    values, both come from the one backup of those values. Out of sweeps,
+    the ConvergenceError's residual is the half-width of the bounds.
+
+    The rounding of a sweep, at most (n_shocks + 3) units of roundoff of
+    max|r| + max|V*|, is magnified by 1 / (1 - b) in the returned values, as
+    it is in the fixed point of the rounded sweep itself. At beta 0.99 and
+    values near 80 that is a few times 1e-12, so there the values may be
+    further than a `tol` of 1e-12 from V* under any stopping rule.
+    """
     if tol <= 0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    # Stopping at this threshold bounds both the Bellman residual of the
-    # returned iterate and its sup-norm distance to V* by tol.
-    threshold = tol * min(1.0, (1.0 - spec.beta) / spec.beta)
-    v, residual = np.zeros(spec.n_states), np.inf
+    c = _bound_factor(spec)
+    v, width = np.zeros(spec.n_states), np.inf
     for it in range(1, max_iter + 1):
         q = spec.rewards + spec.beta * spec.expected_next_values(v)
         # A chain of np.maximum over the few action columns is exact and
@@ -132,17 +166,21 @@ def value_iteration(spec: MdpSpec, tol: float = 1e-12, max_iter: int = MAX_SWEEP
         v_new = q[:, 0].copy()
         for a in range(1, spec.n_actions):
             np.maximum(v_new, q[:, a], out=v_new)
-        residual = float(np.max(np.abs(v_new - v)))
+        d = v_new - v
         v = v_new
-        if residual <= threshold:
+        lo, hi = float(d.min()), float(d.max())
+        width = c * (hi - lo)
+        if width <= tol:
             break
     else:
         raise ConvergenceError(
             f"value iteration did not converge in {max_iter} iterations",
-            residual=residual,
+            residual=width / 2.0,
         )
+    v = v + c * (hi + lo) / 2.0
     q = spec.rewards + spec.beta * spec.expected_next_values(v)
     policy = q.argmax(axis=1)  # argmax returns the lowest index on ties
+    residual = float(np.max(np.abs(q[np.arange(spec.n_states), policy] - v)))
     return Solution(values=v, policy=policy, iterations=it, residual=residual)
 
 
@@ -152,26 +190,17 @@ def evaluate_policy(spec: MdpSpec, policy: np.ndarray) -> np.ndarray:
     MAX_SWEEPS sweeps.
 
     Each sweep adds the increment d = v_k - v_(k-1), carried by
-    d' = beta * E_shock[d(s')], so d is free of the rounding of v. Every
-    row of beta*P_pi sums to b = beta * sum(shock_probs), so with
-    c = b / (1 - b), V_pi lies between v + c*min(d) and v + c*max(d)
-    (MacQueen-Porteus bounds, section 6.6.3). The sweeps stop once that
-    interval is at most SURPLUS_TOL wide and return its midpoint: half of
-    it bounds the truncation, and the other half is left for rounding.
+    d' = beta * E_shock[d(s')], so d is free of the rounding of v. V_pi lies
+    between v + c*min(d) and v + c*max(d) (`_bound_factor`). The sweeps stop
+    once that interval is at most SURPLUS_TOL wide and return its midpoint:
+    half of it bounds the truncation, and the other half is left for
+    rounding.
     """
     policy = np.asarray(policy, dtype=int)
     _check_policy(spec, "policy", policy)
     states = np.arange(spec.n_states)
     t_pi = spec.transition[states, policy]
-    # The shock probabilities may sum to 1 - gap with |gap| up to 1e-12, and
-    # c multiplies d, which is near the mean reward when the sweeps stop, so
-    # c must keep its relative precision as beta nears 1: 1 - b is formed as
-    # (1 - beta) + beta*gap with gap summed exactly, not as 1 minus a rounded b.
-    gap = math.fsum([1.0, *(-spec.shock_probs)])
-    one_minus_b = (1.0 - spec.beta) + spec.beta * gap
-    if one_minus_b <= 0:
-        raise DomainError("beta * sum(shock_probs) must be < 1 for V_pi to be finite")
-    c = spec.beta * (1.0 - gap) / one_minus_b
+    c = _bound_factor(spec)
     v, d = np.zeros(spec.n_states), spec.rewards[states, policy]
     width = np.inf
     for _ in range(MAX_SWEEPS):

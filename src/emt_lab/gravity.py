@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._params import Params, check_number, param
+from ._params import Params, check_number, float_array, param
 from .errors import DomainError, InputError
 from .growth import cobb_douglas
 
@@ -36,9 +36,9 @@ class NeedsState(Params):
     g_resp: float = param(1.0, min=0)                     # responsiveness coefficient G(t)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_vec", np.asarray(self.n_vec, dtype=float))
-        object.__setattr__(self, "d_mat", np.atleast_2d(np.asarray(self.d_mat, dtype=float)))
-        object.__setattr__(self, "p_vec", np.asarray(self.p_vec, dtype=float))
+        object.__setattr__(self, "n_vec", float_array("n_vec", self.n_vec))
+        object.__setattr__(self, "d_mat", np.atleast_2d(float_array("d_mat", self.d_mat)))
+        object.__setattr__(self, "p_vec", float_array("p_vec", self.p_vec))
         if self.d_mat.shape != (self.n_vec.size, self.p_vec.size):
             raise InputError(
                 f"distance matrix shape {self.d_mat.shape} does not match "

@@ -1,5 +1,6 @@
 """Bellman solver against closed forms and the policy-enumeration oracle."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -263,16 +264,21 @@ def test_path_sensitivity_symmetric_in_h():
 
 
 def reference_value_iteration(spec, tol, max_iter):
-    """Value iteration with the axis reduction q.max(axis=1): (v, it, residual)."""
-    threshold = tol * min(1.0, (1.0 - spec.beta) / spec.beta)
+    """Value iteration with the axis reduction q.max(axis=1), stopped on the
+    MacQueen-Porteus bounds: (midpoint, sweeps, its Bellman residual), or
+    (None, max_iter, the half-width of the bounds) when out of sweeps."""
+    gap = math.fsum([1.0, *(-spec.shock_probs)])
+    c = spec.beta * (1.0 - gap) / ((1.0 - spec.beta) + spec.beta * gap)
     v = np.zeros(spec.n_states)
     for it in range(1, max_iter + 1):
         v_new = (spec.rewards + spec.beta * spec.expected_next_values(v)).max(axis=1)
-        residual = float(np.max(np.abs(v_new - v)))
+        d = v_new - v
         v = v_new
-        if residual <= threshold:
-            return v, it, residual
-    return None, max_iter, residual
+        if c * (d.max() - d.min()) <= tol:
+            v = v + c * (d.max() + d.min()) / 2.0
+            q = spec.rewards + spec.beta * spec.expected_next_values(v)
+            return v, it, float(np.max(np.abs(q.max(axis=1) - v)))
+    return None, max_iter, c * (d.max() - d.min()) / 2.0
 
 
 def test_policy_transition_matrix_matches_loop():
@@ -322,6 +328,95 @@ def test_value_iteration_matches_axis_max_reference(seed):
     assert np.array_equal(sol.policy, q.argmax(axis=1))
 
 
+def refined_policy_values(spec, policy):
+    """V_pi from the dense solve plus two steps of residual refinement, each
+    residual r_pi + beta*P_pi v - v taken in exact rational arithmetic, so the
+    result is within a few units in the last place of V_pi."""
+    states = np.arange(spec.n_states)
+    t_pi = spec.transition[states, policy]
+    beta_p = [Fraction(spec.beta) * Fraction(p) for p in spec.shock_probs]
+    r_pi = [Fraction(r) for r in spec.rewards[states, policy]]
+    mat = np.eye(spec.n_states) - spec.beta * spec.policy_transition_matrix(policy)
+    v = exact_policy_values(spec, policy)
+    for _ in range(2):
+        exact_v = [Fraction(x) for x in v]
+        residual = [float(r_pi[s] + sum(bp * exact_v[t] for bp, t in zip(beta_p, t_pi[s]))
+                          - exact_v[s]) for s in states]
+        v = v + np.linalg.solve(mat, residual)
+    return v
+
+
+def rounding_floor(spec, values):
+    """How far rounding may move the returned values from V*: one backup
+    r + beta*sum_k p_k v_k, and the midpoint step after it, round by at most
+    (n_shocks + 3) units of roundoff of max|r| + max|V|, and the bounds
+    magnify that by 1 + c = 1 / (1 - beta*sum(shock_probs))."""
+    c = spec.beta * sum(spec.shock_probs) / (1.0 - spec.beta * sum(spec.shock_probs))
+    scale = np.max(np.abs(spec.rewards)) + np.max(np.abs(values))
+    return (spec.shock_probs.size + 3) * 2.0**-53 * scale * (1.0 + c)
+
+
+def threshold_policy(spec, tol):
+    """The greedy policy of value iteration stopped on the sup-norm rule
+    max|v_n - v_(n-1)| <= tol * min(1, (1 - beta) / beta)."""
+    threshold = tol * min(1.0, (1.0 - spec.beta) / spec.beta)
+    v = np.zeros(spec.n_states)
+    while True:
+        v_new = (spec.rewards + spec.beta * spec.expected_next_values(v)).max(axis=1)
+        done = np.max(np.abs(v_new - v)) <= threshold
+        v = v_new
+        if done:
+            return (spec.rewards + spec.beta * spec.expected_next_values(v)).argmax(axis=1)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
+def test_value_iteration_within_tol_of_refined_solve(beta, tol):
+    # Half the width of the bounds, plus the rounding of the sweep that the
+    # bounds magnify; the second term is below tol/10 except at beta 0.99
+    # and tol 1e-12, where it is a few times tol.
+    for seed in range(12):
+        n_states = (5, 30, 100)[seed % 3]
+        spec = random_mdp(seed, n_states=n_states, n_actions=2 + seed % 3,
+                          n_shocks=1 + seed % 4, beta=beta)
+        sol = value_iteration(spec, tol=tol)
+        exact = refined_policy_values(spec, sol.policy)
+        assert np.max(np.abs(sol.values - exact)) <= tol / 2.0 + rounding_floor(spec, exact)
+        assert sol.residual <= tol
+        assert np.array_equal(sol.policy, threshold_policy(spec, tol))
+
+
+@pytest.mark.parametrize("probs", [SHORT_SUPPORT, LONG_SUPPORT])
+def test_value_iteration_within_tol_when_shocks_do_not_sum_to_one(probs):
+    for seed in range(6):
+        n_states = (5, 30, 100)[seed % 3]
+        rng = make_generator(seed, 2)
+        spec = MdpSpec(rewards=rng.uniform(0.0, 1.0, (n_states, 3)), shock_probs=probs,
+                       transition=rng.integers(0, n_states, (n_states, 3, 3)), beta=0.99)
+        sol = value_iteration(spec, tol=SURPLUS_TOL)
+        exact = refined_policy_values(spec, sol.policy)
+        assert np.max(np.abs(sol.values - exact)) <= SURPLUS_TOL / 2.0 + rounding_floor(spec, exact)
+        assert sol.residual <= SURPLUS_TOL
+
+
+def test_value_iteration_cannot_beat_the_fixed_point_of_its_rounded_sweep():
+    # Here the rounded sweep has a fixed point more than 1e-12 from V*, and
+    # value iteration returns values next to it: no stopping rule can come
+    # closer to V* with this sweep.
+    spec = random_mdp(9, n_states=30, n_actions=2, n_shocks=2, beta=0.99)
+    sol = value_iteration(spec, tol=1e-12)
+    exact = refined_policy_values(spec, sol.policy)
+    fixed = sol.values
+    for _ in range(1000):
+        fixed, before = (spec.rewards + spec.beta * spec.expected_next_values(fixed)).max(axis=1), fixed
+        if fixed.tobytes() == before.tobytes():
+            break
+    assert fixed.tobytes() == before.tobytes()
+    assert np.max(np.abs(fixed - exact)) > 1e-12
+    assert np.max(np.abs(sol.values - fixed)) <= 1e-13
+    assert np.max(np.abs(sol.values - exact)) <= rounding_floor(spec, exact)
+
+
 def test_tiny_max_iter_raises_the_same_error():
     spec = random_mdp(9, n_states=20)
     _, _, residual = reference_value_iteration(spec, 1e-12, 3)
@@ -332,8 +427,10 @@ def test_tiny_max_iter_raises_the_same_error():
 
 def test_run_with_a_legacy_policy_reports_its_one_solve_error():
     # The one solve runs to min(tol, SURPLUS_TOL) = 1e-13 and stops at
-    # max_iter; no second solve runs after it.
-    scenario = Scenario(rewards=[[0.0, 1.0]], beta=0.9999, tol=1e-13, max_iter=10, legacy_policy=[0])
+    # max_iter; no second solve runs after it. Two absorbing states with
+    # rewards 0 and 1 narrow the bounds by exactly beta per sweep.
+    scenario = Scenario(rewards=[[0.0], [1.0]], transition=[[[0]], [[1]]], beta=0.9999,
+                        tol=1e-13, max_iter=10, legacy_policy=[0, 0])
     _, _, residual = reference_value_iteration(scenario, 1e-13, 10)
     with pytest.raises(ConvergenceError, match="did not converge in 10 iterations") as err:
         run(scenario, seed=0)

@@ -35,7 +35,7 @@ ARTIFACTS = {
     "flywheel_default.csv": "e403eb646ded2fa4387c344d34ce8173d976452504803eedd24ccd4ed727a626",
     "game_default.json": "b39d7c295d460e5effe2d65372b0e0b6175c14794ec3d6003f1193128b14b6a5",
     "growth_default.csv": "5ae8f8de10b439b457c2cedaf6f3e8ad66be12200dd3707dedcbe26eedf0973f",
-    "mdp_default.json": "abb752e96a3ee36e2775849c9ec3112a2cb56d9aec7206af978a5125b642c99b",
+    "mdp_default.json": "465fda5843ec238d4bde923c4f11b92bb66fbecdaa0b5b02f0a04d3df4afdaa2",
     "policy_default.json": "9bbaebbc7ae3048b327ab3dd9d7f4f77c6e24a3531c8ec78a124bf89305c0bae",
 }
 
@@ -93,16 +93,15 @@ CALLABLE_TARGET_DIGESTS = {
 # Random MDPs with a legacy policy. Such a run solves value iteration once, to
 # the tighter of `tol` and the surplus tolerance 1e-12, and both the report
 # and the real-time surplus come from that solve: `tol` 1e-10 and 1e-12 give
-# the same solve, and 1e-14 a tighter one. The first is the size of a
-# benchmark input.
+# the same solve, and 1e-14 a tighter one, which runs until the rounded sweep
+# stops moving. The first is the size of a benchmark input.
 RANDOM_MDP_DIGESTS = {
-    (600, 0.95, 1e-10): "882d9b83369cc9b626d3c421d21d5e655194c810cc987a4cd37f116c7a3b9c34",
-    (50, 0.9, 1e-12): "7418b4493e1eaabc30f8744aa5adb441900b07b768e286fbb1f6888f70b4b7e6",
+    (600, 0.95, 1e-10): "e88b69d35290dd91d6849cdc412458b072c7a21a8fa6900a500beb7818e0fc9a",
+    (50, 0.9, 1e-12): "648edc3c036b884165d4a5a90f254bf143d3cbcde50b8403e4a87ff5a9ad92c3",
     (50, 0.9, 1e-14): "d8f4c361385730825ecd02bdfb0e6895e437f273d1fd14bb961037e069915fd5",
 }
-# The sha256 of json.dumps of the first one's `realtime_surplus` list, the
-# same as when its report came from a looser solve at `tol` 1e-10.
-RANDOM_MDP_SURPLUS_DIGEST = "61d25da76ef683373ddd3887ea62a978a77051574c93ac1789692648de89fa11"
+# The sha256 of json.dumps of the first one's `realtime_surplus` list.
+RANDOM_MDP_SURPLUS_DIGEST = "9f5be00222ca2aa5ae05370ef25d203d03385a979f1f6fc7aef3aecc43123074"
 
 # The bundled game is memory1 at horizon 2; these search the constant class
 # with 3 players over 6 rounds (snowdrift payoffs, so some equilibria are
@@ -249,9 +248,16 @@ def test_random_mdp_surplus_bytes(tmp_path):
     assert _sha256(json.dumps(surplus).encode()) == RANDOM_MDP_SURPLUS_DIGEST
 
 
-def test_mdp_artifact_bytes_on_one_blas_thread(tmp_path):
-    # OPENBLAS_NUM_THREADS is read when numpy loads, so the one-thread run
-    # needs its own process. The bytes must not depend on the thread count.
+def _subprocess_env(**settings) -> dict:
+    """This process's environment with `settings` added and src on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, **settings, "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+
+def _mdp_golden_digests_in_a_subprocess(tmp_path, env: dict) -> tuple[dict, dict]:
+    """The mdp goldens run by `python -m emt_lab.cli run` under `env`: the
+    digests written and the golden digests, each by artifact name."""
     paths, expected = [], {}
     for i, key in enumerate(sorted(RANDOM_MDP_DIGESTS)):
         cfg = {**_random_mdp_config(*key), "name": f"random_mdp{i}"}
@@ -260,16 +266,36 @@ def test_mdp_artifact_bytes_on_one_blas_thread(tmp_path):
         expected[f"random_mdp{i}.json"] = RANDOM_MDP_DIGESTS[key]
     paths.append(resources.files("emt_lab") / "scenarios" / "mdp_default.json")
     expected["mdp_default.json"] = ARTIFACTS["mdp_default.json"]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": src if not path else src + os.pathsep + path}
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "emt_lab.cli", "run", *map(str, paths),
                            "--out", str(out)], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert {name: _sha256((out / name).read_bytes()) for name in expected} == expected
+    return {name: _sha256((out / name).read_bytes()) for name in expected}, expected
+
+
+def test_mdp_artifact_bytes_on_one_blas_thread(tmp_path):
+    # OPENBLAS_NUM_THREADS is read when numpy loads, so the one-thread run
+    # needs its own process. The bytes must not depend on the thread count.
+    env = _subprocess_env(OPENBLAS_NUM_THREADS="1")
+    written, expected = _mdp_golden_digests_in_a_subprocess(tmp_path, env)
+    assert written == expected
+
+
+def test_mdp_artifact_bytes_without_simd_dispatch(tmp_path):
+    # With every SIMD target numpy may dispatch to on this host switched off,
+    # numpy runs its baseline loops, as on a host without those targets. The
+    # mdp bytes must not depend on them.
+    probe = ("from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__;"
+             "print(' '.join(t for t in __cpu_dispatch__ if __cpu_features__[t]))")
+    dispatched = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                check=True, timeout=60).stdout.strip()
+    env = _subprocess_env(NPY_DISABLE_CPU_FEATURES=dispatched)
+    left = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout.strip()
+    assert left == ""
+    written, expected = _mdp_golden_digests_in_a_subprocess(tmp_path, env)
+    assert written == expected
 
 
 @pytest.mark.parametrize("strategy_class, mode", sorted(GAME_SEARCHES))

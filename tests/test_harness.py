@@ -314,6 +314,23 @@ def test_array_literal_too_large_for_a_float_is_a_config_error(tmp_path, capsys)
     assert "p_vec: every element must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("module, key, value", [
+    ("mdp", "rewards", [[True, 1.0]]),
+    ("mdp", "shock_probs", [True]),
+    ("mdp", "transition", [[[0], [False]]]),
+    ("mdp", "legacy_policy", [True]),
+    ("gravity", "n_vec", [True, 4, 3, 2, 1]),
+    ("gravity", "d_mat", [[1.0, 2.0], [2.0, 1.0], [1.0, 1.5], [2.5, 2.0], [1.5, True]]),
+    ("gravity", "p_vec", [1.0, False]),
+])
+def test_cli_bool_inside_a_number_array_is_a_config_error(module, key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module=module, params={key: value})))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}: every element must be a number, not a bool" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_config_rejects_non_finite_array_elements():
     with pytest.raises(ConfigError) as err:
         validate_config(minimal(module="gravity", params={"d_mat": [[1.0, float("nan")]] * 5}))
@@ -341,10 +358,13 @@ def test_cli_knowledge_stock_overflow_is_a_runtime_error(params, tmp_path, capsy
 
 def test_cli_mdp_legacy_solve_out_of_sweeps_is_a_runtime_error(tmp_path, capsys):
     # With a legacy policy the one solve runs to 1e-12, which 200 sweeps at
-    # beta 0.9 do not reach, though the scenario's own tol 1e-6 would be.
+    # beta 0.9 do not reach, though the scenario's own tol 1e-6 would be: two
+    # absorbing states with rewards 0 and 1 narrow the bounds by exactly beta
+    # per sweep, to 1e-6 in 153 sweeps and to 1e-12 in 285.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(minimal(module="mdp", params={
-        "beta": 0.9, "tol": 1e-6, "legacy_policy": [0], "max_iter": 200})))
+        "rewards": [[0.0], [1.0]], "shock_probs": [1.0], "transition": [[[0]], [[1]]],
+        "beta": 0.9, "tol": 1e-6, "legacy_policy": [0, 0], "max_iter": 200})))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "runtime error: value iteration did not converge in 200 iterations\n"
     assert not (tmp_path / "out").exists()

@@ -22,7 +22,9 @@ OCCUPATIONS = [
     {"w": 2.0, "l_bar": 1.0, "eta": 2.0, "lambda_align": 3.0},
 ]
 
-# Small runs of each module. "feedback_checked" checks that its loop settles
+# Small runs of each module. "mdp_slow" has two absorbing states with rewards
+# 0 and 1, so value iteration's bounds shrink by exactly beta per sweep and
+# it needs some 280 sweeps, "feedback_checked" checks that its loop settles
 # (it does not), "game_finite" searches with a finite penalty, and in
 # "game_discounted" the discounted future decides whether all-D is an SPNE.
 BASES = {
@@ -32,6 +34,8 @@ BASES = {
     "gravity": ("gravity", {}),
     "mdp": ("mdp", {"rewards": [[0.0, 1.0], [0.5, 0.2]], "shock_probs": [0.5, 0.5],
                     "transition": [[[0, 1], [1, 0]], [[0, 1], [1, 1]]]}),
+    "mdp_slow": ("mdp", {"rewards": [[0.0], [1.0]], "shock_probs": [1.0],
+                         "transition": [[[0]], [[1]]]}),
     "feedback": ("feedback", {"dt": 0.01, "horizon": 300}),
     "feedback_checked": ("feedback", {"dt": 0.01, "horizon": 3000, "check_settled": True,
                                       "theta_meta": 0.2, "gamma0": 2.0}),
@@ -98,8 +102,8 @@ VARIANTS = {
     ("mdp", "shock_probs"): ("mdp", [0.25, 0.75]),
     ("mdp", "transition"): ("mdp", [[[0, 1], [1, 1]], [[0, 1], [1, 1]]]),
     ("mdp", "beta"): ("mdp", 0.5),
-    ("mdp", "tol"): ("mdp", 1e-3),
-    ("mdp", "max_iter"): ("mdp", 5),
+    ("mdp", "tol"): ("mdp_slow", 1e-3),
+    ("mdp", "max_iter"): ("mdp_slow", 5),
     ("mdp", "legacy_policy"): ("mdp", [0, 0]),
     ("feedback", "gamma0"): ("feedback", 2.0),
     ("feedback", "theta_meta"): ("feedback", 0.2),
