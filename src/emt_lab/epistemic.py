@@ -9,13 +9,13 @@ cost of producing a new idea.
 
 Alongside runs a pool of problems: they emerge at rate eta and aligned
 research resolves them at rate R. `run` keeps the complexities of the open
-problems as a list in creation order, and those of every problem ever created
-in a numpy buffer that doubles its capacity when full: resolved problems are
-kept because they set the mean complexity of arrivals. Its knowledge
-recurrence stays in local floats. `ProblemPool`, `research_output`,
-`step_problem_pool` and `step_knowledge` are the one-step API over the same
-definitions: the draw order, the solve probabilities and the Euler update are
-each written once, in private helpers that both `run` and that API call.
+problems as a list in creation order, plus the count and a running sum of
+every problem ever created, added in creation order: resolved problems still
+set the mean complexity of arrivals. Its knowledge recurrence stays in local
+floats. `ProblemPool`, `research_output`, `step_problem_pool` and
+`step_knowledge` are the one-step API over the same definitions: the draw
+order, the solve probabilities and the Euler update are each written once, in
+private helpers that both `run` and that API call.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class ProblemPool:
     `problems` holds the complexity of every problem ever created, in
     creation order; `open` marks the unresolved ones (all, if not given).
     Rebuilt every step, it does not check its parameters; Scenario does.
-    `run` keeps the same state as a list and a buffer instead."""
+    `run` keeps the open ones as a list and a running sum of all instead."""
 
     problems: np.ndarray = field(default_factory=lambda: np.empty(0))
     open: np.ndarray | None = None
@@ -222,26 +222,21 @@ def _research(open_c: list, a_cap: float, lambda_align: float, eps_floor: float)
 
 
 def _pool_draws(rng, items: list, probs: list, lambda_align: float, dt: float,
-                eta_rate: float, created: np.ndarray, n_created: int):
-    """One step's draws; returns (the `items` that stay open, the arrivals'
-    complexities or None).
+                eta_rate: float, mean_c: float):
+    """One step's draws; returns (the `items` that stay open, the list of the
+    arrivals' complexities).
 
     `items` and `probs` run over the open problems in creation order, and
-    `created[:n_created]` holds every problem created so far. Draws come in a
-    fixed order: one uniform per open problem, then the arrival count, then
-    one exponential per arrival, with the mean of `created[:n_created]`.
+    `mean_c` is the mean complexity of every problem created so far. Draws
+    come in a fixed order: one uniform per open problem, then the arrival
+    count, then one exponential of mean `mean_c` per arrival.
     """
     # A uniform draw is below 1, so comparing it with lambda * pi_i * dt
     # caps that probability at 1.
     kept = [x for x, u, p in zip(items, rng.random(len(probs)).tolist(), probs)
             if u >= lambda_align * p * dt]
     n_new = rng.poisson(eta_rate * dt)
-    if not n_new:
-        return kept, None
-    # np.mean's pairwise sum over the contiguous values, without its per-call
-    # overhead; a running sum would round differently.
-    mean_c = float(created[:n_created].sum()) / n_created if n_created else 1.0
-    return kept, rng.exponential(mean_c, n_new)
+    return kept, rng.exponential(mean_c, n_new).tolist() if n_new else []
 
 
 def step_problem_pool(
@@ -257,7 +252,8 @@ def step_problem_pool(
     probability lambda * pi_i * dt (capped at 1), so the expected net change
     matches (eta - R) * dt. Surplus means resolution outpaces emergence:
     R > eta. New problems draw their complexity from an exponential whose
-    mean matches every problem created so far (1.0 for an empty pool).
+    mean matches every problem created so far, summed left to right (1.0 for
+    an empty pool).
     Draws come in a fixed order: one uniform per open problem, in creation
     order, then the arrival count, then one exponential per arrival.
     """
@@ -270,14 +266,16 @@ def step_problem_pool(
             f"{open_ids.size} open problems"
         )
     problems = pool.problems
+    total = 0.0
+    for x in problems.tolist():  # not np.sum, which adds pairwise above 8 values
+        total += x
     kept, arrivals = _pool_draws(rng, open_ids.tolist(), output.solve_probs.tolist(),
-                                 pool.lambda_align, dt, pool.eta_rate, problems, problems.size)
-    is_open = np.zeros(problems.size, dtype=bool)
+                                 pool.lambda_align, dt, pool.eta_rate,
+                                 total / problems.size if problems.size else 1.0)
+    is_open = np.zeros(problems.size + len(arrivals), dtype=bool)
     is_open[kept] = True
-    if arrivals is not None:
-        problems = np.concatenate((problems, arrivals))
-        is_open = np.concatenate((is_open, np.ones(arrivals.size, dtype=bool)))
-    new_pool = replace(pool, problems=problems, open=is_open)
+    is_open[problems.size:] = True
+    new_pool = replace(pool, problems=np.concatenate((problems, arrivals)), open=is_open)
     return new_pool, output.r > pool.eta_rate
 
 
@@ -351,28 +349,24 @@ def run(scenario: Scenario, seed: int):
     s = scenario
     dt, eta, lam, eps = s.dt, s.eta_rate, s.lambda_align, s.eps_floor
     rng_pool = make_generator(seed, 1)
-    # every problem ever created, in creation order; the buffer doubles when full
-    created = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems)
-    n_created = created.size
-    open_c = created.tolist()  # the open ones, in creation order
+    open_c = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems).tolist()
+    # the count and sum of every problem ever created, added in creation order
+    n_created, total = len(open_c), 0.0
+    for x in open_c:
+        total += x
     state = initial_state(s, a_cap=s.a0, p0=s.p0)
     t, p, theta, c, pi, inverted, a_cap = (state.t, state.p, state.theta, state.c,
                                            state.pi, state.inverted, state.a_cap)
     _, probs, r = _research(open_c, a_cap, lam, eps)
     rows = [[t, p, theta, c, pi, _FLAG[inverted], r, len(open_c), _FLAG[r > eta]]]
-    pis = [pi]
     for _ in range(s.horizon):
         surplus = r > eta
-        open_c, arrivals = _pool_draws(rng_pool, open_c, probs, lam, dt, eta, created, n_created)
-        if arrivals is not None:
-            n_new = arrivals.size
-            if n_created + n_new > created.size:
-                grown = np.empty(max(2 * created.size, n_created + n_new))
-                grown[:n_created] = created[:n_created]
-                created = grown
-            created[n_created:n_created + n_new] = arrivals
-            n_created += n_new
-            open_c += arrivals.tolist()
+        open_c, arrivals = _pool_draws(rng_pool, open_c, probs, lam, dt, eta,
+                                       total / n_created if n_created else 1.0)
+        for x in arrivals:
+            total += x
+        n_created += len(arrivals)
+        open_c += arrivals
         p = _stock_step(p, a_cap, s, dt)
         theta = _uncertainty(p, s)
         pi = discovery_probability(theta)
@@ -383,10 +377,9 @@ def run(scenario: Scenario, seed: int):
         inverted = c < s.theta_star
         _, probs, r = _research(open_c, a_cap, lam, eps)
         rows.append([t, p, theta, c, pi, _FLAG[inverted], r, len(open_c), _FLAG[surplus]])
-        pis.append(pi)
     # theta follows the threshold law on both sides of p_bar, stated apart from _uncertainty
     transition_ok = all(row[2] == (s.eps_resid if row[1] >= s.p_bar else s.theta0 / (1.0 + row[1]))
                         for row in rows)
-    pi_monotone = all(b >= a - 1e-15 for a, b in zip(pis, pis[1:]))
+    pi_monotone = all(b[4] >= a[4] - 1e-15 for a, b in zip(rows, rows[1:]))
     header = ["t", "P", "theta", "C", "pi", "inverted", "R", "pool_size", "surplus"]
     return (header, rows), {"mode_transition": transition_ok, "pi_monotone": pi_monotone}

@@ -140,14 +140,14 @@ def optimize_subsidies(problem: SubsidyProblem) -> SubsidySolution:
     occs = problem.occupations
     if all(o.lambda_align * o.eta == 0 for o in occs):
         s0 = np.zeros(len(occs))
-        obj = sum(o.lambda_align * labor_supply(o, 0.0) for o in occs)
+        obj = math.fsum(o.lambda_align * labor_supply(o, 0.0) for o in occs)
         return SubsidySolution(
             s_star=s0, objective=obj, spend=0.0, multiplier=0.0,
             note="objective flat in all subsidies; canonical s = 0",
         )
 
     def spend_at(mu: float) -> float:
-        return sum(_spend_one(o, _inner_subsidy(o, mu)) for o in occs)
+        return math.fsum(_spend_one(o, _inner_subsidy(o, mu)) for o in occs)
 
     mu_hi = max(o.lambda_align * o.eta / o.w for o in occs if o.lambda_align * o.eta > 0)
     mu_lo = mu_hi
@@ -160,8 +160,8 @@ def optimize_subsidies(problem: SubsidyProblem) -> SubsidySolution:
                xtol=1e-15, rtol=8.9e-16, maxiter=500)
     )
     s_star = np.array([_inner_subsidy(o, mu) for o in occs])
-    spend = float(sum(_spend_one(o, s) for o, s in zip(occs, s_star)))
-    objective = float(sum(o.lambda_align * labor_supply(o, s) for o, s in zip(occs, s_star)))
+    spend = math.fsum(_spend_one(o, s) for o, s in zip(occs, s_star))
+    objective = math.fsum(o.lambda_align * labor_supply(o, s) for o, s in zip(occs, s_star))
     return SubsidySolution(
         s_star=s_star, objective=objective, spend=spend, multiplier=mu
     )

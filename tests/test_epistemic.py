@@ -152,16 +152,25 @@ def test_empty_pool_has_no_output_and_draws_nothing():
 
 
 def test_arrivals_draw_from_mean_of_resolved_problems():
-    pool = ProblemPool(problems=[1.0, 3.0], open=[False, False], eta_rate=4.0)
-    out = research_output(pool, a_cap=1.0)
-    assert len(out.solve_probs) == 0 and out.r == 0.0
-    new_pool, _ = step_problem_pool(pool, out, dt=1.0, rng=make_generator(9))
+    # The mean sums the complexities one at a time, in creation order, from
+    # 0.0. The second pool tells that sum apart from a pairwise one: 1.0 and
+    # eight 2**-53 sum to 1.0 left to right but to 1.0000000000000009 pairwise.
+    for complexities in ([1.0, 3.0], [1.0] + [2.0**-53] * 8):
+        closed = [False] * len(complexities)
+        pool = ProblemPool(problems=complexities, open=closed, eta_rate=4.0)
+        out = research_output(pool, a_cap=1.0)
+        assert len(out.solve_probs) == 0 and out.r == 0.0
+        new_pool, _ = step_problem_pool(pool, out, dt=1.0, rng=make_generator(9))
 
-    ref = make_generator(9)
-    n_new = ref.poisson(4.0)
-    assert n_new > 0
-    assert new_pool.problems.tolist() == [1.0, 3.0] + ref.exponential(2.0, n_new).tolist()
-    assert new_pool.open.tolist() == [False, False] + [True] * n_new
+        total = 0.0
+        for x in complexities:
+            total += x
+        ref = make_generator(9)
+        n_new = ref.poisson(4.0)
+        assert n_new > 0
+        arrivals = ref.exponential(total / len(complexities), n_new).tolist()
+        assert new_pool.problems.tolist() == complexities + arrivals
+        assert new_pool.open.tolist() == closed + [True] * n_new
 
 
 def test_pool_step_arrival_rate_matches_poisson_mean():

@@ -49,11 +49,11 @@ LARGE_POOL = {
     "params": {"horizon": 1200, "eta_rate": 20, "dt": 0.1, "n_problems": 10,
                "complexity_mean": 2.0, "lambda_align": 0.9},
 }
-LARGE_POOL_DIGEST = "dfa84571c4fc985e98e7bdb1c4b1f84bdc076a18aef14ddf21ee9b2312bc411b"
+LARGE_POOL_DIGEST = "c08c192b3440642dadc6f404e2a548fe5fb93d619a105efc48580cbfbd9c38df"
 
-# Some 16,000 problems over 8,000 steps: the buffer of created problems
-# doubles several times, and the mean complexity of arrivals is a pairwise
-# sum over up to 16,000 values.
+# Some 16,000 problems over 8,000 steps: the mean complexity of arrivals
+# divides a running sum over up to 16,000 values, added in creation order, so
+# its rounding error has the most steps to build up.
 LONG_POOL = {
     "name": "long_pool",
     "module": "epistemic",
@@ -61,7 +61,7 @@ LONG_POOL = {
     "params": {"horizon": 8000, "eta_rate": 20, "dt": 0.1, "n_problems": 10,
                "complexity_mean": 2.0, "lambda_align": 0.9},
 }
-LONG_POOL_DIGEST = "ff0690d31cb39a4208b17911916a15d7518273019cd28581a78b32a1949a0624"
+LONG_POOL_DIGEST = "31ba5c638b217865dedc0ffc57944f832cea798ec19d9985c7fdf831c715d6b0"
 
 # Neither bundled feedback scenario has noise or meta-learning; this one has
 # both, so the order and values of the normal draws shape its bytes.
@@ -255,37 +255,51 @@ def _subprocess_env(**settings) -> dict:
     return {**os.environ, **settings, "PYTHONPATH": src if not path else src + os.pathsep + path}
 
 
-def _mdp_golden_digests_in_a_subprocess(tmp_path, env: dict) -> tuple[dict, dict]:
-    """The mdp goldens run by `python -m emt_lab.cli run` under `env`: the
-    digests written and the golden digests, each by artifact name."""
+def _mdp_goldens() -> list:
+    """(config, golden digest) of every mdp golden."""
+    return [({**_random_mdp_config(*key), "name": f"random_mdp{i}"}, RANDOM_MDP_DIGESTS[key])
+            for i, key in enumerate(sorted(RANDOM_MDP_DIGESTS))
+            ] + [("mdp_default.json", ARTIFACTS["mdp_default.json"])]
+
+
+EPISTEMIC_GOLDENS = [(LARGE_POOL, LARGE_POOL_DIGEST), (LONG_POOL, LONG_POOL_DIGEST),
+                     ("epistemic_default.json", ARTIFACTS["epistemic_default.csv"])]
+
+
+def _golden_digests_in_a_subprocess(tmp_path, env: dict, goldens: list) -> tuple[dict, dict]:
+    """`goldens`, (config, golden digest) pairs, run by `python -m emt_lab.cli
+    run` under `env`: the digests written and the golden digests, each by
+    config name. A config given as a file name is a bundled scenario."""
     paths, expected = [], {}
-    for i, key in enumerate(sorted(RANDOM_MDP_DIGESTS)):
-        cfg = {**_random_mdp_config(*key), "name": f"random_mdp{i}"}
-        paths.append(tmp_path / f"random_mdp{i}.json")
-        paths[-1].write_text(json.dumps(cfg))
-        expected[f"random_mdp{i}.json"] = RANDOM_MDP_DIGESTS[key]
-    paths.append(resources.files("emt_lab") / "scenarios" / "mdp_default.json")
-    expected["mdp_default.json"] = ARTIFACTS["mdp_default.json"]
+    for cfg, digest in goldens:
+        if isinstance(cfg, str):
+            paths.append(resources.files("emt_lab") / "scenarios" / cfg)
+            cfg = json.loads(paths[-1].read_text())
+        else:
+            paths.append(tmp_path / f"{cfg['name']}.json")
+            paths[-1].write_text(json.dumps(cfg))
+        expected[cfg["name"]] = digest
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "emt_lab.cli", "run", *map(str, paths),
                            "--out", str(out)], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    return {name: _sha256((out / name).read_bytes()) for name in expected}, expected
+    written = {path.stem: _sha256(path.read_bytes()) for path in out.iterdir()}
+    return written, expected
 
 
 def test_mdp_artifact_bytes_on_one_blas_thread(tmp_path):
     # OPENBLAS_NUM_THREADS is read when numpy loads, so the one-thread run
     # needs its own process. The bytes must not depend on the thread count.
     env = _subprocess_env(OPENBLAS_NUM_THREADS="1")
-    written, expected = _mdp_golden_digests_in_a_subprocess(tmp_path, env)
+    written, expected = _golden_digests_in_a_subprocess(tmp_path, env, _mdp_goldens())
     assert written == expected
 
 
-def test_mdp_artifact_bytes_without_simd_dispatch(tmp_path):
-    # With every SIMD target numpy may dispatch to on this host switched off,
-    # numpy runs its baseline loops, as on a host without those targets. The
-    # mdp bytes must not depend on them.
+def _env_without_simd_dispatch() -> dict:
+    """An environment in which numpy dispatches to none of the SIMD targets it
+    would use on this host, so it runs its baseline loops, as on a host
+    without those targets."""
     probe = ("from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__;"
              "print(' '.join(t for t in __cpu_dispatch__ if __cpu_features__[t]))")
     dispatched = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -294,7 +308,18 @@ def test_mdp_artifact_bytes_without_simd_dispatch(tmp_path):
     left = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True, timeout=60).stdout.strip()
     assert left == ""
-    written, expected = _mdp_golden_digests_in_a_subprocess(tmp_path, env)
+    return env
+
+
+def test_mdp_artifact_bytes_without_simd_dispatch(tmp_path):
+    env = _env_without_simd_dispatch()
+    written, expected = _golden_digests_in_a_subprocess(tmp_path, env, _mdp_goldens())
+    assert written == expected
+
+
+def test_epistemic_artifact_bytes_without_simd_dispatch(tmp_path):
+    env = _env_without_simd_dispatch()
+    written, expected = _golden_digests_in_a_subprocess(tmp_path, env, EPISTEMIC_GOLDENS)
     assert written == expected
 
 

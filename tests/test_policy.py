@@ -113,6 +113,13 @@ def test_planner_flat_objective():
     assert np.all(sol.s_star == 0.0)
     assert sol.spend == 0.0
     assert sol.note
+    # the objective is exactly rounded: with lambda_align * l_bar of 1.0,
+    # 2**-53 and 2**-53 it is the float 1 + 2**-52, while adding left to right
+    # rounds each 2**-53 away
+    rigid = tuple(Occupation(w=1.0, l_bar=l_bar, eta=0.0, lambda_align=1.0)
+                  for l_bar in (1.0, 2.0**-53, 2.0**-53))
+    sol = optimize_subsidies(SubsidyProblem(occupations=rigid, budget=1.0))
+    assert sol.objective == 1.0000000000000002
 
 
 RIGID = {"w": 1.0, "l_bar": 1.0, "eta": 0.0, "lambda_align": 1.0}
