@@ -215,10 +215,12 @@ def _research(open_c: list, a_cap: float, lambda_align: float, eps_floor: float)
     """(raw ratios, solve probabilities, R) over the open complexities `open_c`."""
     raw = [a_cap / (c + eps_floor) for c in open_c]
     probs = [1.0 if x > 1.0 else x for x in raw]  # a NaN stays, as in np.minimum
-    # The builtin sum, not np.sum, which adds in a different order: R is
-    # written to the artifact. Its rounding depends on the Python version
-    # (3.12 adds floats with Neumaier compensation).
-    return raw, probs, lambda_align * float(sum(probs))
+    # R is written to the artifact: summed left to right on every Python, as
+    # np.sum adds pairwise and the builtin sum compensates from 3.12 (gh-100425).
+    total = 0.0
+    for x in probs:
+        total += x
+    return raw, probs, lambda_align * total
 
 
 def _pool_draws(rng, items: list, probs: list, lambda_align: float, dt: float,

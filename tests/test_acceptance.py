@@ -176,7 +176,7 @@ def test_criterion_07_cybernetic_conservation():
                             horizon=horizon, o0=0.0, a0=0.0)
     traj = simulate_loop(params)
     drift = loop_diagnostics(traj)["energy_drift"]
-    o_pi = traj[int(round(math.pi / 1e-3))].o_val
+    _, o_pi, _, _, _ = traj[int(round(math.pi / 1e-3))]
     ok = drift < 1e-6 and abs(o_pi - 2.0) < 1e-6
     check(
         "7 cybernetic conservation",

@@ -92,6 +92,15 @@ def test_research_output_clamping_and_rate():
     assert out.r == pytest.approx(0.5 * sum(out.solve_probs))
 
 
+def test_research_sums_left_to_right():
+    # probabilities 1.0, 2**-53, 2**-53: each small one rounds away when added
+    # to 1.0 alone, and a compensated sum would give 1 + 2**-52
+    _, probs, r = epistemic._research([0.5, 2.0**53, 2.0**53], 1.0, 1.0, 0.0)
+    assert probs == [1.0, 2.0**-53, 2.0**-53]
+    assert r == 1.0
+    assert math.fsum(probs) == 1.0 + 2.0**-52
+
+
 def test_research_output_skips_resolved_problems():
     pool = ProblemPool(problems=[1.0, 0.0, 3.0], open=[True, False, True])
     out = research_output(pool, a_cap=0.5)

@@ -7,7 +7,7 @@ import pytest
 
 from emt_lab import DomainError, NumericError
 from emt_lab.cli import main
-from emt_lab.feedback import FeedbackParams, loop_diagnostics, simulate_loop
+from emt_lab.feedback import FeedbackParams, Scenario, loop_diagnostics, run, simulate_loop
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,11 +24,11 @@ def conservative_params(dt=1e-3, horizon=None, **kw):
 def test_harmonic_closed_form():
     traj = simulate_loop(conservative_params())
     # O(t) = 1 - cos t, A(t) = sin t
-    for s in traj[:: len(traj) // 20]:
-        assert s.o_val == pytest.approx(1.0 - math.cos(s.t), abs=1e-6)
-        assert s.a_sig == pytest.approx(math.sin(s.t), abs=1e-6)
-    idx_pi = int(round(math.pi / 1e-3))
-    assert abs(traj[idx_pi].o_val - 2.0) < 1e-6
+    for t, o, a, _, _ in traj[:: len(traj) // 20]:
+        assert o == pytest.approx(1.0 - math.cos(t), abs=1e-6)
+        assert a == pytest.approx(math.sin(t), abs=1e-6)
+    _, o_pi, _, _, _ = traj[int(round(math.pi / 1e-3))]
+    assert abs(o_pi - 2.0) < 1e-6
 
 
 def test_energy_conservation():
@@ -41,9 +41,9 @@ def test_decoupled_when_gamma_zero():
     params = FeedbackParams(gamma0=0.0, phi_gain=2.0, o0=1.0, a0=3.0,
                             dt=0.01, horizon=100)
     traj = simulate_loop(params)
-    final = traj[-1]
-    assert final.a_sig == pytest.approx(3.0)
-    assert final.o_val == pytest.approx(1.0 + 2.0 * 3.0 * final.t, rel=1e-12)
+    t, o, a, _, _ = traj[-1]
+    assert a == pytest.approx(3.0)
+    assert o == pytest.approx(1.0 + 2.0 * 3.0 * t, rel=1e-12)
 
 
 def test_zero_error_fixed_point():
@@ -52,22 +52,22 @@ def test_zero_error_fixed_point():
     diag = loop_diagnostics(traj)
     assert diag["max_abs_eps"] == 0.0
     assert diag["settled"]
-    assert all(s.o_val == 0.5 for s in traj)
+    assert all(o == 0.5 for _, o, _, _, _ in traj)
 
 
 def test_gamma_never_negative():
     params = FeedbackParams(gamma0=0.1, theta_meta=-5.0, dt=0.01, horizon=2000)
     traj = simulate_loop(params)
-    assert all(s.gamma >= 0.0 for s in traj)
+    assert all(gamma >= 0.0 for _, _, _, gamma, _ in traj)
 
 
 def test_gamma_telescope_exact():
     theta = 0.3
     params = FeedbackParams(gamma0=1.0, theta_meta=theta, dt=0.05, horizon=50)
     traj = simulate_loop(params)
-    for prev, cur in zip(traj, traj[1:]):
-        expected = max(0.0, prev.gamma + theta * (cur.eps_err**2 - prev.eps_err**2))
-        assert cur.gamma == pytest.approx(expected, abs=1e-15)
+    for (_, _, _, gamma_prev, eps_prev), (_, _, _, gamma, eps) in zip(traj, traj[1:]):
+        expected = max(0.0, gamma_prev + theta * (eps**2 - eps_prev**2))
+        assert gamma == pytest.approx(expected, abs=1e-15)
 
 
 def test_divergent_tuning_flagged_unstable():
@@ -77,15 +77,31 @@ def test_divergent_tuning_flagged_unstable():
     assert not diag["settled"]
 
 
+@pytest.mark.parametrize("expect_unstable", [False, True])
+@pytest.mark.parametrize("horizon", [1, 2, 2000])
+@pytest.mark.parametrize("noise_sd", [0.0, 0.05], ids=["noiseless", "noisy"])
+def test_run_settle_check_matches_loop_diagnostics(noise_sd, horizon, expect_unstable):
+    loop = dict(noise_sd=noise_sd, theta_meta=0.4, dt=0.01, horizon=horizon,
+                check_settled=True, expect_unstable=expect_unstable)
+    (_, traj), _ = run(Scenario(**loop), seed=3)
+    tail_max = loop_diagnostics(traj)["max_abs_eps"]
+    # at a threshold equal to the tail's max |eps| the strict < says not settled
+    for threshold in (tail_max, math.nextafter(tail_max, math.inf), 1e-2, 10.0):
+        (_, traj), checks = run(Scenario(**loop, settle_threshold=threshold), seed=3)
+        settled = loop_diagnostics(traj, threshold)["settled"]
+        assert settled == (threshold > tail_max)
+        assert checks == {"settled_as_expected": settled != expect_unstable}
+
+
 def test_noise_determinism_and_sqrt_dt_scaling():
     params = FeedbackParams(noise_sd=0.5, dt=0.01, horizon=500, seed=9)
     t1 = simulate_loop(params)
     t2 = simulate_loop(params)
     assert all(
-        a.o_val == b.o_val and a.a_sig == b.a_sig for a, b in zip(t1, t2)
+        a[1] == b[1] and a[2] == b[2] for a, b in zip(t1, t2)
     )
     other = simulate_loop(FeedbackParams(noise_sd=0.5, dt=0.01, horizon=500, seed=10))
-    assert any(a.o_val != b.o_val for a, b in zip(t1, other))
+    assert any(a[1] != b[1] for a, b in zip(t1, other))
 
 
 def test_divergence_raises_with_step_index():

@@ -84,7 +84,8 @@ EVT_M_VALUES = {
 EVT_M_VALUES_DIGEST = "de00f181b02b65450e58b81bac491b0e0658671d93ecff92a462d5af4817e58b"
 
 # A callable e_target cannot come from a JSON config; the repr of every state
-# pins the trajectory it drives, with and without noise.
+# pins the trajectory it drives, with and without noise. Each state is hashed
+# in the format these digests were first taken in, a NamedTuple's repr.
 CALLABLE_TARGET_DIGESTS = {
     0.0: "ab24b2edff2437117ed53003f07f32bdbd3371f83dc2a4caefd741e8734cc970",
     0.02: "1d77bb58cbb6789b52f7e7e591ff2128b3fe4f8141c19f58f7fde90a6d76f6b2",
@@ -211,7 +212,9 @@ def test_callable_target_trajectory(noise_sd):
     params = FeedbackParams(e_target=lambda t: 1 + 0.1 * math.sin(3 * t), noise_sd=noise_sd,
                             theta_meta=0.4, dt=0.01, horizon=3000, seed=5)
     traj = simulate_loop(params)
-    assert _sha256("\n".join(map(repr, traj)).encode()) == CALLABLE_TARGET_DIGESTS[noise_sd]
+    fmt = "FeedbackState(t=%r, o_val=%r, a_sig=%r, gamma=%r, eps_err=%r)"
+    text = "\n".join(fmt % state for state in traj)
+    assert _sha256(text.encode()) == CALLABLE_TARGET_DIGESTS[noise_sd]
 
 
 def _random_mdp_config(n_states, beta, tol, n_actions=3, n_shocks=3, seed=2025):
@@ -264,6 +267,10 @@ def _mdp_goldens() -> list:
 
 EPISTEMIC_GOLDENS = [(LARGE_POOL, LARGE_POOL_DIGEST), (LONG_POOL, LONG_POOL_DIGEST),
                      ("epistemic_default.json", ARTIFACTS["epistemic_default.csv"])]
+
+FEEDBACK_GOLDENS = [(NOISY_FEEDBACK, NOISY_FEEDBACK_DIGEST),
+                    ("feedback_default.json", ARTIFACTS["feedback_default.csv"]),
+                    ("feedback_unstable.json", ARTIFACTS["feedback_unstable.csv"])]
 
 
 def _golden_digests_in_a_subprocess(tmp_path, env: dict, goldens: list) -> tuple[dict, dict]:
@@ -320,6 +327,12 @@ def test_mdp_artifact_bytes_without_simd_dispatch(tmp_path):
 def test_epistemic_artifact_bytes_without_simd_dispatch(tmp_path):
     env = _env_without_simd_dispatch()
     written, expected = _golden_digests_in_a_subprocess(tmp_path, env, EPISTEMIC_GOLDENS)
+    assert written == expected
+
+
+def test_feedback_artifact_bytes_without_simd_dispatch(tmp_path):
+    env = _env_without_simd_dispatch()
+    written, expected = _golden_digests_in_a_subprocess(tmp_path, env, FEEDBACK_GOLDENS)
     assert written == expected
 
 
