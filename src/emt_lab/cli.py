@@ -54,7 +54,7 @@ def _report_line(report) -> str:
         or "no embedded checks"
     )
     return (
-        f"{report.name}: wrote {', '.join(report.artifact_paths)} "
+        f"{report.name}: wrote {report.artifact_path} "
         f"in {report.wall_time:.3f}s [{checks}] digest={report.config_digest[:12]}"
     )
 

@@ -68,13 +68,13 @@ class EpistemicParams(Params):
 class EpistemicState:
     """Snapshot of the domain at one instant."""
 
-    t: float = 0.0
-    p: float = 0.0
-    theta: float = 1.0
-    c: float = 1.0
-    a_cap: float = 0.0
-    pi: float = 0.5
-    inverted: bool = False
+    t: float
+    p: float
+    theta: float
+    c: float
+    a_cap: float
+    pi: float
+    inverted: bool
 
 
 def discovery_probability(theta: float) -> float:

@@ -16,7 +16,7 @@ order, so the trajectory is the artifact's rows as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._params import Params, param
@@ -39,7 +39,6 @@ class FeedbackParams(Params):
     # A step costs about 7 us to run and write and 250 B of peak memory (290 B
     # with noise) on a 2-core Xeon VM, so about 7 s and 290 MB at the bound.
     horizon: int = param(6284, min=1, max=10**6)
-    seed: int = 0
     o0: float = param(0.0)
     a0: float = param(0.0)
 
@@ -49,18 +48,18 @@ class FeedbackParams(Params):
         return float(self.e_target)
 
 
-def simulate_loop(params: FeedbackParams) -> list[tuple]:
+def simulate_loop(params: FeedbackParams, seed: int = 0) -> list[tuple]:
     """Integrate the loop for `horizon` steps: horizon+1 states (t, O, A, gamma, eps).
 
     Each step is one RK4 step of dO/dt = phi_gain*A, dA/dt = gamma*(E - O),
-    then the noise kick, then the gamma update.
+    then the noise kick (drawn from `seed`'s stream), then the gamma update.
     """
     dt, phi, theta = params.dt, params.phi_gain, params.theta_meta
     hdt, dt6 = 0.5 * dt, dt / 6.0
     varying = callable(params.e_target)
     noise = None
     if params.noise_sd > 0:
-        noise = make_generator(params.seed).standard_normal(params.horizon).tolist()
+        noise = make_generator(seed).standard_normal(params.horizon).tolist()
         scale = params.noise_sd * math.sqrt(dt)
     o, a, gamma = params.o0, params.a0, params.gamma0
     t = 0.0
@@ -131,7 +130,7 @@ class Scenario(FeedbackParams):
 
 def run(scenario: Scenario, seed: int):
     """The trajectory, plus the settling check if asked for."""
-    traj = simulate_loop(replace(scenario, seed=seed))
+    traj = simulate_loop(scenario, seed)
     checks = {}
     if scenario.check_settled:
         settled = _tail_max_abs_eps(traj) < scenario.settle_threshold

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,7 +145,6 @@ class EvtRunConfig(Params):
 
     k_draws: int = param(1000, min=1, max=MAX_K_DRAWS)
     replicates: int = param(2000, min=1, max=MAX_REPLICATES)
-    seed: int = 0
     ks_threshold: float = param(0.05, exmin=0)
 
 
@@ -176,7 +175,7 @@ def _cpus() -> int:
 _SEED_BLOCK = 256
 
 
-def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig) -> np.ndarray:
+def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig, seed: int = 0) -> np.ndarray:
     """Per-replicate m = K * survival(max of K draws).
 
     Replicate i uses the stream derived from (seed, i), so the result is
@@ -190,7 +189,7 @@ def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig) -> np.ndarray:
     def draw(share: range) -> None:
         for start in range(0, len(share), _SEED_BLOCK):
             block = share[start:start + _SEED_BLOCK]
-            for i, rng in zip(block, make_generators(cfg.seed, block)):
+            for i, rng in zip(block, make_generators(seed, block)):
                 maxima[i] = np.max(dist.sample(rng, cfg.k_draws))
 
     workers = min(_cpus(), cfg.replicates)
@@ -229,7 +228,7 @@ def evt_diagnostics(m_values: np.ndarray, ks_threshold: float = 0.05) -> dict:
 
 @dataclass(frozen=True)
 class Scenario(EvtRunConfig):
-    """One EVT check of a tail family; the run's seed replaces `seed`."""
+    """One EVT check of a tail family."""
 
     family: str = param("exponential", choices=tuple(_FAMILIES))
     family_params: dict = param({})
@@ -246,11 +245,10 @@ class Scenario(EvtRunConfig):
 
 def run(scenario: Scenario, seed: int):
     """The EVT report, with the m-values if asked for, plus the KS check."""
-    cfg = replace(scenario, seed=seed)
-    m = draw_max_statistic(cfg.dist, cfg)
-    diag = evt_diagnostics(m, cfg.ks_threshold)
-    report = {"family": cfg.family, "K": cfg.k_draws, "replicates": cfg.replicates,
+    m = draw_max_statistic(scenario.dist, scenario, seed)
+    diag = evt_diagnostics(m, scenario.ks_threshold)
+    report = {"family": scenario.family, "K": scenario.k_draws, "replicates": scenario.replicates,
               "mean": diag["mean"], "ks": diag["ks_distance"], "pass": diag["pass"]}
-    if cfg.write_m_values:
+    if scenario.write_m_values:
         report["m_values"] = m.tolist()
     return report, {"ks_pass": diag["pass"]}

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
 from .config import ScenarioConfig, scenario_module
 
 
@@ -30,9 +29,8 @@ class RunReport:
 
     name: str
     wall_time: float
-    artifact_paths: tuple
+    artifact_path: str
     checks: dict
-    version: str
     config_digest: str
 
     @property
@@ -64,8 +62,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> RunReport:
     return RunReport(
         name=cfg.name,
         wall_time=time.perf_counter() - start,
-        artifact_paths=(str(path),),
+        artifact_path=str(path),
         checks=checks,
-        version=__version__,
         config_digest=cfg.digest(),
     )

@@ -56,8 +56,8 @@ def test_criterion_01_evt_distribution_agnostic_law():
     ok = True
     worst = ""
     for dist, k in product(families, (10**3, 10**4)):
-        cfg = EvtRunConfig(k_draws=k, replicates=2000, seed=2024)
-        m = draw_max_statistic(dist, cfg)
+        cfg = EvtRunConfig(k_draws=k, replicates=2000)
+        m = draw_max_statistic(dist, cfg, 2024)
         diag = evt_diagnostics(m, ks_threshold=0.05)
         sigma = float(np.std(m, ddof=1)) / math.sqrt(cfg.replicates)
         mean_ok = abs(diag["mean"] - k / (k + 1)) < 3 * sigma
@@ -279,10 +279,9 @@ def test_criterion_13_determinism(tmp_path):
     for fname, cfg in scenarios:
         r1 = run_scenario(cfg, out_dir=str(tmp_path / "run1"))
         r2 = run_scenario(cfg, out_dir=str(tmp_path / "run2"))
-        for p1, p2 in zip(r1.artifact_paths, r2.artifact_paths):
-            with open(p1, "rb") as f1, open(p2, "rb") as f2:
-                if f1.read() != f2.read():
-                    ok = False
+        with open(r1.artifact_path, "rb") as f1, open(r2.artifact_path, "rb") as f2:
+            if f1.read() != f2.read():
+                ok = False
     check(
         "13 determinism",
         ok,

@@ -94,13 +94,13 @@ def test_run_settle_check_matches_loop_diagnostics(noise_sd, horizon, expect_uns
 
 
 def test_noise_determinism_and_sqrt_dt_scaling():
-    params = FeedbackParams(noise_sd=0.5, dt=0.01, horizon=500, seed=9)
-    t1 = simulate_loop(params)
-    t2 = simulate_loop(params)
+    params = FeedbackParams(noise_sd=0.5, dt=0.01, horizon=500)
+    t1 = simulate_loop(params, 9)
+    t2 = simulate_loop(params, 9)
     assert all(
         a[1] == b[1] and a[2] == b[2] for a, b in zip(t1, t2)
     )
-    other = simulate_loop(FeedbackParams(noise_sd=0.5, dt=0.01, horizon=500, seed=10))
+    other = simulate_loop(params, 10)
     assert any(a[1] != b[1] for a, b in zip(t1, other))
 
 

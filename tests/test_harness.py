@@ -107,15 +107,14 @@ def test_bundled_scenarios_byte_identical_reruns(fname, tmp_path):
     r1 = run_scenario(cfg, out_dir=str(tmp_path / "a"))
     r2 = run_scenario(cfg, out_dir=str(tmp_path / "b"))
     assert r1.config_digest == r2.config_digest
-    for p1, p2 in zip(r1.artifact_paths, r2.artifact_paths):
-        with open(p1, "rb") as f1, open(p2, "rb") as f2:
-            assert f1.read() == f2.read()
+    with open(r1.artifact_path, "rb") as f1, open(r2.artifact_path, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_json_artifacts_round_trip(tmp_path):
     cfg = dict(bundled_scenarios())["mdp_default.json"]
     report = run_scenario(cfg, out_dir=str(tmp_path))
-    with open(report.artifact_paths[0]) as fh:
+    with open(report.artifact_path) as fh:
         doc = json.load(fh)
     assert "values" in doc and "policy" in doc
 
@@ -123,7 +122,7 @@ def test_json_artifacts_round_trip(tmp_path):
 def test_csv_is_crlf_terminated(tmp_path):
     cfg = dict(bundled_scenarios())["feedback_default.json"]
     report = run_scenario(cfg, out_dir=str(tmp_path))
-    with open(report.artifact_paths[0], "rb") as fh:
+    with open(report.artifact_path, "rb") as fh:
         data = fh.read()
     assert b"\r\n" in data
 

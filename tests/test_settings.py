@@ -159,6 +159,14 @@ def test_scenario_redeclares_no_field_of_its_parameter_type(module):
     assert not own & inherited
 
 
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_scenario_field_is_a_setting(module):
+    # a field that no scenario file can set would be carried by every run
+    # unread, or overwritten by it
+    init = {f.name for f in dataclasses.fields(scenario_module(module).Scenario) if f.init}
+    assert init == set(module_schema(module))
+
+
 @pytest.mark.parametrize("module, key", sorted(VARIANTS))
 def test_every_setting_acts(module, key, tmp_path, capsys):
     base, value = VARIANTS[module, key]
