@@ -2,10 +2,11 @@
 
 The annotation gives the type, the default the default, and the keywords the
 bounds ("min", "exmin", "max", "exmax") and "choices". `check` enforces them
-on an instance, along with one rule for every field: a float, an element of a
+on an instance, along with rules for every field: a float, an element of a
 float array, or a field annotated `float` or `int` is a number (`is_number`,
-the rule of every number in a config). An array parameter is converted by
-`float_array`, which rejects a bool inside it. Config derives validation and
+the rule of every number in a config); a field annotated `int` holds an
+integer, not a bool, and one annotated `bool` a bool. An array parameter is
+converted by `float_array`, which rejects a bool inside it. Config derives validation and
 `emt-lab schema` from the fields.
 """
 
@@ -38,12 +39,6 @@ def param(default=MISSING, **bounds):
     if isinstance(default, (list, dict)):
         return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
     return field(default=default, metadata=meta)
-
-
-def param_of(cls, name: str):
-    """A parameter field with the default and bounds of `cls`'s field `name`."""
-    f = cls.__dataclass_fields__[name]
-    return field(default=f.default, metadata=f.metadata)
 
 
 def is_number(value) -> bool:
@@ -89,11 +84,16 @@ def bound_problems(name: str, bounds: dict, value) -> list:
 
 def check(obj) -> None:
     """Raise if an init field of `obj` annotated `float` or `int`, or holding
-    a float, is no number, or a parameter field breaks its bounds or choices."""
+    a float, is no number, one annotated `int` no integer, one annotated
+    `bool` no bool, or a parameter field breaks its bounds or choices."""
     for f in fields(obj):
         if not f.init:
             continue
         value = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise InputError(f"{f.name}: expected integer, got {value!r}")
+        if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+            raise InputError(f"{f.name}: expected boolean, got {value!r}")
         if f.type in ("float", "int") or isinstance(value, float):
             check_number(f.name, value)
         if isinstance(value, np.ndarray) and value.dtype.kind == "f" and not np.isfinite(value).all():

@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 from importlib import resources
+from pathlib import PurePath
 
 from . import __version__, runner
 from .config import MODULES, load_config, module_schema
@@ -60,12 +61,17 @@ def _report_line(report) -> str:
 
 
 def _cmd_run(args) -> int:
-    configs = []
+    configs, writers = [], {}  # artifact path -> the config file that writes it
     try:
         for path in args.configs:
             cfg = load_config(path)
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seed=args.seed)
+            artifact = PurePath(cfg.artifact_path)
+            if artifact in writers:  # the later run would overwrite the earlier one's artifact
+                raise ConfigError(f"{path}: writes the artifact {cfg.artifact_path!r}, "
+                                  f"as {writers[artifact]} does")
+            writers[artifact] = path
             configs.append(cfg)
     except ConfigError as exc:
         for problem in exc.problems:

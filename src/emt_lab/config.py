@@ -18,6 +18,7 @@ import difflib
 import hashlib
 import importlib
 import json
+from collections import Counter
 from dataclasses import MISSING, dataclass, field
 from pathlib import PurePath
 
@@ -160,17 +161,53 @@ def validate_config(raw: dict) -> ScenarioConfig:
                           output_path=output["path"])
 
 
+def _repeated_under(value, repeated: dict) -> list:
+    """The dotted paths, relative to `value`, of the keys repeated in the
+    objects `repeated` holds by id: `value` itself or objects in its lists,
+    which are looked through only once some object has repeated a key."""
+    if isinstance(value, dict):
+        return repeated.get(id(value), (None, []))[1]
+    if isinstance(value, list) and repeated:
+        return [f"{i}.{path}" for i, item in enumerate(value)
+                for path in _repeated_under(item, repeated)]
+    return []
+
+
+def _pairs_hook(repeated: dict):
+    """A json `object_pairs_hook` that decodes an object to a dict and, when
+    the object or one nested in it repeats a key, keeps that dict and the
+    keys' dotted paths in `repeated`, by the dict's id. Nested objects are
+    decoded first."""
+    def hook(pairs: list) -> dict:
+        obj = dict(pairs)
+        paths = []
+        if len(obj) < len(pairs):
+            paths = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        paths += [f"{key}.{path}" for key, value in pairs
+                  for path in _repeated_under(value, repeated)]
+        if paths:
+            repeated[id(obj)] = (obj, paths)
+        return obj
+
+    return hook
+
+
 def load_config(path: str) -> ScenarioConfig:
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file; a key repeated in any of its
+    objects is an error."""
+    repeated: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_pairs_hook(repeated))
+        duplicates = dict.fromkeys(_repeated_under(raw, repeated))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         )
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError([f"{path}: cannot read config: {exc}"])
+    if duplicates:
+        raise ConfigError([f"{path}: duplicate key {key!r}" for key in duplicates])
     return validate_config(raw)
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._params import Params, param, param_of
+from ._params import Params, param
 from ._rng import make_generator
 from .errors import DomainError, InputError, NumericError
 
@@ -46,6 +46,9 @@ class EpistemicParams(Params):
     alpha_cost  sensitivity of ideation cost to AI capability
     theta_star  inversion threshold on the ideation cost
     lp          research labor allocated to the domain
+    eta_rate    emergence rate of new problems in the pool
+    lambda_align alignment weight on the pool's research output, in [0, 1]
+    eps_floor   irreducible-uncertainty floor added to each complexity (> 0)
     """
 
     theta0: float = param(1.0, exmin=0)
@@ -57,6 +60,9 @@ class EpistemicParams(Params):
     alpha_cost: float = param(1.0, min=0)
     theta_star: float = param(0.1, exmin=0)
     lp: float = param(1.0, min=0)
+    eta_rate: float = param(1.0, min=0)
+    lambda_align: float = param(1.0, min=0, max=1)
+    eps_floor: float = param(1e-6, exmin=0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -109,19 +115,17 @@ def _uncertainty(p: float, params: EpistemicParams) -> float:
     return params.theta0 / (1.0 + p)
 
 
+def _state(params: EpistemicParams, t: float, p: float, a_cap: float) -> EpistemicState:
+    """The state at time t with stock p and capability a_cap."""
+    theta = _uncertainty(p, params)
+    c = marginal_ideation_cost(params.c0, params.alpha_cost, a_cap)
+    return EpistemicState(t=t, p=p, theta=theta, c=c, a_cap=a_cap,
+                          pi=discovery_probability(theta), inverted=c < params.theta_star)
+
+
 def initial_state(params: EpistemicParams, a_cap: float = 0.0, p0: float = 0.0) -> EpistemicState:
     """Consistent state at t = 0 for a given capability level."""
-    theta = _uncertainty(p0, params)
-    c = marginal_ideation_cost(params.c0, params.alpha_cost, a_cap)
-    return EpistemicState(
-        t=0.0,
-        p=p0,
-        theta=theta,
-        c=c,
-        a_cap=a_cap,
-        pi=discovery_probability(theta),
-        inverted=c < params.theta_star,
-    )
+    return _state(params, 0.0, p0, a_cap)
 
 
 def _stock_step(p: float, a_cap: float, params: EpistemicParams, dt: float) -> float:
@@ -146,18 +150,8 @@ def step_knowledge(state: EpistemicState, params: EpistemicParams, dt: float) ->
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    p_new = _stock_step(state.p, state.a_cap, params, dt)
-    theta = _uncertainty(p_new, params)
-    c = marginal_ideation_cost(params.c0, params.alpha_cost, state.a_cap)
-    return EpistemicState(
-        t=state.t + dt,
-        p=p_new,
-        theta=theta,
-        c=c,
-        a_cap=state.a_cap,
-        pi=discovery_probability(theta),
-        inverted=c < params.theta_star,
-    )
+    return _state(params, state.t + dt, _stock_step(state.p, state.a_cap, params, dt),
+                  state.a_cap)
 
 
 @dataclass
@@ -167,14 +161,14 @@ class ProblemPool:
 
     `problems` holds the complexity of every problem ever created, in
     creation order; `open` marks the unresolved ones (all, if not given).
-    Rebuilt every step, it does not check its parameters; Scenario does.
+    Rebuilt every step, it does not check its rates; Scenario does.
     `run` keeps the open ones as a list and a running sum of all instead."""
 
     problems: np.ndarray = field(default_factory=lambda: np.empty(0))
     open: np.ndarray | None = None
-    eta_rate: float = param(1.0, min=0)
-    lambda_align: float = param(1.0, min=0, max=1)
-    eps_floor: float = param(1e-6, exmin=0)
+    eta_rate: float = EpistemicParams.eta_rate
+    lambda_align: float = EpistemicParams.lambda_align
+    eps_floor: float = EpistemicParams.eps_floor
 
     def __post_init__(self):
         self.problems = np.asarray(self.problems, dtype=float)
@@ -215,12 +209,15 @@ def _research(open_c: list, a_cap: float, lambda_align: float, eps_floor: float)
     """(raw ratios, solve probabilities, R) over the open complexities `open_c`."""
     raw = [a_cap / (c + eps_floor) for c in open_c]
     probs = [1.0 if x > 1.0 else x for x in raw]  # a NaN stays, as in np.minimum
-    # R is written to the artifact: summed left to right on every Python, as
-    # np.sum adds pairwise and the builtin sum compensates from 3.12 (gh-100425).
-    total = 0.0
-    for x in probs:
+    return raw, probs, lambda_align * _left_sum(probs)
+
+
+def _left_sum(values, total: float = 0.0) -> float:
+    """`total` plus `values` added left to right, the same on every Python:
+    np.sum adds pairwise and the builtin sum compensates from 3.12 (gh-100425)."""
+    for x in values:
         total += x
-    return raw, probs, lambda_align * total
+    return total
 
 
 def _pool_draws(rng, items: list, probs: list, lambda_align: float, dt: float,
@@ -268,12 +265,10 @@ def step_problem_pool(
             f"{open_ids.size} open problems"
         )
     problems = pool.problems
-    total = 0.0
-    for x in problems.tolist():  # not np.sum, which adds pairwise above 8 values
-        total += x
     kept, arrivals = _pool_draws(rng, open_ids.tolist(), output.solve_probs.tolist(),
                                  pool.lambda_align, dt, pool.eta_rate,
-                                 total / problems.size if problems.size else 1.0)
+                                 _left_sum(problems.tolist()) / problems.size
+                                 if problems.size else 1.0)
     is_open = np.zeros(problems.size + len(arrivals), dtype=bool)
     is_open[kept] = True
     is_open[problems.size:] = True
@@ -333,9 +328,6 @@ class Scenario(EpistemicParams):
     horizon: int = param(200, min=1)
     n_problems: int = param(10, min=0)
     complexity_mean: float = param(2.0, exmin=0)
-    eta_rate: float = param_of(ProblemPool, "eta_rate")
-    lambda_align: float = param_of(ProblemPool, "lambda_align")
-    eps_floor: float = param_of(ProblemPool, "eps_floor")
 
 
 # The CSV cells of a bool, indexed by it.
@@ -353,9 +345,7 @@ def run(scenario: Scenario, seed: int):
     rng_pool = make_generator(seed, 1)
     open_c = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems).tolist()
     # the count and sum of every problem ever created, added in creation order
-    n_created, total = len(open_c), 0.0
-    for x in open_c:
-        total += x
+    n_created, total = len(open_c), _left_sum(open_c)
     state = initial_state(s, a_cap=s.a0, p0=s.p0)
     t, p, theta, c, pi, inverted, a_cap = (state.t, state.p, state.theta, state.c,
                                            state.pi, state.inverted, state.a_cap)
@@ -365,8 +355,7 @@ def run(scenario: Scenario, seed: int):
         surplus = r > eta
         open_c, arrivals = _pool_draws(rng_pool, open_c, probs, lam, dt, eta,
                                        total / n_created if n_created else 1.0)
-        for x in arrivals:
-            total += x
+        total = _left_sum(arrivals, total)
         n_created += len(arrivals)
         open_c += arrivals
         p = _stock_step(p, a_cap, s, dt)

@@ -303,28 +303,24 @@ class _StateTables:
         """The joint actions played in the states of round t."""
         return {plays[s] for s in (self.later if t else (0,))}
 
-    def test(self, plays: list, stop: bool):
+    def test(self, plays: list) -> bool:
         """One-shot deviation test of the profile that plays joint action
         `plays[s]` in state s, by backward induction from the last round.
 
         Round 0 is tested at the empty history (state 0), every later round
-        at each state an earlier joint action leads to. Returns (passes,
-        (survival, payoffs, omega) from the empty history), the values None
-        when `stop` ends the test at a profitable deviation.
+        at each state an earlier joint action leads to. Stops at the first
+        profitable deviation.
         """
-        passes = all(self.last_ok[k] for k in self._played(plays, self.horizon - 1))
-        if stop and not passes:
-            return False, None
+        if not all(self.last_ok[k] for k in self._played(plays, self.horizon - 1)):
+            return False
         values = self.last
         for t in reversed(range(self.horizon - 1)):
             cont = {s: values[plays[s]] for s in self.later}
             tested = self._played(plays, t)
             values = self._values(cont, tested)
             if any(self._deviates(values, k) for k in tested):
-                if stop:
-                    return False, None
-                passes = False
-        return passes, values[plays[0]]
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -343,9 +339,9 @@ def spne_search(game: StageGame, strategy_class: str = "constant") -> SpneReport
     at one history per (round, last joint action) instead of at every
     history as `is_spne` does; every joint action ends some history of each
     length >= 1, so the verdicts are the same. Always reports on the
-    all-cooperate and all-defect profiles, which belong to every supported
-    class, and the all-cooperate continuity probability. Raises a size error
-    when the profile space exceeds `MAX_PROFILES`.
+    all-cooperate and all-defect profiles, the first and last labels of
+    every supported class, and the all-cooperate continuity probability.
+    Raises a size error when the profile space exceeds `MAX_PROFILES`.
     """
     n = game.n_players
     if profile_count(n, strategy_class) is None:
@@ -357,18 +353,15 @@ def spne_search(game: StageGame, strategy_class: str = "constant") -> SpneReport
     state_tables = _StateTables(game, after)
     # player i's tables with each action moved to player i's bit
     shifted = [[[d << (n - 1 - i) for d in table] for table in tables] for i in range(n)]
-    equilibria = []
-    for profile, player_tables in zip(product(labels, repeat=n), product(*shifted)):
-        if state_tables.test(list(map(sum, zip(*player_tables))), stop=True)[0]:
-            equilibria.append(profile)
-    n_states = len(tables[0])
-    all_c_is_spne, (all_c_continuity_prob, _, _) = state_tables.test([0] * n_states, stop=False)
-    all_d_is_spne = state_tables.test([2**n - 1] * n_states, stop=True)[0]
+    equilibria = tuple(profile for profile, player_tables
+                       in zip(product(labels, repeat=n), product(*shifted))
+                       if state_tables.test(list(map(sum, zip(*player_tables)))))
     return SpneReport(
-        equilibria=tuple(equilibria),
-        all_c_is_spne=all_c_is_spne,
-        all_d_is_spne=all_d_is_spne,
-        all_c_continuity_prob=all_c_continuity_prob,
+        equilibria=equilibria,
+        all_c_is_spne=(labels[0],) * n in equilibria,
+        all_d_is_spne=(labels[-1],) * n in equilibria,
+        # a discontinuity is drawn only on a defection: (1 - p_disc) ** 0 == 1.0
+        all_c_continuity_prob=1.0,
     )
 
 

@@ -199,6 +199,8 @@ class Scenario(NeedsState):
     def __post_init__(self):
         super().__post_init__()
         production_output(self.production)  # fails on unknown keys or bad inputs
+        if not self.n_vec.any():  # the coverage weights
+            raise DomainError("n_vec: need intensities must not all be zero")
 
 
 def run(scenario: Scenario, seed: int):

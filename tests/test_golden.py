@@ -1,6 +1,7 @@
 """Golden digests: the bytes of every bundled artifact, of two large-pool
-epistemic artifacts, of one noisy feedback artifact, of one evt artifact with
-its m-values, of feedback trajectories under a callable target, of random mdp
+epistemic artifacts, of one noisy feedback artifact, of four evt artifacts
+with their m-values (every family but the bundled exponential), of feedback
+trajectories under a callable target, of random mdp
 artifacts with a legacy policy, of game searches past the bundled size, of a
 long gravity flywheel, of every schema printout and every bundled config
 digest, pinned across versions.
@@ -82,6 +83,16 @@ EVT_M_VALUES = {
     "params": {"family": "pareto", "k_draws": 200, "replicates": 300, "write_m_values": True},
 }
 EVT_M_VALUES_DIGEST = "de00f181b02b65450e58b81bac491b0e0658671d93ecff92a462d5af4817e58b"
+
+# The m-values of the other three families, drawn as EVT_M_VALUES draws.
+# Their survival functions go through numpy's clip, exp and power and, for
+# lognormal, scipy's `norm.sf` (pinned with scipy 1.17.1), so a change to
+# either (ROADMAP items 2 and 8) shows here family by family.
+EVT_FAMILY_DIGESTS = {
+    "lognormal": "8d61c060821ffcbd212151e5bdd8771d3c47ab861fe59eb16e4d4cad1c7d81c9",
+    "uniform": "baa3119c9ffdc4378ad9215618a52d0bab5e2c203419d6b72b1c5362d113e7d8",
+    "weibull": "1cbdcf5dfe82a62d0c5356e54d81a90ac06ea1ac125eda53c0e0174135e3c6bd",
+}
 
 # A callable e_target cannot come from a JSON config; the repr of every state
 # pins the trajectory it drives, with and without noise. Each state is hashed
@@ -205,6 +216,13 @@ def test_noisy_feedback_artifact_bytes(tmp_path):
 def test_evt_m_values_artifact_bytes(tmp_path):
     report = run_scenario(validate_config(EVT_M_VALUES), out_dir=str(tmp_path))
     assert _sha256(Path(report.artifact_path).read_bytes()) == EVT_M_VALUES_DIGEST
+
+
+@pytest.mark.parametrize("family", sorted(EVT_FAMILY_DIGESTS))
+def test_evt_family_m_values_artifact_bytes(family, tmp_path):
+    cfg = {**EVT_M_VALUES, "params": {**EVT_M_VALUES["params"], "family": family}}
+    report = run_scenario(validate_config(cfg), out_dir=str(tmp_path))
+    assert _sha256(Path(report.artifact_path).read_bytes()) == EVT_FAMILY_DIGESTS[family]
 
 
 @pytest.mark.parametrize("noise_sd", sorted(CALLABLE_TARGET_DIGESTS))

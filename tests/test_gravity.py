@@ -119,6 +119,13 @@ def test_flywheel_coverage_monotone_under_alignment():
     assert res.coverage_aligned[-1] >= res.coverage_blind[-1]
 
 
+def test_flywheel_with_no_needs_fails_in_its_coverage_weights():
+    # gravity.Scenario rejects this state; the API still takes it and fails
+    # where the needs weight the coverage
+    with pytest.raises(DomainError, match="weights must not all be zero"):
+        flywheel_compare(_state(n=[0.0] * 5), {}, 10, 0.05)
+
+
 def test_coverage_operator():
     w = np.array([1.0, 1.0, 1.0, 1.0])
     assert coverage_operator(np.array([True] * 4), w) == 1.0

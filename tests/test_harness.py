@@ -490,6 +490,40 @@ def _run_leaves_nothing(cfg, tmp_path, capsys, *args):
     return capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, keys", [
+    ('{"name": "t", "module": "game", "seed": 1, "seed": 2, '
+     '"params": {"horizon": 2, "horizon": 3}}', ["seed", "params.horizon"]),
+    ('{"name": "t", "module": "policy", "params": {"occupations": '
+     '[{"w": 1, "l_bar": 1, "eta": 1, "lambda_align": 1, "w": 2}]}}', ["params.occupations.0.w"]),
+    ('{"name": "t", "module": "game", "params": {"horizon": 2, "horizon": 3}, "params": {}}',
+     ["params", "params.horizon"]),
+], ids=["top_and_params", "in_a_list", "in_a_replaced_block"])
+def test_cli_duplicate_keys_are_config_errors(text, keys, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {path}: duplicate key {key!r}" for key in keys]
+    assert list(tmp_path.rglob("*")) == [path]
+
+
+def test_cli_configs_writing_one_artifact_path_are_a_config_error(tmp_path, capsys):
+    game, policy = tmp_path / "game.json", tmp_path / "policy.json"
+    game.write_text(json.dumps({"name": "g", "module": "game", "output": {"path": "o/x.json"}}))
+    policy.write_text(json.dumps({"name": "p", "module": "policy",
+                                  "output": {"path": "o/./x.json"}}))
+    assert main(["run", str(game), str(policy), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {policy}: writes the artifact 'o/./x.json', as {game} does\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gravity_with_every_need_zero_is_a_config_error(tmp_path, capsys):
+    err = _run_leaves_nothing(minimal(module="gravity", params={"n_vec": [0, 0.0, 0, 0, 0]}),
+                              tmp_path, capsys)
+    assert err == "config error: params: n_vec: need intensities must not all be zero\n"
+
+
 @pytest.mark.parametrize("name", ["../../esc", "", "a\u0000b", "a/", "a//", ".", "a/.", "a/.."])
 def test_cli_name_must_give_a_path_inside_out(name, tmp_path, capsys):
     err = _run_leaves_nothing({"name": name, "module": "growth"}, tmp_path, capsys)

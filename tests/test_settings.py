@@ -12,8 +12,10 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
+from emt_lab import InputError
 from emt_lab.cli import main
 from emt_lab.config import MODULES, module_schema, scenario_module
 
@@ -177,3 +179,25 @@ def test_every_setting_acts(module, key, tmp_path, capsys):
     after = _outcome(module, {**params, key: value}, tmp_path, capsys)
     assert before[0] in (0, 1) and after[0] != 2  # the variant is a valid config
     assert after != before
+
+
+INT_AND_BOOL_FIELDS = sorted(
+    (module, f.name, f.type) for module in MODULES
+    for f in dataclasses.fields(scenario_module(module).Scenario)
+    if f.init and f.type in ("int", "bool"))
+
+
+@pytest.mark.parametrize("module, name, kind", INT_AND_BOOL_FIELDS)
+def test_int_and_bool_fields_hold_their_type(module, name, kind):
+    # an integer-valued float or a truthy string would otherwise build and
+    # fail, or act, only in the run
+    scenario = scenario_module(module).Scenario
+    default = module_schema(module)[name]["default"]
+    if kind == "int":
+        wrong, right, expected = (2.5, float(default), True, "2"), np.int64(default), "integer"
+    else:
+        wrong, right, expected = ("no", 1, 0.0, None), np.bool_(not default), "boolean"
+    for value in wrong:
+        with pytest.raises(InputError, match=f"^{name}: expected {expected}, got "):
+            scenario(**{name: value})
+    assert getattr(scenario(**{name: right}), name) == right
