@@ -6,7 +6,9 @@ The planner maximizes alignment-weighted labor supply subject to a budget
 on total subsidy spend. Labor responds log-linearly to subsidies, so the
 objective is concave and the KKT system has a one-dimensional dual: an
 outer root-find on the budget multiplier with an inner per-occupation
-root-find for the stationarity condition.
+root-find for the stationarity condition. Both root-finds are `_brentq`,
+Brent's method as scipy's C `brentq` takes it, so the planner needs no
+scipy and returns scipy's bits.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._params import Params, param
-from .errors import ConvergenceError, DomainError, InputError
+from .errors import ConvergenceError, DomainError, InputError, NumericError
 
 FORMAT = "json"
 
@@ -104,6 +105,74 @@ def _stationarity(occ: Occupation, s: float, mu: float) -> float:
     return marg_obj - mu * marg_spend
 
 
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 8.881784197001252e-16, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4).
+
+    A line-for-line port of scipy's C `brentq` (`Zeros/brentq.c`), with its
+    defaults, so it takes the same steps and returns the same bits as
+    `scipy.optimize.brentq`. It stops once the bracket is narrower than
+    xtol + rtol * |x|.
+
+    Raises ConvergenceError when f(a) and f(b) have the same sign or after
+    `maxiter` iterations, and NumericError when f returns NaN.
+    """
+    def f_of(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericError(f"root-find: the function is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = f_of(xpre), f_of(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"root-find: f({a!r}) = {fpre!r} and f({b!r}) = {fcur!r} "
+                               f"have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        stry = math.nan  # no candidate step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # inf or NaN in C, which fails the test below
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f_of(xcur)
+    raise ConvergenceError(f"root-find did not converge in {maxiter} iterations",
+                           residual=fcur)
+
+
 def _inner_subsidy(occ: Occupation, mu: float) -> float:
     """Optimal subsidy for one occupation at multiplier mu (KKT corner or
     interior root of the stationarity condition, which is strictly
@@ -115,7 +184,7 @@ def _inner_subsidy(occ: Occupation, mu: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise ConvergenceError("inner root-find bracket exploded")
-    return float(brentq(lambda s: _stationarity(occ, s, mu), 0.0, hi, xtol=1e-14))
+    return _brentq(lambda s: _stationarity(occ, s, mu), 0.0, hi, xtol=1e-14)
 
 
 @dataclass(frozen=True)
@@ -155,10 +224,8 @@ def optimize_subsidies(problem: SubsidyProblem) -> SubsidySolution:
         mu_lo /= 2.0
         if mu_lo < 1e-300:
             raise ConvergenceError("could not bracket the budget multiplier")
-    mu = float(
-        brentq(lambda m: spend_at(m) - problem.budget, mu_lo, mu_hi,
-               xtol=1e-15, rtol=8.9e-16, maxiter=500)
-    )
+    mu = _brentq(lambda m: spend_at(m) - problem.budget, mu_lo, mu_hi,
+                 xtol=1e-15, rtol=8.9e-16, maxiter=500)
     s_star = np.array([_inner_subsidy(o, mu) for o in occs])
     spend = math.fsum(_spend_one(o, s) for o, s in zip(occs, s_star))
     objective = math.fsum(o.lambda_align * labor_supply(o, s) for o, s in zip(occs, s_star))

@@ -6,7 +6,10 @@ before A is interesting, so all reporting stays in log2 space. The
 extreme-value law states that K * survival(max of K draws) converges to
 Exp(1) for any continuous tail family; at finite K it is exactly K times
 the minimum of K standard uniforms, and both facts are exercised here with
-analytic survival functions per family.
+analytic survival functions per family. The lognormal survival is the
+standard normal one at x = (log z - mu) / sigma, 0.5 * erfc(x / sqrt(2))
+from libm, one call per value; its inverse survival takes the normal
+quantile from `statistics.NormalDist` (Wichura's AS 241).
 
 `draw_max_statistic` fans the replicates out over one thread per CPU the
 process may use: numpy's bulk draws and `np.max` run without the GIL, and
@@ -17,6 +20,7 @@ replicates' generators `_SEED_BLOCK` at a time in one vectorized pass
 building its PCG64 and Generator objects (about 2-3 us) and the calls into
 numpy. Peak draw memory is workers x k_draws x 8 bytes, one draw array per
 worker (pareto and weibull briefly hold a second while they scale it).
+Maxima that overflow to inf raise NumericError, as no m-value is left.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ import numpy as np
 
 from ._params import Params, check_number, param
 from ._rng import make_generators
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericError
 
 FORMAT = "json"
+
+_SQRT2 = math.sqrt(2.0)
 
 # Each supported tail family and the defaults of its parameters.
 _FAMILIES = {
@@ -105,9 +111,9 @@ class TailDistribution:
         if self.family == "pareto":
             return np.where(z <= p["xm"], 1.0, (p["xm"] / z) ** p["shape"])
         if self.family == "lognormal":
-            from scipy.stats import norm
-
-            return norm.sf((np.log(z) - p["mu"]) / p["sigma"])
+            x = (np.log(z) - p["mu"]) / p["sigma"]
+            sf = [0.5 * math.erfc(v / _SQRT2) for v in x.ravel().tolist()]
+            return np.array(sf).reshape(x.shape)
         return np.exp(-((z / p["scale"]) ** p["shape"]))
 
     def inverse_survival(self, u: float) -> float:
@@ -122,9 +128,9 @@ class TailDistribution:
         if self.family == "pareto":
             return p["xm"] * u ** (-1.0 / p["shape"])
         if self.family == "lognormal":
-            from scipy.stats import norm
+            from statistics import NormalDist  # Wichura AS 241; off the run path
 
-            return math.exp(p["mu"] + p["sigma"] * norm.isf(u))
+            return math.exp(p["mu"] - p["sigma"] * NormalDist().inv_cdf(u))
         return p["scale"] * (-math.log(u)) ** (1.0 / p["shape"])
 
 
@@ -195,6 +201,9 @@ def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig, seed: int = 0)
     workers = min(_cpus(), cfg.replicates)
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(draw, [range(w, cfg.replicates, workers) for w in range(workers)]))
+    if not np.isfinite(maxima).all():
+        raise NumericError(f"{dist.family} draws overflow: a replicate's maximum is not finite "
+                           f"(parameters {dist.params})")
     return cfg.k_draws * dist.survival(maxima)
 
 

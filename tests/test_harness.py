@@ -560,13 +560,18 @@ def test_replace_checks_the_config():
         dataclasses.replace(cfg, seed=-1)
 
 
-def test_non_policy_scenarios_do_not_import_scipy(tmp_path):
-    paths = sorted(str(p) for p in SCENARIO_DIR.glob("*.json") if p.name != "policy_default.json")
-    assert len(paths) == 8
+def test_no_scenario_imports_scipy(tmp_path):
+    """scipy is a test dependency only: the nine bundled scenarios and a
+    lognormal evt run leave it out of sys.modules."""
+    lognormal = tmp_path / "lognormal.json"
+    lognormal.write_text(json.dumps({"name": "lognormal", "module": "evt", "params": {
+        "family": "lognormal", "k_draws": 100}}))
+    paths = sorted(str(p) for p in SCENARIO_DIR.glob("*.json")) + [str(lognormal)]
+    assert len(paths) == 10
     code = (
         "import sys\n"
         "from emt_lab import cli\n"
-        f"assert cli.main(['run', *{paths!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert cli.main(['run', *{paths!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     src = str(Path(emt_lab.__file__).parent.parent)

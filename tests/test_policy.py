@@ -2,13 +2,16 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from emt_lab import DomainError, InputError
+from emt_lab import ConvergenceError, DomainError, InputError, NumericError
 from emt_lab.cli import main
 from emt_lab.policy import (
+    _brentq,
     IdeaRecord,
     NeedsKnowledgeLink,
     Occupation,
@@ -232,3 +235,77 @@ def test_recursive_utility():
     assert forward == pytest.approx(value, abs=1e-12)
     with pytest.raises(DomainError):
         recursive_utility([1.0], 1.0)
+
+
+# Root-find test functions with a root at c and a scale k: smooth, steep,
+# convex, a sign step that forces bisection, one whose products of two values
+# underflow (the sign tests read sign bits, not products), and one that turns
+# NaN past c + k. Each is plain float arithmetic, as policy's are.
+SHAPES = {
+    "cubic": lambda c, k: lambda x: (x - c) * ((x - c) * (x - c) + k),
+    "tanh": lambda c, k: lambda x: math.tanh(k * (x - c)),
+    "exp": lambda c, k: lambda x: math.exp(k * x) - math.exp(k * c),
+    "step": lambda c, k: lambda x: k if x > c else -k,
+    "tiny": lambda c, k: lambda x: 1e-200 * (x - c) * (x - c - k),
+    "nan_past": lambda c, k: lambda x: x - c if x < c + k else math.nan,
+}
+# policy's inner and outer (xtol, rtol, maxiter), and scipy's default rtol
+SCIPY_RTOL = 4 * sys.float_info.epsilon
+POLICY_TOLERANCES = [(1e-14, SCIPY_RTOL, 100), (1e-15, 8.9e-16, 500)]
+random_tolerances = st.tuples(
+    st.floats(-16, -1).map(lambda e: 10.0**e),
+    st.floats(0, 8).map(lambda e: SCIPY_RTOL * 10.0**e),
+    st.integers(1, 600),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=st.sampled_from(sorted(SHAPES)), c=st.floats(-5, 5), k=st.floats(0.1, 3),
+       a=st.floats(-20, 20), b=st.floats(-20, 20),
+       tols=st.sampled_from(POLICY_TOLERANCES) | random_tolerances)
+def test_brentq_returns_the_bits_of_scipys_brentq(shape, c, k, a, b, tols):
+    """The port takes scipy's steps: on every converged case the same float,
+    bit for bit, and on every failure the port's error type for scipy's."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    f, (xtol, rtol, maxiter) = SHAPES[shape](c, k), tols
+    try:
+        expected = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except RuntimeError:  # scipy: out of iterations
+        with pytest.raises(ConvergenceError, match=f"did not converge in {maxiter} iterations"):
+            _brentq(f, a, b, xtol, rtol, maxiter)
+    except ValueError as exc:  # scipy: no sign change, or a NaN value
+        error = NumericError if "NaN" in str(exc) else ConvergenceError
+        with pytest.raises(error):
+            _brentq(f, a, b, xtol, rtol, maxiter)
+    else:
+        assert _brentq(f, a, b, xtol, rtol, maxiter).hex() == expected.hex()
+
+
+def test_brentq_errors():
+    with pytest.raises(ConvergenceError, match="have the same sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(NumericError, match=r"NaN at x=1\.0"):
+        _brentq(lambda x: -1.0 if x < 1.0 else math.nan, 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="did not converge in 2 iterations") as info:
+        _brentq(lambda x: x**3 - 0.3, 0.0, 1.0, maxiter=2)
+    assert info.value.residual == pytest.approx(-0.025375)
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0 and _brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
+OVERFLOWING_PLANS = {
+    "tiny_wage": [{**RIGID, "eta": 0.5, "w": 1e-300}],
+    "every_field_huge": [{"w": 1e300, "l_bar": 1e300, "eta": 1e300, "lambda_align": 1e300}],
+    "eta_and_alignment_huge": [{**RIGID, "eta": 1e300, "lambda_align": 1e300}],
+}
+
+
+@pytest.mark.parametrize("occupations", OVERFLOWING_PLANS.values(), ids=OVERFLOWING_PLANS)
+def test_cli_root_find_failure_is_a_runtime_error(occupations, tmp_path, capsys):
+    """A root-find that runs out of iterations or meets a NaN ends as a model
+    failure, exit 3, not as the CLI's last resort."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"name": "p", "module": "policy",
+                                "params": {"occupations": occupations}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: root-find") and "internal error" not in err

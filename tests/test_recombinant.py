@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -75,6 +76,59 @@ def test_m_statistic_mean_matches_exact_finite_k(dist):
     exact_mean = 100 / 101
     sigma = float(np.std(m, ddof=1)) / math.sqrt(cfg.replicates)
     assert abs(float(np.mean(m)) - exact_mean) < 3 * sigma
+
+
+LOGNORMALS = [TailDistribution("lognormal", {"mu": mu, "sigma": sigma})
+              for mu, sigma in ((0.0, 0.8), (-3.0, 2.5), (5.0, 0.1))]
+
+
+@pytest.mark.parametrize("dist", LOGNORMALS, ids=lambda d: str(d.params))
+def test_lognormal_survival_matches_scipys_normal_survival(dist):
+    # libm's erfc against scipy's cephes ndtr, down to survivals of 1e-300
+    norm = pytest.importorskip("scipy.stats").norm
+    mu, sigma = dist.params["mu"], dist.params["sigma"]
+    z = np.exp(mu + sigma * np.linspace(-37.5, 37.5, 30001))
+    expected = norm.sf((np.log(z) - mu) / sigma)
+    normal = expected > 1e-300
+    np.testing.assert_allclose(dist.survival(z)[normal], expected[normal], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dist", LOGNORMALS, ids=lambda d: str(d.params))
+def test_lognormal_inverse_survival_matches_scipys_normal_isf(dist):
+    # Wichura's AS 241 (statistics.NormalDist) against scipy's cephes ndtri.
+    # The normal quantiles agree to 1e-14 relative. exp turns a difference d
+    # in its argument a into a relative difference d, and each side rounds a
+    # to within an ulp, so the values agree to 1e-14 * (1 + |a|).
+    norm = pytest.importorskip("scipy.stats").norm
+    mu, sigma = dist.params["mu"], dist.params["sigma"]
+    levels = np.concatenate([np.logspace(-300, -1e-16, 2001), np.linspace(1e-6, 1 - 1e-6, 2001)])
+    isf = norm.isf(levels)
+    quantiles = [-NormalDist().inv_cdf(u) for u in levels.tolist()]
+    np.testing.assert_allclose(quantiles, isf, rtol=1e-14, atol=0)
+    arg = mu + sigma * isf
+    got = np.array([dist.inverse_survival(u) for u in levels.tolist()])
+    assert np.all(np.abs(got - np.exp(arg)) <= 1e-14 * (1 + np.abs(arg)) * np.exp(arg))
+
+
+OVERFLOWING_FAMILIES = {
+    "exponential": {"rate": 1e-310},
+    "weibull": {"shape": 1e-310},
+    "pareto": {"shape": 1e-310},
+    "lognormal": {"mu": 1e300, "sigma": 1e300},
+}
+
+
+@pytest.mark.parametrize("family", OVERFLOWING_FAMILIES)
+def test_cli_draws_that_overflow_are_a_runtime_error(family, tmp_path, capsys):
+    """Maxima that overflow to inf are a model failure (exit 3), not a KS
+    distance of 1 reported as a failed check."""
+    path = tmp_path / "evt.json"
+    path.write_text(json.dumps({"name": "evt", "module": "evt", "params": {
+        "family": family, "family_params": OVERFLOWING_FAMILIES[family],
+        "k_draws": 10, "replicates": 20}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"runtime error: {family} draws overflow")
+    assert not (tmp_path / "out" / "evt.json").exists()
 
 
 def test_k_equals_one_is_uniform():
