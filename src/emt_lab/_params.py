@@ -6,8 +6,8 @@ on an instance, along with rules for every field: a float, an element of a
 float array, or a field annotated `float` or `int` is a number (`is_number`,
 the rule of every number in a config); a field annotated `int` holds an
 integer, not a bool, and one annotated `bool` a bool. An array parameter is
-converted by `float_array`, which rejects a bool inside it. Config derives validation and
-`emt-lab schema` from the fields.
+converted by `float_array`, which rejects a bool, a str or a None inside it.
+Config derives validation and `emt-lab schema` from the fields.
 """
 
 from __future__ import annotations
@@ -57,17 +57,30 @@ def check_number(name: str, value) -> None:
 
 
 def float_array(name: str, values) -> np.ndarray:
-    """`values` as a float array; no element of a nested list may be a bool,
-    which np.asarray would read as 0.0 or 1.0. The scan takes the set of
-    types of one nesting level at a time, and lists only the levels whose
-    elements are all lists."""
-    level, types = [values], {type(values)}
+    """`values` as a float array, converted as np.asarray(values, dtype=float)
+    would, except that an element of a nested list must be a number: a bool,
+    which np.asarray would read as 0.0 or 1.0, a str, which it would parse,
+    or a None is an InputError.
+
+    One walk down the nesting levels, each flattened by C-level calls, reads
+    the shape and the set of leaf types. Rectangular lists of exactly `int`
+    and `float` leaves are built from the flat leaves; anything else (ragged
+    or mixed nesting, numpy scalars, an ndarray argument) goes to np.asarray.
+    """
+    level, types, shape = [values], {type(values)}, []
     while types == {list}:
-        types = set(map(type, chain.from_iterable(level)))
-        if types == {list}:
-            level = list(chain.from_iterable(level))
+        lengths = set(map(len, level))
+        shape.append(lengths.pop() if len(lengths) == 1 else None)
+        level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+    if types <= {int, float} and None not in shape:
+        return np.array(level, dtype=float).reshape(shape)
     if bool in types:
         raise InputError(f"{name}: every element must be a number, not a bool")
+    odd = types & {str, type(None)}
+    if odd:
+        example = next(v for v in level if type(v) in odd)
+        raise InputError(f"{name}: every element must be a number, got {example!r}")
     return np.asarray(values, dtype=float)
 
 

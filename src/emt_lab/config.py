@@ -109,7 +109,10 @@ class ScenarioConfig:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        # A built config holds only values its Scenario accepted, and no
+        # Scenario accepts a cycle, so the encoder's cycle scan is skipped.
+        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

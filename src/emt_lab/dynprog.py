@@ -323,14 +323,14 @@ def run(scenario: Scenario, seed: int):
     tol = scenario.tol if scenario.legacy_policy is None else min(scenario.tol, SURPLUS_TOL)
     sol = value_iteration(scenario, tol=tol, max_iter=scenario.max_iter)
     report = {
-        "values": [float(v) for v in sol.values],
-        "policy": [int(a) for a in sol.policy],
+        "values": sol.values.tolist(),
+        "policy": sol.policy.tolist(),
         "iterations": sol.iterations,
         "residual": sol.residual,
     }
     checks = {}
     if scenario.legacy_policy is not None:
         surplus = sol.values - evaluate_policy(scenario, scenario.legacy_policy)
-        report["realtime_surplus"] = [float(s) for s in surplus]
+        report["realtime_surplus"] = surplus.tolist()
         checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)
     return report, checks

@@ -106,7 +106,8 @@ def _stationarity(occ: Occupation, s: float, mu: float) -> float:
 
 
 def _brentq(f, a: float, b: float, xtol: float = 2e-12,
-            rtol: float = 8.881784197001252e-16, maxiter: int = 100) -> float:
+            rtol: float = 8.881784197001252e-16, maxiter: int = 100,
+            what: str = "root-find") -> float:
     """A root of f in [a, b] by Brent's method (Brent 1973, *Algorithms for
     Minimization without Derivatives*, ch. 4).
 
@@ -116,12 +117,13 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12,
     xtol + rtol * |x|.
 
     Raises ConvergenceError when f(a) and f(b) have the same sign or after
-    `maxiter` iterations, and NumericError when f returns NaN.
+    `maxiter` iterations, and NumericError when f returns NaN; each message
+    begins with `what`, the search that failed.
     """
     def f_of(x: float) -> float:
         fx = f(x)
         if math.isnan(fx):
-            raise NumericError(f"root-find: the function is NaN at x={x!r}")
+            raise NumericError(f"{what}: the function is NaN at x={x!r}")
         return fx
 
     xpre, xcur = a, b
@@ -131,7 +133,7 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12,
     if fcur == 0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ConvergenceError(f"root-find: f({a!r}) = {fpre!r} and f({b!r}) = {fcur!r} "
+        raise ConvergenceError(f"{what}: f({a!r}) = {fpre!r} and f({b!r}) = {fcur!r} "
                                f"have the same sign")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
@@ -169,22 +171,23 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f_of(xcur)
-    raise ConvergenceError(f"root-find did not converge in {maxiter} iterations",
+    raise ConvergenceError(f"{what}: did not converge in {maxiter} iterations",
                            residual=fcur)
 
 
-def _inner_subsidy(occ: Occupation, mu: float) -> float:
-    """Optimal subsidy for one occupation at multiplier mu (KKT corner or
+def _inner_subsidy(i: int, occ: Occupation, mu: float) -> float:
+    """Optimal subsidy for occupation i at multiplier mu (KKT corner or
     interior root of the stationarity condition, which is strictly
     decreasing in s)."""
+    what = f"root-find of the subsidy of occupation {i}"
     if _stationarity(occ, 0.0, mu) <= 0.0:
         return 0.0
     hi = occ.w
     while _stationarity(occ, hi, mu) > 0.0:
         hi *= 2.0
         if hi > 1e12:
-            raise ConvergenceError("inner root-find bracket exploded")
-    return _brentq(lambda s: _stationarity(occ, s, mu), 0.0, hi, xtol=1e-14)
+            raise ConvergenceError(f"{what}: the bracket exploded")
+    return _brentq(lambda s: _stationarity(occ, s, mu), 0.0, hi, xtol=1e-14, what=what)
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ def optimize_subsidies(problem: SubsidyProblem) -> SubsidySolution:
         )
 
     def spend_at(mu: float) -> float:
-        return math.fsum(_spend_one(o, _inner_subsidy(o, mu)) for o in occs)
+        return math.fsum(_spend_one(o, _inner_subsidy(i, o, mu)) for i, o in enumerate(occs))
 
     mu_hi = max(o.lambda_align * o.eta / o.w for o in occs if o.lambda_align * o.eta > 0)
     mu_lo = mu_hi
@@ -225,8 +228,8 @@ def optimize_subsidies(problem: SubsidyProblem) -> SubsidySolution:
         if mu_lo < 1e-300:
             raise ConvergenceError("could not bracket the budget multiplier")
     mu = _brentq(lambda m: spend_at(m) - problem.budget, mu_lo, mu_hi,
-                 xtol=1e-15, rtol=8.9e-16, maxiter=500)
-    s_star = np.array([_inner_subsidy(o, mu) for o in occs])
+                 xtol=1e-15, rtol=8.9e-16, maxiter=500, what="root-find of the budget multiplier")
+    s_star = np.array([_inner_subsidy(i, o, mu) for i, o in enumerate(occs)])
     spend = math.fsum(_spend_one(o, s) for o, s in zip(occs, s_star))
     objective = math.fsum(o.lambda_align * labor_supply(o, s) for o, s in zip(occs, s_star))
     return SubsidySolution(

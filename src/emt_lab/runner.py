@@ -11,6 +11,11 @@ A CSV cell, header included, is a Python `int`, a `float` or a `str` with no
 it: the shortest round-trip repr of a float, the digits of an int, a string
 as it stands. A bool or a numpy scalar is not a cell; a module spells a flag
 as "true"/"false" and turns arrays into lists with `.tolist()`.
+
+A JSON artifact is what `json.dumps(artifact, sort_keys=True, indent=2)`
+would write, plus a final newline: nested dicts with `str` keys, lists and
+tuples, and scalars that `json` encodes. A non-`str` key raises TypeError,
+where `json` would have turned it into a string.
 """
 
 from __future__ import annotations
@@ -38,12 +43,38 @@ class RunReport:
         return all(self.checks.values())
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """`obj` as `json.dumps(obj, sort_keys=True, indent=2)` writes it, `pad`
+    being the newline and indent of the line `obj` starts on. json uses its C
+    encoder only when `indent` is None, so each flat list of scalars goes to
+    it in one call, its item separator carrying the newline and indent."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"artifact keys must be str, got {key!r}")
+        return ("{" + inner + ("," + inner).join(
+            f"{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+            + pad + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+            body = ("," + inner).join(_json_text(item, inner) for item in obj)
+        else:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        return "[" + inner + body + pad + "]"
+    return json.dumps(obj)
+
+
 def _write_artifact(artifact, path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(artifact, dict):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(artifact) + "\n")
     else:
         header, rows = artifact
         # a row with more or fewer cells than the header raises TypeError

@@ -3,11 +3,13 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emt_lab
 from emt_lab import ConvergenceError, DomainError, InputError, NumericError
 from emt_lab.cli import main
 from emt_lab.policy import (
@@ -309,3 +311,22 @@ def test_cli_root_find_failure_is_a_runtime_error(occupations, tmp_path, capsys)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("runtime error: root-find") and "internal error" not in err
+
+
+@pytest.mark.parametrize("i, change, message", [
+    (0, {"w": 1e-300},
+     "root-find of the budget multiplier: did not converge in 500 iterations"),
+    (0, {"eta": 1e300, "lambda_align": 1e300},
+     "root-find of the subsidy of occupation 0: the function is NaN at x=0.0"),
+    (1, {"eta": 1e300, "lambda_align": 1e300},
+     "root-find of the subsidy of occupation 1: the function is NaN at x=0.0"),
+])
+def test_cli_root_find_failure_names_the_search(i, change, message, tmp_path, capsys):
+    """policy_default with one occupation pushed out of range: the runtime
+    error says which root-find failed."""
+    cfg = json.loads((Path(emt_lab.__file__).parent / "scenarios" / "policy_default.json").read_text())
+    cfg["params"]["occupations"][i].update(change)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
