@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence, Tuple
 
+import numpy as np
+
 from ._params import Params, param
 from .errors import DomainError, InputError
 
@@ -205,8 +207,9 @@ def memory_one_strategy(initial: str, response: dict) -> Strategy:
 MAX_PROFILES = 200_000
 # Bound on profiles x horizon x 2**n_players, the joint actions the search may
 # test. The slowest case per unit, 2 players with every profile an SPNE (all
-# payoffs equal), takes about 4.5 us per unit on a 2-core Xeon VM, so about
-# 45 s at the bound; games with more players mostly stop earlier.
+# payoffs equal, p_disc 0), takes about 3 us per unit on a 2-core Xeon VM
+# (2.7-3.3 us at horizons 50 and 500), so about 30 s at the bound; games with
+# more players mostly stop earlier, and most profiles fail the last round.
 MAX_SEARCH_WORK = 10**7
 _CLASSES = ("constant", "memory1")
 
@@ -338,7 +341,9 @@ def spne_search(game: StageGame, strategy_class: str = "constant") -> SpneReport
     its last joint action, so each profile is tested by `_StateTables.test`
     at one history per (round, last joint action) instead of at every
     history as `is_spne` does; every joint action ends some history of each
-    length >= 1, so the verdicts are the same. Always reports on the
+    length >= 1, so the verdicts are the same. The joint actions of every
+    profile come from one numpy broadcast, and only the profiles whose
+    last-round plays pass are tested. Always reports on the
     all-cooperate and all-defect profiles, the first and last labels of
     every supported class, and the all-cooperate continuity probability.
     Raises a size error when the profile space exceeds `MAX_PROFILES`.
@@ -351,11 +356,19 @@ def spne_search(game: StageGame, strategy_class: str = "constant") -> SpneReport
         )
     labels, tables, after = _strategy_tables(n, strategy_class)
     state_tables = _StateTables(game, after)
-    # player i's tables with each action moved to player i's bit
-    shifted = [[[d << (n - 1 - i) for d in table] for table in tables] for i in range(n)]
-    equilibria = tuple(profile for profile, player_tables
-                       in zip(product(labels, repeat=n), product(*shifted))
-                       if state_tables.test(list(map(sum, zip(*player_tables)))))
+    # plays[s_0, ..., s_{n-1}, state]: the joint action of the profile in which
+    # player i plays strategy s_i, each player's action moved to its bit; the
+    # player axes in C order are the order of product(labels, repeat=n)
+    table = np.array(tables, dtype=np.intp)
+    plays = sum(table.reshape((1,) * i + table.shape[:1] + (1,) * (n - 1 - i) + table.shape[1:])
+                << (n - 1 - i) for i in range(n))
+    last_states = list(state_tables.later if game.horizon > 1 else (0,))
+    last_ok = np.array(state_tables.last_ok)[plays[..., last_states]].all(axis=-1)
+    survivors = np.flatnonzero(last_ok)
+    found = survivors[np.array([state_tables.test(p) for p in
+                                plays.reshape(-1, table.shape[1])[survivors].tolist()], dtype=bool)]
+    equilibria = tuple(zip(*[[labels[s] for s in strategy.tolist()]
+                             for strategy in np.unravel_index(found, last_ok.shape)]))
     return SpneReport(
         equilibria=equilibria,
         all_c_is_spne=(labels[0],) * n in equilibria,

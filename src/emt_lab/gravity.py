@@ -20,6 +20,9 @@ from .growth import cobb_douglas
 
 FORMAT = "csv"
 
+# Elements per block of flywheel_compare's need trajectories.
+_BLOCK = 2**16
+
 # Cobb-Douglas inputs of a `production` dict; a key it leaves out takes its value here.
 PRODUCTION = {"a": 1.0, "k": 1.0, "l": 1.0, "alpha": 0.5}
 
@@ -72,11 +75,9 @@ def gravity_field(state: NeedsState, alpha_g: float, beta_g: float) -> float:
     return float(np.sum(state.n_vec**alpha_g / d_near**beta_g))
 
 
-def need_sector_flow(state: NeedsState, n_vec: np.ndarray | None = None) -> np.ndarray:
-    """Flow matrix F_ij = G * N_i * P_j / D_ij^2 (inverse-square law), at the
-    state's need intensities or at `n_vec`."""
-    n_vec = state.n_vec if n_vec is None else n_vec
-    return state.g_resp * np.outer(n_vec, state.p_vec) / state.d_mat**2
+def need_sector_flow(state: NeedsState) -> np.ndarray:
+    """Flow matrix F_ij = G * N_i * P_j / D_ij^2 (inverse-square law)."""
+    return state.g_resp * np.outer(state.n_vec, state.p_vec) / state.d_mat**2
 
 
 def potential_energy(n_vec: np.ndarray) -> float:
@@ -87,15 +88,15 @@ def potential_energy(n_vec: np.ndarray) -> float:
     return float(np.sum(n**2))
 
 
-def _flow_shares(state: NeedsState, n_vec: np.ndarray) -> np.ndarray:
-    """Allocation shares proportional to the row sums of the flow matrix at
-    need intensities n_vec.
+def _flow_shares(state: NeedsState, n_vec: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Allocation shares proportional to the row sums of the flow matrix
+    (need_sector_flow's) at need intensities n_vec, `d2` being state.d_mat**2.
 
     If total flow is zero (all needs met or G=0), fall back to a uniform
     split so the allocation stays a valid distribution.
     """
-    rows = need_sector_flow(state, n_vec).sum(axis=1)
-    total = rows.sum()
+    rows = np.add.reduce(state.g_resp * (n_vec[:, None] * state.p_vec) / d2, axis=1)
+    total = np.add.reduce(rows)
     if total <= 0:
         return np.full(n_vec.size, 1.0 / n_vec.size)
     return rows / total
@@ -138,35 +139,68 @@ def flywheel_compare(
     Needs decay by kappa times the allocation, clamped at zero. Trajectories
     of U = sum(N^2) (length horizon+1, including t=0) are returned, plus
     weighted coverage with a need counted satisfied below `coverage_eps`.
+
+    The blind economy's step is the same every round and at least 0, so its
+    needs are one running difference, clamped afterwards: a need the clamp
+    sets to 0 would have stayed 0. Steps run in blocks of rows, so memory
+    does not grow with horizon x needs.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     if kappa < 0:
         raise DomainError(f"kappa must be >= 0, got {kappa}")
     y = production_output(production)
-    weights0 = state0.n_vec.copy()
-    shares_blind = _flow_shares(state0, state0.n_vec)
+    weights, total = _coverage_weights(state0.n_vec)
+    ky = kappa * y
+    d2 = state0.d_mat**2
+    step_blind = ky * _flow_shares(state0, state0.n_vec, d2)
 
-    n_blind = state0.n_vec.copy()
-    n_aligned = state0.n_vec.copy()
-    u_b = [potential_energy(n_blind)]
-    u_a = [potential_energy(n_aligned)]
-    cov_b = [coverage_operator(n_blind <= coverage_eps, weights0)]
-    cov_a = [coverage_operator(n_aligned <= coverage_eps, weights0)]
-    for _ in range(horizon):
-        n_blind = np.maximum(0.0, n_blind - kappa * y * shares_blind)
-        n_aligned = np.maximum(0.0, n_aligned - kappa * y * _flow_shares(state0, n_aligned))
-        u_b.append(potential_energy(n_blind))
-        u_a.append(potential_energy(n_aligned))
-        cov_b.append(coverage_operator(n_blind <= coverage_eps, weights0))
-        cov_a.append(coverage_operator(n_aligned <= coverage_eps, weights0))
-    return FlywheelResult(
-        u_blind=np.array(u_b),
-        u_aligned=np.array(u_a),
-        y=y,
-        coverage_blind=np.array(cov_b),
-        coverage_aligned=np.array(cov_a),
-    )
+    n = state0.n_vec.size
+    block = max(2, _BLOCK // n)
+    blind, aligned = np.empty((block, n)), np.empty((block, n))
+    blind[0] = aligned[0] = state0.n_vec
+    u_b, u_a, cov_b, cov_a = (np.empty(horizon + 1) for _ in range(4))
+    start = 0  # the step of row 0
+    while True:
+        rows = min(block, horizon + 1 - start)
+        blind[1:rows] = step_blind
+        np.subtract.accumulate(blind[:rows], axis=0, out=blind[:rows])
+        np.maximum(0.0, blind[:rows], out=blind[:rows])
+        n_aligned = aligned[0]
+        for out in aligned[1:rows]:
+            n_aligned = np.maximum(0.0, n_aligned - ky * _flow_shares(state0, n_aligned, d2),
+                                   out=out)
+        for needs, u, cov in ((blind, u_b, cov_b), (aligned, u_a, cov_a)):
+            u[start:start + rows] = (needs[:rows] ** 2).sum(axis=1)
+            cov[start:start + rows] = _coverage_path(needs[:rows] <= coverage_eps, weights, total)
+        start += rows - 1
+        if start == horizon:
+            break
+        blind[0], aligned[0] = blind[rows - 1], aligned[rows - 1]
+    return FlywheelResult(u_blind=u_b, u_aligned=u_a, y=y, coverage_blind=cov_b,
+                          coverage_aligned=cov_a)
+
+
+def _coverage_weights(weights) -> tuple:
+    """Weights as floats and their total, checked to be coverage weights."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0):
+        raise DomainError("weights must be >= 0")
+    total = w.sum()
+    if total <= 0:
+        raise DomainError("weights must not all be zero")
+    return w, total
+
+
+def _coverage_path(satisfied: np.ndarray, w: np.ndarray, total) -> np.ndarray:
+    """coverage_operator of each row of `satisfied`, taken once per run of
+    equal rows, each as w[mask].sum() / total: a sum of the selected weights
+    alone rounds as one row's call does."""
+    changed = np.empty(len(satisfied), dtype=bool)
+    changed[0] = True
+    np.any(satisfied[1:] != satisfied[:-1], axis=1, out=changed[1:])
+    values = np.array([w[mask].sum() / total for mask in satisfied[changed]])
+    return values[np.cumsum(changed) - 1]
 
 
 def coverage_operator(satisfied: np.ndarray, weights: np.ndarray) -> float:
@@ -175,11 +209,7 @@ def coverage_operator(satisfied: np.ndarray, weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float)
     if mask.shape != w.shape:
         raise InputError(f"mask shape {mask.shape} != weights shape {w.shape}")
-    if np.any(w < 0):
-        raise DomainError("weights must be >= 0")
-    total = w.sum()
-    if total <= 0:
-        raise DomainError("weights must not all be zero")
+    w, total = _coverage_weights(w)
     return float(w[mask].sum() / total)
 
 
@@ -189,9 +219,10 @@ class Scenario(NeedsState):
 
     production: dict = param(PRODUCTION)
     kappa: float = param(0.05, min=0)
-    # A step of the default 5-need, 2-sector economy costs about 45 us on a
-    # 2-core Xeon VM, so about 23 s at the bound; the cost grows with
-    # needs x sectors too.
+    # A step of the default 5-need, 2-sector economy, its two CSV rows
+    # included, costs about 12 us of CPU on a 2-core Xeon VM (10-14 us at
+    # horizon 10^5), so about 6 s at the bound; the cost grows with needs x
+    # sectors too.
     horizon: int = param(50, min=1, max=5 * 10**5)
     coverage_eps: float = param(1e-3, exmin=0)
     check_dominance: bool = param(False)

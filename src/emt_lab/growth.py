@@ -66,7 +66,7 @@ def cobb_douglas(a: float, k: float, l: float, alpha: float) -> float:
     """Aggregate output a * k^alpha * l^(1-alpha)."""
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not all(0 <= v < math.inf for v in (a, k, l)):
+    if not (0 <= a < math.inf and 0 <= k < math.inf and 0 <= l < math.inf):
         raise DomainError(f"inputs must be finite and >= 0, got a={a}, k={k}, l={l}")
     return a * k**alpha * l ** (1.0 - alpha)
 
@@ -110,6 +110,16 @@ def quality_index(state: QualityLadderState) -> float:
     return float(np.mean(state.qualities))
 
 
+def _check_ladder(mu: float, lambda_step: float, dt: float):
+    """The ladder's arrival rate, step size and time step, as both ladder APIs take them."""
+    if mu < 0:
+        raise DomainError("mu must be >= 0")
+    if lambda_step <= 1:
+        raise DomainError("lambda_step must be > 1")
+    if dt <= 0:
+        raise DomainError(f"dt must be > 0, got {dt}")
+
+
 def ladder_step(
     state: QualityLadderState,
     mu: float,
@@ -119,16 +129,55 @@ def ladder_step(
 ) -> QualityLadderState:
     """One stochastic ladder step: each line upgrades q -> lambda*q with
     probability min(1, mu*dt), independently across lines."""
-    if mu < 0:
-        raise DomainError("mu must be >= 0")
-    if lambda_step <= 1:
-        raise DomainError("lambda_step must be > 1")
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    _check_ladder(mu, lambda_step, dt)
     p = min(1.0, mu * dt)
     upgrades = rng.random(state.qualities.size) < p
     new_q = np.where(upgrades, lambda_step * state.qualities, state.qualities)
     return QualityLadderState(qualities=new_q)
+
+
+# Elements per block of quality_path's draws, so its memory does not grow
+# with n_lines x horizon.
+_BLOCK = 2**15
+
+
+def quality_path(
+    n_lines: int,
+    mu: float,
+    lambda_step: float,
+    dt: float,
+    horizon: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Aggregate quality Q_t for t = 0..horizon of `n_lines` lines that start
+    at quality 1 and take `horizon` ladder steps.
+
+    The same floats as stepping `ladder_step` and taking `quality_index`: a
+    block of steps draws its uniforms in one call, which is the same stream
+    as one call per step; a line upgraded m times has quality powers[m],
+    built by the same repeated product; and each row mean is np.mean's.
+    """
+    if n_lines < 1:
+        raise DomainError(f"n_lines must be >= 1, got {n_lines}")
+    _check_ladder(mu, lambda_step, dt)
+    p = min(1.0, mu * dt)
+    # powers[m] for every number of upgrades m a line can reach, inf past the
+    # largest float without a warning: most runs never reach those entries
+    powers = np.full(horizon + 1, float(lambda_step))
+    powers[0] = 1.0
+    with np.errstate(over="ignore"):
+        np.multiply.accumulate(powers, out=powers)
+    path = np.empty(horizon + 1)
+    path[0] = 1.0  # the mean of n_lines ones
+    block = max(1, _BLOCK // n_lines)
+    levels = np.empty((min(block, horizon), n_lines), dtype=np.intp)
+    counts = np.zeros(n_lines, dtype=np.intp)  # each line's upgrades so far
+    for start in range(0, horizon, block):
+        rows = levels[:min(block, horizon - start)]
+        for up, out in zip(rng.random(rows.shape) < p, rows):
+            counts = np.add(counts, up, out=out)
+        path[start + 1:start + 1 + len(rows)] = powers.take(rows).mean(axis=1)
+    return path
 
 
 def incumbent_value(pi_flow: float, r_rate: float, mu: float) -> float:
@@ -245,19 +294,17 @@ def run(scenario: Scenario, seed: int):
     mu = free_entry_mu(s.pi_flow, s.psi, s.r_rate)
     v = incumbent_value(s.pi_flow, s.r_rate, mu)
     g = schumpeter_growth(s.lambda_step, mu, s.delta_obs)
-    rng = make_generator(seed, 0)
-    ladder = QualityLadderState(qualities=np.ones(s.n_lines))
+    qualities = quality_path(s.n_lines, mu, s.lambda_step, s.dt, s.horizon,
+                             make_generator(seed, 0)).tolist()
     a = s.a0
     rows = []
     t = 0.0
-    for step in range(s.horizon + 1):
-        q = quality_index(ladder)
+    for step, q in enumerate(qualities):
         y = cobb_douglas(a * q, s.k0, s.l0, s.alpha)
         rows.append([t, a, q, s.k0, s.l0, y, g, mu, v])
         if step == s.horizon:
             break
         a = romer_ideas_step(a, s, s.dt)
-        ladder = ladder_step(ladder, mu, s.lambda_step, s.dt, rng)
         t += s.dt
     checks = {"free_entry_consistency": abs(mu * v - s.psi) < 1e-10}
     return (["t", "A", "Q", "K", "L", "Y", "g", "mu", "V"], rows), checks

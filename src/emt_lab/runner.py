@@ -71,15 +71,20 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 
 def _write_artifact(artifact, path: Path):
+    """Write `artifact` to `path` as a new file. An old file there is unlinked
+    first, not truncated: a link at `path` is replaced, not followed, and
+    closing a truncated and rewritten file can cost a flush on ext4. A
+    directory at `path` raises OSError."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
     if isinstance(artifact, dict):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "x", encoding="utf-8") as fh:
             fh.write(_json_text(artifact) + "\n")
     else:
         header, rows = artifact
         # a row with more or fewer cells than the header raises TypeError
         line = ",".join(["%s"] * len(header)) + "\r\n"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(path, "x", newline="", encoding="utf-8") as fh:
             fh.write(line % tuple(header))
             fh.writelines(line % tuple(row) for row in rows)
 

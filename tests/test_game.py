@@ -5,6 +5,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emt_lab import DomainError, InputError
 from emt_lab.cli import main
@@ -13,6 +14,8 @@ from emt_lab.game import (
     D,
     SpneReport,
     StageGame,
+    _StateTables,
+    _strategy_tables,
     constant_strategy,
     evaluate_profile,
     is_spne,
@@ -266,6 +269,48 @@ def test_table_search_matches_the_walk_when_payoffs_overflow(strategy_class, mod
                      payoff_dd=1e308, p_disc=1.0, delta_disc=0.99, horizon=3,
                      penalty_mode=mode, omega=-1e308)
     assert spne_search(game, strategy_class) == walk_search(game, strategy_class)
+
+
+def per_profile_search(game, strategy_class):
+    """spne_search's equilibria without its last-round prefilter: every
+    profile of the class through `_StateTables.test`, in product order."""
+    n = game.n_players
+    labels, tables, after = _strategy_tables(n, strategy_class)
+    state_tables = _StateTables(game, after)
+    # player i's tables with each action moved to player i's bit
+    shifted = [[[d << (n - 1 - i) for d in table] for table in tables] for i in range(n)]
+    return tuple(profile for profile, player_tables
+                 in zip(product(labels, repeat=n), product(*shifted))
+                 if state_tables.test(list(map(sum, zip(*player_tables)))))
+
+
+PAYOFFS = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(-10, 10)
+
+
+@st.composite
+def searches(draw):
+    """A game and a strategy class. Now and then all four payoffs are equal;
+    with p_disc 0 too, every profile is then an equilibrium."""
+    strategy_class = draw(st.sampled_from(["constant", "memory1"]))
+    n_players = 2 if strategy_class == "memory1" else draw(st.integers(2, 3))
+    keys = ("payoff_cc", "payoff_defector", "payoff_victim", "payoff_dd")
+    if draw(st.booleans()):
+        payoffs = dict.fromkeys(keys, draw(PAYOFFS))
+    else:
+        payoffs = {key: draw(PAYOFFS) for key in keys}
+    game = StageGame(**payoffs, n_players=n_players, horizon=draw(st.integers(1, 4)),
+                     penalty_mode=draw(st.sampled_from(["finite", "lexicographic"])),
+                     p_disc=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)),
+                     delta_disc=draw(st.floats(0.01, 0.99)),
+                     omega=draw(st.sampled_from([0.0, -1.0]) | st.floats(-10, 0)))
+    return game, strategy_class
+
+
+@settings(max_examples=150, deadline=None)
+@given(searches())
+def test_prefiltered_search_finds_what_testing_every_profile_finds(search):
+    game, strategy_class = search
+    assert spne_search(game, strategy_class).equilibria == per_profile_search(game, strategy_class)
 
 
 def test_constant_search_at_a_long_horizon_exits_cleanly(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Gravity field, flows, potential energy, and the flywheel comparison."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emt_lab import DomainError, InputError, make_generator
+from emt_lab import gravity
 from emt_lab.gravity import (
     NeedsState,
     coverage_operator,
@@ -135,3 +139,64 @@ def test_coverage_operator():
         coverage_operator(np.array([True]), np.array([0.0]))
     with pytest.raises(InputError):
         coverage_operator(np.array([True, False]), np.array([1.0]))
+
+
+def stepped_flywheel(state0, production, horizon, kappa, coverage_eps):
+    """flywheel_compare as a loop over steps, both economies stepped alike."""
+    y = gravity.production_output(production)
+    weights0 = state0.n_vec.copy()
+
+    def shares(n_vec):
+        rows = (state0.g_resp * np.outer(n_vec, state0.p_vec) / state0.d_mat**2).sum(axis=1)
+        total = rows.sum()
+        if total <= 0:
+            return np.full(n_vec.size, 1.0 / n_vec.size)
+        return rows / total
+
+    shares_blind = shares(state0.n_vec)
+    n_blind = state0.n_vec.copy()
+    n_aligned = state0.n_vec.copy()
+    u_b, u_a = [potential_energy(n_blind)], [potential_energy(n_aligned)]
+    cov_b = [coverage_operator(n_blind <= coverage_eps, weights0)]
+    cov_a = [coverage_operator(n_aligned <= coverage_eps, weights0)]
+    for _ in range(horizon):
+        n_blind = np.maximum(0.0, n_blind - kappa * y * shares_blind)
+        n_aligned = np.maximum(0.0, n_aligned - kappa * y * shares(n_aligned))
+        u_b.append(potential_energy(n_blind))
+        u_a.append(potential_energy(n_aligned))
+        cov_b.append(coverage_operator(n_blind <= coverage_eps, weights0))
+        cov_a.append(coverage_operator(n_aligned <= coverage_eps, weights0))
+    return y, [np.array(x) for x in (u_b, u_a, cov_b, cov_a)]
+
+
+@st.composite
+def flywheels(draw):
+    """Non-integer weights, needs that reach zero, kappa 0 and all-zero
+    flows (G = 0 or every potential 0) now and then."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    needs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 10), min_size=n,
+                          max_size=n).filter(any))
+    state = NeedsState(
+        n_vec=needs,
+        d_mat=draw(st.lists(st.lists(st.floats(0.1, 5), min_size=m, max_size=m), min_size=n,
+                            max_size=n)),
+        p_vec=draw(st.lists(st.sampled_from([0.0]) | st.floats(0, 3), min_size=m, max_size=m)),
+        g_resp=draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 3)))
+    kappa = draw(st.sampled_from([0.0, 0.05]) | st.floats(0, 2))
+    production = {"a": draw(st.floats(0.1, 10)), "alpha": draw(st.floats(0.05, 0.95))}
+    return state, production, draw(st.integers(1, 120)), kappa, draw(st.floats(1e-6, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flywheels(), st.integers(1, 64))
+def test_flywheel_is_the_stepped_loop_bit_for_bit(case, block):
+    """Also across block boundaries: a block holds max(2, _BLOCK // needs)
+    rows, and `block` stands in for _BLOCK."""
+    state, production, horizon, kappa, eps = case
+    y, want = stepped_flywheel(state, production, horizon, kappa, eps)
+    with mock.patch.object(gravity, "_BLOCK", block):
+        res = flywheel_compare(state, production, horizon, kappa, coverage_eps=eps)
+    got = [res.u_blind, res.u_aligned, res.coverage_blind, res.coverage_aligned]
+    assert res.y == y
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from emt_lab import DomainError, make_generator
 from emt_lab.growth import (
@@ -18,6 +18,7 @@ from emt_lab.growth import (
     incumbent_value,
     ladder_step,
     quality_index,
+    quality_path,
     romer_ideas_step,
     romer_variety_output,
     schumpeter_growth,
@@ -98,6 +99,40 @@ def test_ladder_never_decreases_quality():
     stepped = ladder_step(state, mu=0.3, lambda_step=1.5, dt=1.0, rng=rng)
     assert np.all(stepped.qualities >= state.qualities)
     assert np.all(stepped.qualities >= 1.0)
+
+
+def stepped_quality_path(n_lines, mu, lambda_step, dt, horizon, rng):
+    """quality_path by the one-step API: ladder_step, then quality_index."""
+    ladder = QualityLadderState(qualities=np.ones(n_lines))
+    path = [quality_index(ladder)]
+    with np.errstate(over="ignore"):
+        for _ in range(horizon):
+            ladder = ladder_step(ladder, mu, lambda_step, dt, rng)
+            path.append(quality_index(ladder))
+    return np.array(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_lines=st.integers(1, 3000) | st.sampled_from([1, 21, 22, 655, 656, 3000]),
+       mu=st.floats(0, 20), dt=st.floats(1e-3, 1),
+       lambda_step=st.floats(1, 10, exclude_min=True) | st.sampled_from([1e100, 1e300]),
+       horizon=st.integers(1, 120), seed=st.integers(0, 2**64 - 1))
+def test_quality_path_is_the_stepped_ladder_bit_for_bit(n_lines, mu, dt, lambda_step, horizon,
+                                                         seed):
+    """Across block boundaries (a block holds 65536 // n_lines steps), with
+    every line upgrading each step (mu*dt >= 1), and with qualities that
+    overflow to inf."""
+    got = quality_path(n_lines, mu, lambda_step, dt, horizon, make_generator(seed))
+    want = stepped_quality_path(n_lines, mu, lambda_step, dt, horizon, make_generator(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_quality_path_checks_its_inputs():
+    rng = make_generator(0)
+    for kwargs in ({"n_lines": 0}, {"mu": -1.0}, {"lambda_step": 1.0}, {"dt": 0.0}):
+        with pytest.raises(DomainError):
+            quality_path(**{"n_lines": 3, "mu": 0.5, "lambda_step": 1.5, "dt": 0.1,
+                            "horizon": 5, "rng": rng, **kwargs})
 
 
 def test_incumbent_value():

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -18,7 +19,7 @@ from emt_lab.cli import bundled_scenarios, main
 from emt_lab.config import MODULES, scenario_module
 from emt_lab import cli, runner
 from emt_lab.runner import _write_artifact, run_scenario
-from test_golden import LARGE_POOL, LONG_FLYWHEEL, LONG_POOL, NOISY_FEEDBACK
+from test_golden import ARTIFACTS, LARGE_POOL, LONG_FLYWHEEL, LONG_POOL, NOISY_FEEDBACK
 
 SCENARIO_DIR = Path(emt_lab.__file__).parent / "scenarios"
 
@@ -467,6 +468,26 @@ def test_cli_output_path_must_stay_inside_out(path, tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "output.path" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_replaces_a_link_at_the_artifact_path_and_keeps_its_target(tmp_path):
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"not an artifact\n")
+    artifact = tmp_path / "out" / "mdp_default.json"
+    artifact.parent.mkdir()
+    artifact.symlink_to("../outside.txt")
+    assert main(["run", str(SCENARIO_DIR / "mdp_default.json"), "--out", str(tmp_path / "out")]) == 0
+    assert outside.read_bytes() == b"not an artifact\n"
+    assert artifact.is_file() and not artifact.is_symlink()
+    assert hashlib.sha256(artifact.read_bytes()).hexdigest() == ARTIFACTS["mdp_default.json"]
+
+
+def test_cli_directory_at_the_artifact_path_is_a_runtime_error(tmp_path, capsys):
+    (tmp_path / "out" / "mdp_default.json").mkdir(parents=True)
+    assert main(["run", str(SCENARIO_DIR / "mdp_default.json"), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Traceback" not in err
+    assert (tmp_path / "out" / "mdp_default.json").is_dir()
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{", b"[" * 100_000],
