@@ -5,7 +5,8 @@ bounds ("min", "exmin", "max", "exmax") and "choices". `check` enforces them
 on an instance, along with rules for every field: a float, an element of a
 float array, or a field annotated `float` or `int` is a number (`is_number`,
 the rule of every number in a config); a field annotated `int` holds an
-integer, not a bool, and one annotated `bool` a bool. An array parameter is
+integer, not a bool, and one annotated `bool` a bool. A number in a field
+annotated `float` is stored as a float. An array parameter is
 converted by `float_array`, which rejects a bool, a str or a None inside it.
 Config derives validation and `emt-lab schema` from the fields.
 """
@@ -98,7 +99,9 @@ def bound_problems(name: str, bounds: dict, value) -> list:
 def check(obj) -> None:
     """Raise if an init field of `obj` annotated `float` or `int`, or holding
     a float, is no number, one annotated `int` no integer, one annotated
-    `bool` no bool, or a parameter field breaks its bounds or choices."""
+    `bool` no bool, or a parameter field breaks its bounds or choices. A
+    number in a field annotated `float` is stored as a float, so an int given
+    for it computes and is written as its float would be."""
     for f in fields(obj):
         if not f.init:
             continue
@@ -109,6 +112,8 @@ def check(obj) -> None:
             raise InputError(f"{f.name}: expected boolean, got {value!r}")
         if f.type in ("float", "int") or isinstance(value, float):
             check_number(f.name, value)
+        if f.type == "float" and type(value) is not float:
+            object.__setattr__(obj, f.name, float(value))
         if isinstance(value, np.ndarray) and value.dtype.kind == "f" and not np.isfinite(value).all():
             raise DomainError(f"{f.name}: every element must be finite")
         bounds = f.metadata.get("param")

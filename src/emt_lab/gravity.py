@@ -10,7 +10,9 @@ tracks the social potential energy U = sum(N_i^2) under both.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -234,19 +236,23 @@ class Scenario(NeedsState):
             raise DomainError("n_vec: need intensities must not all be zero")
 
 
+def _interleaved(blind: np.ndarray, aligned: np.ndarray) -> array:
+    """blind[0], aligned[0], blind[1], ... as an array('d')."""
+    return array("d", np.column_stack((blind, aligned)).tobytes())
+
+
 def run(scenario: Scenario, seed: int):
     """Both trajectories, row per (step, mode), plus the dominance check."""
     s = scenario
     res = flywheel_compare(s, s.production, s.horizon, s.kappa, coverage_eps=s.coverage_eps)
-    u_b, u_a = res.u_blind.tolist(), res.u_aligned.tolist()
-    cov_b, cov_a = res.coverage_blind.tolist(), res.coverage_aligned.tolist()
-    rows = []
-    for t in range(s.horizon + 1):
-        rows.append([t, "blind", u_b[t], cov_b[t], res.y])
-        rows.append([t, "aligned", u_a[t], cov_a[t], res.y])
+    steps = range(s.horizon + 1)
+    columns = [list(chain.from_iterable(zip(steps, steps))), ["blind", "aligned"] * len(steps),
+               _interleaved(res.u_blind, res.u_aligned),
+               _interleaved(res.coverage_blind, res.coverage_aligned),
+               array("d", [res.y]) * (2 * len(steps))]
     checks = {}
     if s.check_dominance:
         dominated = bool(np.all(res.u_aligned <= res.u_blind + 1e-12))
         strict_by_end = bool(res.u_aligned[-1] < res.u_blind[-1] - 1e-12)
         checks["aligned_dominance"] = dominated and strict_by_end
-    return (["t", "mode", "U", "coverage", "Y"], rows), checks
+    return (["t", "mode", "U", "coverage", "Y"], columns), checks

@@ -9,6 +9,7 @@ explicit Euler and guarded by closed-form oracles in the test suite.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -294,17 +295,20 @@ def run(scenario: Scenario, seed: int):
     mu = free_entry_mu(s.pi_flow, s.psi, s.r_rate)
     v = incumbent_value(s.pi_flow, s.r_rate, mu)
     g = schumpeter_growth(s.lambda_step, mu, s.delta_obs)
-    qualities = quality_path(s.n_lines, mu, s.lambda_step, s.dt, s.horizon,
-                             make_generator(seed, 0)).tolist()
-    a = s.a0
-    rows = []
-    t = 0.0
-    for step, q in enumerate(qualities):
-        y = cobb_douglas(a * q, s.k0, s.l0, s.alpha)
-        rows.append([t, a, q, s.k0, s.l0, y, g, mu, v])
+    q_col = array("d", quality_path(s.n_lines, mu, s.lambda_step, s.dt, s.horizon,
+                                    make_generator(seed, 0)).tobytes())
+    t_col, a_col, y_col = array("d"), array("d"), array("d")
+    a, t = s.a0, 0.0
+    for step, q in enumerate(q_col):
+        t_col.append(t)
+        a_col.append(a)
+        y_col.append(cobb_douglas(a * q, s.k0, s.l0, s.alpha))
         if step == s.horizon:
             break
         a = romer_ideas_step(a, s, s.dt)
         t += s.dt
+    k_col, l_col, g_col, mu_col, v_col = (array("d", [x]) * len(q_col)
+                                          for x in (s.k0, s.l0, g, mu, v))
     checks = {"free_entry_consistency": abs(mu * v - s.psi) < 1e-10}
-    return (["t", "A", "Q", "K", "L", "Y", "g", "mu", "V"], rows), checks
+    columns = [t_col, a_col, q_col, k_col, l_col, y_col, g_col, mu_col, v_col]
+    return (["t", "A", "Q", "K", "L", "Y", "g", "mu", "V"], columns), checks

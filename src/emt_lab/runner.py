@@ -2,30 +2,51 @@
 
 A validated ScenarioConfig carries its module's Scenario; that module's
 `run(scenario, seed)` returns the artifact (a JSON document as a dict, or a
-CSV header and rows) plus a dict of named pass/fail checks. Artifacts are
+CSV header and columns) plus a dict of named pass/fail checks. Artifacts are
 written with stable formatting (sorted JSON keys; CRLF-terminated CSV lines),
 so identical config + seed reproduces identical bytes.
 
-A CSV cell, header included, is a Python `int`, a `float` or a `str` with no
-`,`, `"`, CR or LF. Its `str` is then its cell as the `csv` module would write
-it: the shortest round-trip repr of a float, the digits of an int, a string
-as it stands. A bool or a numpy scalar is not a cell; a module spells a flag
-as "true"/"false" and turns arrays into lists with `.tolist()`.
+A CSV artifact is `(header, columns)`: one column per header cell, all of
+one length, each an `array('d')` of floats or a list or tuple of cells. A CSV
+cell, header included, is a Python `int`, a `float` or a `str` with no `,`,
+`"`, CR or LF. Its `str` is then its cell as the `csv` module would write it:
+the shortest round-trip repr of a float, the digits of an int, a string as it
+stands. A bool or a numpy scalar is not a cell; a module spells a flag as
+"true"/"false" and turns arrays into lists with `.tolist()`. The lines come
+from one `%s` format string, so the file is what `line % row` writes for each
+row of `zip(*columns)`. A float column whose doubles are all the same bits is
+formatted once, into that string, and the lines are joined and written in
+blocks of `_BLOCK_ROWS`.
 
 A JSON artifact is what `json.dumps(artifact, sort_keys=True, indent=2)`
 would write, plus a final newline: nested dicts with `str` keys, lists and
 tuples, and scalars that `json` encodes. A non-`str` key raises TypeError,
 where `json` would have turned it into a string.
+
+The artifact goes to a new file below the output directory, reached by
+directory descriptors (POSIX `dir_fd`): a link at the output directory itself
+is followed, a link anywhere below it is refused.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
 import time
+from array import array
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain, islice, repeat
+from pathlib import Path, PurePath
 
 from .config import ScenarioConfig, scenario_module
+
+# CSV lines per joined write. A block's text is held while it is joined and
+# written: writing a 10^5-step feedback run peaked at 1.3 MB in blocks of
+# 4,096 lines, and at 23 MB as one joined text. Blocks of 1,024 to 16,384
+# lines wrote a 12k-step run at the same speed.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -41,6 +62,18 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
+
+
+@dataclass(frozen=True)
+class ArtifactPath:
+    """The path `rel` below the output directory `out`: `rel` is relative and
+    has no `..` part. As a path it is out/rel."""
+
+    out: str
+    rel: str
+
+    def __fspath__(self) -> str:
+        return str(Path(self.out) / self.rel)
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -70,35 +103,111 @@ def _json_text(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _write_artifact(artifact, path: Path):
-    """Write `artifact` to `path` as a new file. An old file there is unlinked
-    first, not truncated: a link at `path` is replaced, not followed, and
-    closing a truncated and rewritten file can cost a flush on ext4. A
-    directory at `path` raises OSError."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.unlink(missing_ok=True)
+def _one_double(col: array, n: int) -> bool:
+    """Whether the n > 0 doubles of `col` all have its first double's bits.
+    The last is compared first, which settles most columns without copying
+    them."""
+    first = col[:1].tobytes()
+    return col[-1:].tobytes() == first and col.tobytes() == first * n
+
+
+def _csv_blocks(header, columns):
+    """The CSV text of `header` and `columns`, the header line first, then
+    blocks of up to _BLOCK_ROWS lines. Raises TypeError at once, before any
+    text is made, unless there is one column per header cell, all of one
+    length.
+
+    A float column is folded into the line template when its bytes are all
+    its first double's (_one_double): bytes, not `==`, so 0.0 and -0.0 stay
+    apart."""
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(col) != n for col in columns):
+        raise TypeError(f"CSV columns of lengths {[len(col) for col in columns]} "
+                        f"under a header of {len(header)} cells")
+    cells, varying = [], []
+    for col in columns:
+        if type(col) is array and n and _one_double(col, n):
+            cells.append(repr(col[0]))
+        else:
+            cells.append("%s")
+            varying.append(col)
+    line = ",".join(cells) + "\r\n"
+    rows = zip(*varying) if varying else repeat((), n)
+    head = (",".join(["%s"] * len(header)) + "\r\n") % tuple(header)
+    return chain([head], ("".join(map(line.__mod__, islice(rows, _BLOCK_ROWS)))
+                          for _ in range(0, n, _BLOCK_ROWS)))
+
+
+def _is_link(name: str, dir_fd: int) -> bool:
+    try:
+        return stat.S_ISLNK(os.stat(name, dir_fd=dir_fd, follow_symlinks=False).st_mode)
+    except OSError:
+        return False
+
+
+def _create_beneath(out: str, rel: str):
+    """A new file at out/rel, open for writing text. `out` is made if missing
+    and followed if it is a link. Each part of `rel` is opened by descriptor,
+    relative to its parent, and never followed: a link there raises OSError
+    naming it. A missing directory is made. An old file at the leaf is
+    unlinked, not truncated, so a link there is replaced, and closing a
+    rewritten file costs no flush on ext4; a directory there raises OSError."""
+    os.makedirs(out, exist_ok=True)
+    *parents, leaf = PurePath(rel).parts
+    fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+    try:
+        for depth, part in enumerate(parents, 1):
+            try:
+                os.mkdir(part, dir_fd=fd)
+            except FileExistsError:
+                pass
+            try:
+                child = os.open(part, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC,
+                                dir_fd=fd)
+            except OSError:
+                if _is_link(part, fd):
+                    raise OSError(errno.ELOOP, "a link below the output directory is not followed",
+                                  os.path.join(out, *parents[:depth])) from None
+                raise
+            os.close(fd)
+            fd = child
+        try:
+            os.unlink(leaf, dir_fd=fd)
+        except FileNotFoundError:
+            pass
+        leaf_fd = os.open(leaf, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC,
+                          0o666, dir_fd=fd)
+    finally:
+        os.close(fd)
+    return open(leaf_fd, "w", encoding="utf-8", newline="")
+
+
+def _write_artifact(artifact, path):
+    """Write `artifact` to `path`, an ArtifactPath or a plain path whose
+    parent is taken as the output directory, as a new file (_create_beneath).
+    The whole artifact is checked before the file is touched."""
     if isinstance(artifact, dict):
-        with open(path, "x", encoding="utf-8") as fh:
-            fh.write(_json_text(artifact) + "\n")
+        chunks = [_json_text(artifact) + "\n"]
     else:
-        header, rows = artifact
-        # a row with more or fewer cells than the header raises TypeError
-        line = ",".join(["%s"] * len(header)) + "\r\n"
-        with open(path, "x", newline="", encoding="utf-8") as fh:
-            fh.write(line % tuple(header))
-            fh.writelines(line % tuple(row) for row in rows)
+        chunks = _csv_blocks(*artifact)
+    if not isinstance(path, ArtifactPath):
+        path = Path(path)
+        path = ArtifactPath(str(path.parent), path.name)
+    with _create_beneath(path.out, path.rel) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> RunReport:
     """Dispatch a validated scenario, write its artifact, return the report."""
     start = time.perf_counter()
     artifact, checks = scenario_module(cfg.module).run(cfg.scenario, cfg.seed)
-    path = Path(out_dir) / cfg.artifact_path
+    path = ArtifactPath(os.fspath(out_dir), cfg.artifact_path)
     _write_artifact(artifact, path)
     return RunReport(
         name=cfg.name,
         wall_time=time.perf_counter() - start,
-        artifact_path=str(path),
+        artifact_path=os.fspath(path),
         checks=checks,
         config_digest=cfg.digest(),
     )

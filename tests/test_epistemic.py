@@ -291,9 +291,9 @@ EDGE_CASES = {
 
 
 def _assert_run_matches_reference(scenario, seed):
-    (_, rows), checks = run(scenario, seed)
+    (_, columns), checks = run(scenario, seed)
     ref_rows, ref_checks = _reference_run(scenario, seed)
-    assert repr(rows) == repr(ref_rows)
+    assert repr([list(row) for row in zip(*columns)]) == repr(ref_rows)
     assert checks == ref_checks
 
 

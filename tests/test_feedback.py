@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from emt_lab import DomainError, NumericError
 from emt_lab.cli import main
 from emt_lab.feedback import FeedbackParams, Scenario, loop_diagnostics, run, simulate_loop
+from emt_lab.runner import _write_artifact
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,12 +85,12 @@ def test_divergent_tuning_flagged_unstable():
 def test_run_settle_check_matches_loop_diagnostics(noise_sd, horizon, expect_unstable):
     loop = dict(noise_sd=noise_sd, theta_meta=0.4, dt=0.01, horizon=horizon,
                 check_settled=True, expect_unstable=expect_unstable)
-    (_, traj), _ = run(Scenario(**loop), seed=3)
-    tail_max = loop_diagnostics(traj)["max_abs_eps"]
+    (_, columns), _ = run(Scenario(**loop), seed=3)
+    tail_max = loop_diagnostics(list(zip(*columns)))["max_abs_eps"]
     # at a threshold equal to the tail's max |eps| the strict < says not settled
     for threshold in (tail_max, math.nextafter(tail_max, math.inf), 1e-2, 10.0):
-        (_, traj), checks = run(Scenario(**loop, settle_threshold=threshold), seed=3)
-        settled = loop_diagnostics(traj, threshold)["settled"]
+        (_, columns), checks = run(Scenario(**loop, settle_threshold=threshold), seed=3)
+        settled = loop_diagnostics(list(zip(*columns)), threshold)["settled"]
         assert settled == (threshold > tail_max)
         assert checks == {"settled_as_expected": settled != expect_unstable}
 
@@ -106,8 +108,41 @@ def test_noise_determinism_and_sqrt_dt_scaling():
 
 def test_divergence_raises_with_step_index():
     params = FeedbackParams(gamma0=1e150, phi_gain=1e150, dt=10.0, horizon=50)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError) as err:
         simulate_loop(params)
+    assert str(err.value) == "loop diverged at step 1: O=-inf, A=-inf"
+
+
+@pytest.mark.parametrize("params, message", [
+    # eps^2 overflows while O and A are finite
+    (dict(o0=1e160, gamma0=1e147, phi_gain=1e-300, dt=1.0, horizon=3),
+     "loop diverged at step 1: O=1e+160, eps^2 overflows"),
+    # eps^2 would overflow too, but A is non-finite already, and that is checked first
+    (dict(o0=1e160, gamma0=1e148, phi_gain=1e-300, dt=1.0, horizon=3),
+     "loop diverged at step 1: O=1e+160, A=-inf"),
+    (dict(e_target=lambda t: math.inf, horizon=5), "loop diverged at step 1: O=nan, A=nan"),
+    (dict(e_target=lambda t: math.inf if t > 0.0015 else 1.0, horizon=5),
+     "loop diverged at step 2: O=1.9999993333334027e-06, A=inf"),
+], ids=["eps2_overflow", "a_checked_first", "target_inf", "target_inf_later"])
+def test_divergence_message_names_the_step_and_the_value(params, message):
+    with pytest.raises(NumericError) as err:
+        simulate_loop(FeedbackParams(**params))
+    assert str(err.value) == message
+
+
+def test_noisy_run_and_write_peak_memory_at_horizon_1e5(tmp_path):
+    """Five columns of 8-byte doubles, not a tuple of float objects per row:
+    the traced peak of a 10^5-step noisy run plus its write stays under 8 MB
+    (24 MB with one tuple per row)."""
+    scenario = Scenario(noise_sd=0.05, theta_meta=0.4, dt=1e-3, horizon=10**5)
+    tracemalloc.start()
+    try:
+        artifact, _ = run(scenario, seed=3)
+        _write_artifact(artifact, tmp_path / "fb.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_param_validation():

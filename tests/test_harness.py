@@ -414,20 +414,21 @@ def test_cli_verify_unwritable_artifact_is_a_runtime_error(monkeypatch, capsys):
 @pytest.mark.parametrize("at", [0, 1])
 @pytest.mark.parametrize("odd_row", [None, [1.0, 2.0]], ids=["plain", "ragged"])
 def test_csv_rows_of_floats_and_ints_are_written_as_fmt_writes_them(odd_row, at, tmp_path):
-    """Each cell of a float or an int is its repr; a ragged row raises."""
+    """Each cell of a float or an int is its repr; a row with a cell missing
+    leaves its column short, which raises before the file is made."""
     header = ["a", "b", "c"]
     rows = [[-0.0, float("inf"), float("nan")], [10**300, -(2**100), 0], [0.1, 1e-300, -7]]
     path = tmp_path / "a.csv"
     if odd_row is None:
-        _write_artifact((header, rows), path)
+        _write_artifact((header, [list(col) for col in zip(*rows)]), path)
         expected = [header] + [list(map(repr, row)) for row in rows]
         assert path.read_bytes() == "".join(",".join(row) + "\r\n" for row in expected).encode()
         return
     rows.insert(at, odd_row)
+    columns = [[row[i] for row in rows if i < len(row)] for i in range(len(header))]
     with pytest.raises(TypeError):
-        _write_artifact((header, rows), path)
-    # the rows before the short one are written whole, and no line is ragged
-    assert [line.count(b",") for line in path.read_bytes().split(b"\r\n")[:-1]] == [2] * (1 + at)
+        _write_artifact((header, columns), path)
+    assert not path.exists()
 
 
 def _contract_configs():
@@ -488,6 +489,60 @@ def test_cli_directory_at_the_artifact_path_is_a_runtime_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and "Traceback" not in err
     assert (tmp_path / "out" / "mdp_default.json").is_dir()
+
+
+def test_cli_link_in_a_parent_part_is_a_runtime_error_and_writes_nothing(tmp_path, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "a").symlink_to("../elsewhere")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module="game", name="a/b")))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and repr(str(tmp_path / "out" / "a")) in err
+    assert list(elsewhere.iterdir()) == []
+
+
+def test_cli_link_to_a_directory_inside_out_is_refused_too(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "real").mkdir(parents=True)
+    (out / "x").mkdir()
+    (out / "x" / "a").symlink_to("../real")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module="game", name="x/a/b")))
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert repr(str(out / "x" / "a")) in capsys.readouterr().err
+    assert list((out / "real").iterdir()) == []
+
+
+def test_cli_link_at_out_itself_is_followed_and_parts_are_made(tmp_path):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "out").symlink_to("real")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module="game", name="a/b/c")))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "real" / "a" / "b" / "c.json").is_file()
+
+
+@pytest.mark.parametrize("module, params, row0", [
+    ("feedback", {"gamma0": 1, "o0": 0, "a0": 0, "horizon": 2}, "0.0,0.0,0.0,1.0,1.0"),
+    ("growth", {"k0": 100, "l0": 2, "horizon": 2}, None),
+], ids=["feedback", "growth"])
+def test_cli_an_int_given_for_a_float_parameter_is_written_as_its_float(module, params, row0,
+                                                                         tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module=module, params=params)))
+    floats = {key: float(value) for key, value in params.items() if key != "horizon"}
+    cfg_f = tmp_path / "cfg_f.json"
+    cfg_f.write_text(json.dumps(minimal(module=module, name="f", params={**params, **floats})))
+    assert main(["run", str(cfg), str(cfg_f), "--out", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out" / "t.csv").read_bytes()
+    assert written == (tmp_path / "out" / "f.csv").read_bytes()
+    if row0 is not None:
+        assert written.split(b"\r\n")[1] == row0.encode()
+    scenario = validate_config(minimal(module=module, params=params)).scenario
+    assert all(type(getattr(scenario, key)) is float for key in floats)
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{", b"[" * 100_000],

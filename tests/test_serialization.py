@@ -1,12 +1,15 @@
-"""The mdp op's JSON paths against the json module and numpy they replace:
-the artifact writer, the array conversion, and its config errors."""
+"""The artifact writer against what it replaces: its JSON text against the
+json module, its CSV columns against one `%` format per row; and the mdp op's
+array conversion against numpy, with its config errors."""
 
 import json
 import math
+import struct
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emt_lab._params import float_array
 from emt_lab.cli import main
@@ -41,6 +44,82 @@ def test_write_artifact_writes_json_dumps_text_and_a_newline(tmp_path):
 def test_json_text_rejects_a_key_that_is_not_a_str(artifact):
     with pytest.raises(TypeError, match="artifact keys must be str"):
         _json_text(artifact)
+
+
+# Doubles whose reprs and bits are edge cases: signed zeros, NaNs of both
+# signs, infinities, the smallest subnormal and normal, and their neighbours.
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, math.nan, -math.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],
+    math.inf, -math.inf, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1.0, math.nextafter(1.0, 2.0), 0.1, 1e16, 1e22, -1e300,
+])
+CELL_TEXT = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+                    max_size=6)
+
+
+def _twin(x: float) -> float:
+    """-x for a zero or a NaN, whose bits differ from x's while `==` cannot
+    tell them apart; otherwise the next double up."""
+    return -x if x == 0 or x != x else math.nextafter(x, math.inf)
+
+
+def _csv_column(n: int):
+    """A column of n cells: an array('d') (free, constant, or constant but for
+    one double, often its twin), or a list of ints or strs."""
+    floats = EDGE_FLOATS | st.floats()
+
+    def almost(base, at, odd):
+        cells = [base] * n
+        if n:
+            cells[at] = _twin(base) if odd is None else odd
+        return array("d", cells)
+
+    free = st.lists(floats, min_size=n, max_size=n).map(lambda xs: array("d", xs))
+    constant = floats.map(lambda x: array("d", [x]) * n)
+    almost_constant = st.builds(almost, floats, st.integers(0, max(n - 1, 0)),
+                                st.none() | EDGE_FLOATS)
+    ints = st.lists(st.integers(-2**80, 2**80), min_size=n, max_size=n)
+    strs = st.lists(CELL_TEXT, min_size=n, max_size=n)
+    return free | constant | almost_constant | ints | strs
+
+
+def _csv_by_rows(header, columns) -> bytes:
+    """The CSV as one `%s` format per row of zip(*columns) writes it."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    return "".join(line % tuple(row) for row in [header, *zip(*columns)]).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(_csv_column(n), min_size=1, max_size=6)))
+@example([array("d", [0.0, -0.0, 0.0])])
+@example([array("d", [-0.0, -0.0]), [1, 2], array("d", [math.nan, math.nan])])
+@example([array("d", [2.5] * 3), array("d", [-0.0] * 3)])
+def test_csv_columns_are_written_as_one_format_per_row_writes_them(tmp_path_factory, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "a.csv"
+    _write_artifact((header, columns), path)
+    assert path.read_bytes() == _csv_by_rows(header, columns)
+
+
+def test_csv_columns_are_written_across_blocks(tmp_path):
+    # more rows than one block, with a constant, a varying and an int column
+    n = 3 * 4096 + 5
+    columns = [array("d", [0.5]) * n, array("d", map(float, range(n))), list(range(n))]
+    _write_artifact((["a", "b", "c"], columns), tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == _csv_by_rows(["a", "b", "c"], columns)
+
+
+@pytest.mark.parametrize("columns", [
+    [array("d", [1.0, 2.0]), [1]],
+    [[1, 2], array("d", [1.0, 2.0, 3.0])],
+    [array("d", [1.0])],
+], ids=["short", "long", "too_few_columns"])
+def test_ragged_csv_columns_raise_and_leave_the_old_file(columns, tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"old\r\n")
+    with pytest.raises(TypeError):
+        _write_artifact((["a", "b"], columns), path)
+    assert path.read_bytes() == b"old\r\n"
 
 
 NUMBERS = st.integers(-2**70, 2**70) | st.floats()
