@@ -316,6 +316,20 @@ def inversion_crossing(
     return None
 
 
+# Bounds on a scenario's size, checked at validation, measured on a 2-core
+# Xeon VM. A step costs about 14 us of CPU and 460 bytes of rows and columns,
+# so about 15 s and 460 MB of RSS at the horizon bound. The pool holds at most
+# the n_problems it starts with plus about eta_rate x dt x horizon arrivals,
+# about 110 bytes each, so about 550 MB at MAX_POOL. Each step scans the open
+# pool at 250-290 ns per problem. If no problem resolves, a run scans
+# horizon x (n_problems + eta_rate x dt x horizon / 2) problems, so the budget
+# MAX_POOL_WORK on horizon x (n_problems + eta_rate x dt x horizon) is about a
+# minute when arrivals fill the pool and about two and a half when the
+# starting pool does.
+MAX_POOL = 5 * 10**6
+MAX_POOL_WORK = 5 * 10**8
+
+
 @dataclass(frozen=True)
 class Scenario(EpistemicParams):
     """One run of the domain: `horizon` steps of `dt` from stock p0, with
@@ -325,9 +339,21 @@ class Scenario(EpistemicParams):
     a_growth: float = param(0.5, min=0)
     p0: float = param(0.0, min=0)
     dt: float = param(0.1, exmin=0)
-    horizon: int = param(200, min=1)
-    n_problems: int = param(10, min=0)
+    horizon: int = param(200, min=1, max=10**6)
+    n_problems: int = param(10, min=0, max=MAX_POOL)
     complexity_mean: float = param(2.0, exmin=0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        pool = self.n_problems + self.eta_rate * self.dt * self.horizon
+        sizes = f"{self.n_problems} + {self.eta_rate} x {self.dt} x {self.horizon} problems"
+        if pool > MAX_POOL:
+            raise DomainError(f"n_problems + eta_rate x dt x horizon: {sizes} "
+                              f"are above the pool bound of {MAX_POOL}")
+        if self.horizon * pool > MAX_POOL_WORK:
+            raise DomainError(f"horizon x (n_problems + eta_rate x dt x horizon): "
+                              f"{self.horizon} steps x ({sizes}) are above the budget of "
+                              f"{MAX_POOL_WORK}")
 
 
 # The CSV cells of a bool, indexed by it.

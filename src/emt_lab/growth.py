@@ -268,6 +268,16 @@ def unified_step(
     return UnifiedState(a=a_new, q=q_new, k=state.k, l=state.l), y
 
 
+# Bounds on a scenario's size, checked at validation. On a 2-core Xeon VM a
+# ladder step holds about 20 bytes of arrays per line at its peak, so 10**7
+# lines is about 200 MB of RSS; a line step costs 5-18 ns of CPU there (14 ns
+# at 10**7 lines), so the budget on n_lines x horizon is about a minute (70 s
+# at 10**7 lines). A step also costs about 6.5 us and 130 bytes of columns to
+# run and write, about 7 s and 130 MB of RSS at the horizon bound.
+MAX_N_LINES = 10**7
+MAX_LADDER_WORK = 5 * 10**9
+
+
 @dataclass(frozen=True)
 class Scenario(RomerParams):
     """One growth path: ideas, quality ladder, free-entry creative destruction."""
@@ -275,17 +285,20 @@ class Scenario(RomerParams):
     a0: float = param(1.0, min=0)
     k0: float = param(1.0, min=0)
     l0: float = param(1.0, min=0)
-    n_lines: int = param(1000, min=1)
+    n_lines: int = param(1000, min=1, max=MAX_N_LINES)
     lambda_step: float = param(1.5, exmin=1)
     pi_flow: float = param(1.0, exmin=0)
     psi: float = param(0.5, exmin=0)
     r_rate: float = param(0.05, exmin=0)
     delta_obs: float = param(0.0, min=0)
     dt: float = param(0.1, exmin=0)
-    horizon: int = param(100, min=1)
+    horizon: int = param(100, min=1, max=10**6)
 
     def __post_init__(self):
         super().__post_init__()
+        if self.n_lines * self.horizon > MAX_LADDER_WORK:
+            raise DomainError(f"n_lines x horizon: {self.n_lines} x {self.horizon} line steps "
+                              f"are above the budget of {MAX_LADDER_WORK}")
         free_entry_mu(self.pi_flow, self.psi, self.r_rate)  # an equilibrium must exist
 
 

@@ -12,14 +12,18 @@ from libm, one call per value; its inverse survival takes the normal
 quantile from `statistics.NormalDist` (Wichura's AS 241).
 
 `draw_max_statistic` fans the replicates out over one thread per CPU the
-process may use: numpy's bulk draws and `np.max` run without the GIL, and
+process may use: numpy's bulk draws and reductions run without the GIL, and
 each replicate draws from its own stream, so the m-values and the artifact
-bytes do not depend on that count or on the schedule. A worker seeds its
+bytes do not depend on that count or on the schedule. A replicate draws
+through numpy's fill kernel where one exists (`standard_exponential` and
+`random` for the exponential and uniform families) and multiplies only its
+maximum by the family's scale (`TailDistribution.sample_max`), which is the
+maximum of `sample`'s scaled draws, bit for bit. A worker seeds its
 replicates' generators `_SEED_BLOCK` at a time in one vectorized pass
 (`make_generators`); what stays serial per replicate, under the GIL, is
 building its PCG64 and Generator objects (about 2-3 us) and the calls into
 numpy. Peak draw memory is workers x k_draws x 8 bytes, one draw array per
-worker (pareto and weibull briefly hold a second while they scale it).
+worker (pareto briefly holds a second, the power of its uniforms).
 Maxima that overflow to inf raise NumericError, as no m-value is left.
 """
 
@@ -100,6 +104,28 @@ class TailDistribution:
             return rng.lognormal(p["mu"], p["sigma"], size)
         return p["scale"] * rng.weibull(p["shape"], size)
 
+    def sample_max(self, rng: np.random.Generator, size: int) -> float:
+        """The maximum of `sample(rng, size)`, as the same double.
+
+        The draws come from the same stream, through numpy's fill kernels
+        where one exists, and the family's scale multiplies only the maximum:
+        for a finite scale s > 0 a correctly rounded product is monotone in
+        its operand, so max(fl(s*x_i)) = fl(s*max(x_i)), overflow included.
+        A subnormal rate's scale of inf leaves the maximum non-finite either way.
+        """
+        p = self.params
+        if self.family == "exponential":
+            # exponential(scale) is scale * standard_exponential per element
+            return (1.0 / p["rate"]) * rng.standard_exponential(size).max()
+        if self.family == "uniform":
+            # uniform(0, b) is 0.0 + b * u per element, and 0.0 + b*u == b*u for u >= 0
+            return p["b"] * rng.random(size).max()
+        if self.family == "pareto":
+            return p["xm"] * (rng.random(size) ** (-1.0 / p["shape"])).max()
+        if self.family == "lognormal":
+            return rng.lognormal(p["mu"], p["sigma"], size).max()
+        return p["scale"] * rng.weibull(p["shape"], size).max()
+
     def survival(self, z: np.ndarray) -> np.ndarray:
         """Upper tail probability P(Z > z), computed in a tail-safe form."""
         z = np.asarray(z, dtype=float)
@@ -135,9 +161,9 @@ class TailDistribution:
 
 
 # Bounds on a scenario's size, checked at validation. Each worker holds a
-# k_draws x 8-byte draw array (pareto and weibull briefly two), so 10**7
-# draws is 80 MB per worker. The draw budget is about a minute on a 2-core
-# Xeon VM, which draws the bundled 2 x 10**7 in 0.12-0.16 s. The m-values
+# k_draws x 8-byte draw array (pareto briefly two), so 10**7 draws is 80 MB
+# per worker. The draw budget is about a minute on a 2-core Xeon VM, which
+# draws the bundled exponential 2 x 10**7 in 0.12-0.14 s. The m-values
 # are replicates x 8 bytes, more as a JSON list, and each replicate costs a
 # few microseconds beyond its draws: 10**6 of them take seconds and MBs.
 MAX_K_DRAWS = 10**7
@@ -196,7 +222,7 @@ def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig, seed: int = 0)
         for start in range(0, len(share), _SEED_BLOCK):
             block = share[start:start + _SEED_BLOCK]
             for i, rng in zip(block, make_generators(seed, block)):
-                maxima[i] = np.max(dist.sample(rng, cfg.k_draws))
+                maxima[i] = dist.sample_max(rng, cfg.k_draws)
 
     workers = min(_cpus(), cfg.replicates)
     with ThreadPoolExecutor(workers) as pool:

@@ -162,8 +162,8 @@ LONG_FLYWHEEL = {
 LONG_FLYWHEEL_DIGEST = "f7d41459501c90653f921f0805fd0de067c47c300c7cb9fab0e96008cebcafa1"
 
 SCHEMAS = {
-    "epistemic": "739dae5b0396a2442563c8b6ac01c72da875ba3ea0a1faca6af3091cc8732c44",
-    "growth": "67d71fc6aaa165394b0620a396f078e9b9ca8973c660106dfac58b04e4cafcfe",
+    "epistemic": "fceeacc27be2a6acd35b0b8ff3ba865a835039d9bff013645d6b9514d8dae635",
+    "growth": "6bf4ace17150cc6fe3651c3334d252ca2c700c3d5f4868557d1bf0baa38dbf19",
     "evt": "ba325405b39f9e54b397ed1f2a3a76d21fe3d858d4413c497b930c07b5d8f07e",
     "gravity": "d622c38043bab79d9479b55aa01a3904364eb5e9fa06084f0c1963b76d0002ca",
     "mdp": "b44aa11a4d98919c2b7b9e2b83c3f08a0d00bb23e21a3e30f5f0343ed0269b3e",

@@ -238,6 +238,22 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     ("feedback", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
     ("gravity", {"params": {"horizon": 5 * 10**5 + 1}}, "params.horizon: must be <= 500000, got 500001"),
     ("mdp", {"params": {"max_iter": 10**5 + 1}}, "params.max_iter: must be <= 100000, got 100001"),
+    ("growth", {"params": {"n_lines": 100000000}}, "params.n_lines: must be <= 10000000, got 100000000"),
+    ("growth", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
+    ("growth", {"params": {"n_lines": 10000, "horizon": 500001}},
+     "params: n_lines x horizon: 10000 x 500001 line steps are above the budget of 5000000000"),
+    ("epistemic", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
+    ("epistemic", {"params": {"n_problems": 5 * 10**6 + 1}},
+     "params.n_problems: must be <= 5000000, got 5000001"),
+    ("epistemic", {"params": {"eta_rate": 1e12}},
+     "params: n_problems + eta_rate x dt x horizon: 10 + 1000000000000.0 x 0.1 x 200 problems are "
+     "above the pool bound of 5000000"),
+    ("epistemic", {"params": {"dt": 1e300}},
+     "params: n_problems + eta_rate x dt x horizon: 10 + 1.0 x 1e+300 x 200 problems are above the "
+     "pool bound of 5000000"),
+    ("epistemic", {"params": {"horizon": 100000}},
+     "params: horizon x (n_problems + eta_rate x dt x horizon): 100000 steps x (10 + 1.0 x 0.1 x "
+     "100000 problems) are above the budget of 500000000"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -278,6 +294,21 @@ def test_evt_sizes_at_their_bounds_are_valid():
 def test_horizon_at_its_bound_is_valid(module, bound):
     assert module_schema(module)["horizon"]["max"] == bound
     assert validate_config(minimal(module=module, params={"horizon": bound})).scenario.horizon == bound
+
+
+@pytest.mark.parametrize("module, params", [
+    ("growth", {"n_lines": 10**7, "horizon": 500}),
+    ("growth", {"n_lines": 5000, "horizon": 10**6}),
+    ("epistemic", {"n_problems": 5 * 10**6, "eta_rate": 0.0, "horizon": 100}),
+    ("epistemic", {"n_problems": 0, "eta_rate": 400000.0, "dt": 0.125, "horizon": 100}),
+    ("epistemic", {"n_problems": 7500, "eta_rate": 4.0, "dt": 0.125, "horizon": 25000}),
+    ("epistemic", {"n_problems": 500, "eta_rate": 0.0, "horizon": 10**6}),
+], ids=["growth_lines", "growth_horizon", "pool_start", "pool_arrivals", "pool_work",
+        "epistemic_horizon"])
+def test_growth_and_epistemic_sizes_at_their_bounds_are_valid(module, params):
+    # every input sits exactly on its module's budget, most also on a maximum or the pool bound
+    scenario = validate_config(minimal(module=module, params=params)).scenario
+    assert {key: getattr(scenario, key) for key in params} == params
 
 
 def test_mdp_max_iter_at_its_bound_is_valid():
@@ -370,10 +401,15 @@ def test_cli_mdp_legacy_solve_out_of_sweeps_is_a_runtime_error(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_other_exceptions_are_internal_errors(tmp_path, capsys):
-    # numpy's Poisson draw rejects the arrival rate eta_rate * dt
+def test_cli_other_exceptions_are_internal_errors(monkeypatch, tmp_path, capsys):
+    # numpy's Poisson draw rejecting its rate was the known case; the pool
+    # bound now keeps eta_rate * dt far below where it does so
+    def fail(scenario, seed):
+        raise ValueError("lam value too large")
+
+    monkeypatch.setattr(scenario_module("epistemic"), "run", fail)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(minimal(params={"dt": 1e300})))
+    cfg.write_text(json.dumps(minimal()))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "internal error: ValueError: lam value too large\n"
 

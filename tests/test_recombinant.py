@@ -10,6 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emt_lab import DomainError, InputError, NumericError, recombinant
 from emt_lab._rng import make_generator
@@ -209,10 +210,14 @@ def test_run_draws_once_with_m_values(monkeypatch):
 
 
 def _serial_draw_max_statistic(dist, cfg, seed=0):
-    """The per-replicate loop on one thread: the oracle of the fan-out."""
+    """The per-replicate loop on one thread, the maximum of `sample`'s scaled
+    draws: the oracle of the fan-out and of `sample_max`."""
     maxima = np.empty(cfg.replicates)
     for i in range(cfg.replicates):
         maxima[i] = np.max(dist.sample(make_generator(seed, i), cfg.k_draws))
+    if not np.isfinite(maxima).all():
+        raise NumericError(f"{dist.family} draws overflow: a replicate's maximum is not finite "
+                           f"(parameters {dist.params})")
     return cfg.k_draws * dist.survival(maxima)
 
 
@@ -238,6 +243,50 @@ def test_fan_out_is_bitwise_the_serial_loop(dist, cpus, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+# Scale parameters whose products round: non-powers of two, ints, powers of
+# two far from 1, and values near the ends of the double range, where a
+# scaled maximum overflows or a scale is subnormal.
+SCALES = (st.floats(1e-3, 1e3) | st.integers(1, 10**6)
+          | st.sampled_from([3, 7, 0.1, 0.7, 1.3, 2.5, 1e-12, 10**300])
+          | st.integers(-1000, 1000).map(lambda k: 2.0**k)
+          | st.sampled_from([1e300, 1.7e308, 1e-300, 2.0**-1070, 5e-324]))
+SHAPES = st.floats(0.05, 20) | st.sampled_from([1, 2, 1e-310])
+FAMILY_PARAMS = st.one_of(
+    st.builds(lambda rate: ("exponential", {"rate": rate}), SCALES),
+    st.builds(lambda b: ("uniform", {"b": b}), SCALES),
+    st.builds(lambda xm, shape: ("pareto", {"xm": xm, "shape": shape}), SCALES, SHAPES),
+    st.builds(lambda mu, sigma: ("lognormal", {"mu": mu, "sigma": sigma}),
+              st.floats(-700, 700), st.floats(1e-3, 30)),
+    st.builds(lambda scale, shape: ("weibull", {"scale": scale, "shape": shape}), SCALES, SHAPES),
+)
+
+
+def _outcome(draw_max, dist, cfg, seed):
+    try:
+        return draw_max(dist, cfg, seed).tobytes()
+    except NumericError as err:
+        return str(err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing draws warn
+@settings(max_examples=300, deadline=None)
+@example(("pareto", {"xm": 3, "shape": 2.5}), 300, 40, 5)
+@example(("weibull", {"scale": 0.7, "shape": 1.5}), 1, 1, 2**64 - 1)
+@example(("pareto", {"xm": 1.7e308, "shape": 2.5}), 50, 3, 1)
+@example(("exponential", {"rate": 5e-324}), 10, 2, 0)
+@given(family_params=FAMILY_PARAMS, k_draws=st.integers(1, 300), replicates=st.integers(1, 40),
+       seed=st.integers(0, 2**64 - 1))
+def test_draw_max_statistic_is_the_serial_loop_at_any_scale(family_params, k_draws, replicates,
+                                                             seed):
+    """`sample_max` scales each maximum once where `sample` scales every draw:
+    the same m-value bytes, or the same NumericError text when a maximum
+    overflows."""
+    dist = TailDistribution(*family_params)
+    cfg = EvtRunConfig(k_draws=k_draws, replicates=replicates)
+    got = _outcome(draw_max_statistic, dist, cfg, seed)
+    assert got == _outcome(_serial_draw_max_statistic, dist, cfg, seed)
+
+
 def test_cpus_fall_back_to_the_cpu_count(monkeypatch):
     _set_cpus(monkeypatch, 5)
     assert recombinant._cpus() == 5
@@ -257,7 +306,7 @@ def _failing_sample(exc):
 
 def test_a_worker_exception_reaches_the_caller_unchanged(monkeypatch):
     _set_cpus(monkeypatch, 4)
-    monkeypatch.setattr(TailDistribution, "sample", _failing_sample(ValueError("no draws")))
+    monkeypatch.setattr(TailDistribution, "sample_max", _failing_sample(ValueError("no draws")))
     before = threading.active_count()
     with pytest.raises(ValueError) as err:
         draw_max_statistic(TailDistribution("exponential"), EvtRunConfig(10, 9))
@@ -268,7 +317,7 @@ def test_a_worker_exception_reaches_the_caller_unchanged(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_cli_exit_on_a_worker_exception_is_the_serial_one(cpus, monkeypatch, tmp_path, capsys):
     _set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(TailDistribution, "sample", _failing_sample(NumericError("no draws")))
+    monkeypatch.setattr(TailDistribution, "sample_max", _failing_sample(NumericError("no draws")))
     path = tmp_path / "evt.json"
     path.write_text(json.dumps({"name": "evt", "module": "evt", "params": {"replicates": 9}}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
