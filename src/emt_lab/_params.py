@@ -1,19 +1,20 @@
-"""Parameters declared once, as dataclass fields made by `param`.
+"""Parameters declared once, as dataclass fields made by `param`, and the one
+rule set for their values.
 
 The annotation gives the type, the default the default, and the keywords the
-bounds ("min", "exmin", "max", "exmax") and "choices". `check` enforces them
-on an instance, along with rules for every field: a float, an element of a
-float array, or a field annotated `float` or `int` is a number (`is_number`,
-the rule of every number in a config); a field annotated `int` holds an
-integer, not a bool, and one annotated `bool` a bool. A number in a field
-annotated `float` is stored as a float. An array parameter is
-converted by `float_array`, which rejects a bool, a str or a None inside it.
-Config derives validation and `emt-lab schema` from the fields.
+bounds ("min", "exmin", "max", "exmax") and "choices". `field_error` is the
+rule for one value: the annotation's type (`_TYPES`), finite if a number,
+then the choices and bounds. `check` applies it to each field of a built
+instance, and `read_block` to each value of a JSON object (config's blocks,
+policy's occupations) along with its unknown and missing keys. `check` stores
+a number in a field annotated `float` as a float, and an array in one
+annotated `np.ndarray` as a float array of finite elements (`float_array`).
 """
 
 from __future__ import annotations
 
 import copy
+import difflib
 import numbers
 import sys
 from dataclasses import MISSING, field, fields
@@ -30,8 +31,16 @@ _BOUNDS = (
     ("exmax", "<", lambda v, b: v < b),
 )
 
-_TYPES = {"float": "number", "int": "integer", "str": "string", "bool": "boolean",
-          "dict": "object", "list": "array", "tuple": "array", "np.ndarray": "array"}
+_ARRAY = ("array", lambda v: isinstance(v, (list, tuple, np.ndarray)))
+# Each annotation (its first part, before " |"): its schema name and its test.
+_TYPES = {
+    "float": ("number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "int": ("integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "bool": ("boolean", lambda v: isinstance(v, (bool, np.bool_))),
+    "str": ("string", lambda v: isinstance(v, str)),
+    "dict": ("object", lambda v: isinstance(v, dict)),
+    "list": _ARRAY, "tuple": _ARRAY, "np.ndarray": _ARRAY,
+}
 
 
 def param(default=MISSING, **bounds):
@@ -42,19 +51,21 @@ def param(default=MISSING, **bounds):
     return field(default=default, metadata=meta)
 
 
-def is_number(value) -> bool:
-    """A real number finite as a float: not a bool, NaN or an infinity, and no
-    integer too large to convert."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def _type_error(name: str, annotation: str, value):
+    """The error of `value` against the type `annotation`, or None: a failed
+    test, or a number that is NaN, an infinity or too large for a float."""
+    kind, test = _TYPES[annotation]
+    if not test(value):
+        return InputError(f"{name}: expected {kind}, got {value!r}")
+    if kind in ("number", "integer") and not abs(value) <= sys.float_info.max:
+        return DomainError(f"{name}: must be finite, got {value}")
+    return None
 
 
 def check_number(name: str, value) -> None:
-    """Raise unless `value` is a number (`is_number`)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputError(f"{name}: expected number, got {value!r}")
-    if not is_number(value):
-        raise DomainError(f"{name}: must be finite, got {value}")
+    """Raise unless `value` passes the type rule of a field annotated `float`."""
+    if error := _type_error(name, "float", value):
+        raise error
 
 
 def float_array(name: str, values) -> np.ndarray:
@@ -85,43 +96,67 @@ def float_array(name: str, values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def bound_problems(name: str, bounds: dict, value) -> list:
-    """One message per bound or choice of `bounds` that `value` breaks."""
-    out = []
+def field_error(f, value, name: str):
+    """The error of `value` for the parameter field `f`, reported as `name`,
+    or None. None passes where it is the default and a callable where the
+    annotation allows one; any other value must pass `_type_error`, then the
+    field's choices and bounds."""
+    if value is None and f.default is None or "Callable" in f.type and callable(value):
+        return None
+    if error := _type_error(name, f.type.split(" |")[0], value):
+        return error
+    bounds = f.metadata["param"]
     if "choices" in bounds and value not in bounds["choices"]:
-        out.append(f"{name}: must be one of {list(bounds['choices'])}, got {value!r}")
+        return InputError(f"{name}: must be one of {list(bounds['choices'])}, got {value!r}")
     for key, op, holds in _BOUNDS:
         if key in bounds and not holds(value, bounds[key]):
-            out.append(f"{name}: must be {op} {bounds[key]}, got {value}")
-    return out
+            return DomainError(f"{name}: must be {op} {bounds[key]}, got {value}")
+    return None
 
 
 def check(obj) -> None:
-    """Raise if an init field of `obj` annotated `float` or `int`, or holding
-    a float, is no number, one annotated `int` no integer, one annotated
-    `bool` no bool, or a parameter field breaks its bounds or choices. A
-    number in a field annotated `float` is stored as a float, so an int given
-    for it computes and is written as its float would be."""
-    for f in fields(obj):
-        if not f.init:
-            continue
+    """Raise the first error `field_error` finds in a parameter field of `obj`,
+    and store its value as the module docstring says: an int given for a
+    float computes and is written as its float would be."""
+    for f in param_fields(obj).values():
         value = getattr(obj, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise InputError(f"{f.name}: expected integer, got {value!r}")
-        if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
-            raise InputError(f"{f.name}: expected boolean, got {value!r}")
-        if f.type in ("float", "int") or isinstance(value, float):
-            check_number(f.name, value)
-        if f.type == "float" and type(value) is not float:
-            object.__setattr__(obj, f.name, float(value))
-        if isinstance(value, np.ndarray) and value.dtype.kind == "f" and not np.isfinite(value).all():
-            raise DomainError(f"{f.name}: every element must be finite")
-        bounds = f.metadata.get("param")
-        if bounds is not None:
-            problems = bound_problems(f.name, bounds, value)
-            if problems:
-                error = InputError if "choices" in bounds else DomainError
-                raise error("; ".join(problems))
+        if error := field_error(f, value, f.name):
+            raise error
+        if f.type == "np.ndarray":
+            value = float_array(f.name, value)
+            if not np.isfinite(value).all():
+                raise DomainError(f"{f.name}: every element must be finite")
+        object.__setattr__(obj, f.name, float(value) if f.type == "float" else value)
+
+
+def param_fields(cls) -> dict:
+    """The parameter fields of `cls` by name."""
+    return {f.name: f for f in fields(cls) if "param" in f.metadata}
+
+
+def read_block(fields_by_key: dict, block, prefix: str = "") -> tuple:
+    """(values, errors) of the JSON object `block` read into `fields_by_key`:
+    its values and the defaults of the keys it leaves out (MISSING if none),
+    and an error, its message starting with `prefix`, for each unknown key
+    (naming the closest known one), missing key and value `field_error`
+    rejects, or for a `block` that is no object."""
+    if not isinstance(block, dict):
+        return {}, [_type_error(prefix.rstrip("."), "dict", block)]
+    values, errors = {}, []
+    for key, value in block.items():
+        f = fields_by_key.get(key)
+        if f is None:
+            hint = difflib.get_close_matches(str(key), fields_by_key, n=1)
+            suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
+            errors.append(InputError(f"{prefix}unknown key {key!r}{suggestion}"))
+        else:
+            errors.append(field_error(f, value, prefix + key))
+            values[key] = value
+    for key, f in fields_by_key.items():
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if values.setdefault(key, default) is MISSING:
+            errors.append(InputError(f"{prefix}{key}: required"))
+    return values, [error for error in errors if error]
 
 
 class Params:
@@ -132,11 +167,8 @@ class Params:
 
 
 def schema(cls) -> dict:
-    """Type, default, bounds and choices of every parameter field of `cls`."""
-    out = {}
-    for f in fields(cls):
-        if "param" in f.metadata:
-            default = f.default if f.default_factory is MISSING else f.default_factory()
-            kind = _TYPES[f.type.split(" |")[0]]
-            out[f.name] = {"type": kind, "default": default, **f.metadata["param"]}
-    return out
+    """Type name, default (what a block without the key reads) and bounds and
+    choices of every parameter field of `cls`."""
+    defaults, _ = read_block(param_fields(cls), {})
+    return {name: {"type": _TYPES[f.type.split(" |")[0]][0], "default": defaults[name],
+                   **f.metadata["param"]} for name, f in param_fields(cls).items()}

@@ -3,26 +3,25 @@
 A scenario is a single JSON document naming a module, a module-specific
 parameter block, a master seed, and an output sink. Its top-level keys are
 the fields of `ScenarioConfig`, a module's parameters those of its `Scenario`
-dataclass (see `_params`), so validation, defaults and `emt-lab schema` are
-all derived from them. Validation is strict (unknown keys are rejected, with a
-closest-known-key suggestion; numbers must be finite) and collects every
-problem with the keys before failing, so a bad config reports all of them in
-one pass. It ends by building the ScenarioConfig, whose checks (the artifact
-path stays inside the output directory) and Scenario's cross-field checks
-fail here too, before anything runs.
+dataclass, so the defaults, `emt-lab schema` and the rule each value must meet
+(`_params.field_error`, the one a directly built dataclass meets too) all come
+from them. A file adds its keys: unknown ones are rejected with a closest-key
+suggestion, and every problem is collected before failing (`_params.read_block`).
+Validation ends by building the ScenarioConfig, whose checks (the artifact path
+stays inside the output directory) and Scenario's cross-field checks fail here
+too, before anything runs.
 """
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import importlib
 import json
 from collections import Counter
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import PurePath
 
-from ._params import bound_problems, check, is_number, param, schema as param_schema
+from ._params import check, param, param_fields, read_block, schema as param_schema
 from .errors import ConfigError, EmtLabError
 
 # Scenario module name -> the emt_lab module defining its `Scenario` dataclass,
@@ -37,15 +36,6 @@ MODULES = {
     "feedback": "feedback",
     "game": "game",
     "policy": "policy",
-}
-
-_TYPE_CHECKS = {
-    "number": is_number,
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
 }
 
 
@@ -116,50 +106,26 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# The keys of a scenario file and of its `output` block, from ScenarioConfig.
-_TOP = param_schema(ScenarioConfig)
+# The keys of a scenario file and of its `output` block, an object like `params`.
+_TOP = param_fields(ScenarioConfig)
 _OUTPUT = {"path": _TOP.pop("output_path")}
-_TOP["output"] = {"type": "object", "default": {}}
-
-
-def _check_value(prefix: str, key: str, spec: dict, value, problems: list):
-    if value is None and spec["default"] is None:
-        return
-    if not _TYPE_CHECKS[spec["type"]](value):
-        problems.append(f"{prefix}{key}: expected {spec['type']}, got {value!r}")
-        return
-    problems.extend(prefix + p for p in bound_problems(key, spec, value))
-
-
-def _check_block(prefix: str, schema: dict, block: dict, problems: list) -> dict:
-    resolved = {}
-    for key, value in block.items():
-        if key not in schema:
-            hint = difflib.get_close_matches(key, schema, n=1)
-            suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            problems.append(f"{prefix}unknown key {key!r}{suggestion}")
-            continue
-        _check_value(prefix, key, schema[key], value, problems)
-        resolved[key] = value
-    for key, spec in schema.items():
-        if key not in resolved and spec["default"] is MISSING:
-            problems.append(f"{prefix}{key}: required")
-        resolved.setdefault(key, spec["default"])
-    return resolved
+_TOP["output"] = _TOP["params"]
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
     """Validate a raw scenario dict, collecting every problem."""
-    problems: list = []
     if not isinstance(raw, dict):
         raise ConfigError([f"scenario must be a JSON object, got {type(raw).__name__}"])
-    top = _check_block("", _TOP, raw, problems)
+    top, problems = read_block(_TOP, raw)
     module, params, output = top["module"], top["params"], top["output"]
     if isinstance(module, str) and module in MODULES and isinstance(params, dict):
-        params = _check_block("params.", module_schema(module), params, problems)
-    output = _check_block("output.", _OUTPUT, output if isinstance(output, dict) else {}, problems)
+        params, more = read_block(param_fields(scenario_module(module).Scenario), params, "params.")
+        problems += more
+    if isinstance(output, dict):
+        output, more = read_block(_OUTPUT, output, "output.")
+        problems += more
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError(list(map(str, problems)))
     return ScenarioConfig(name=top["name"], module=module, params=params, seed=top["seed"],
                           output_path=output["path"])
 

@@ -45,14 +45,13 @@ class MdpSpec(Params):
 
     rewards: np.ndarray = param([[0.0, 1.0]])
     shock_probs: np.ndarray = param([1.0])
-    transition: np.ndarray = param([[[0], [0]]])
+    transition: list = param([[[0], [0]]])  # an int array, made by _indices
     beta: float = param(0.9, exmin=0, exmax=1)
 
     def __post_init__(self):
-        object.__setattr__(self, "rewards", np.atleast_2d(float_array("rewards", self.rewards)))
-        object.__setattr__(self, "shock_probs", float_array("shock_probs", self.shock_probs))
-        object.__setattr__(self, "transition", _indices("transition", self.transition))
         super().__post_init__()
+        object.__setattr__(self, "rewards", np.atleast_2d(self.rewards))
+        object.__setattr__(self, "transition", _indices("transition", self.transition))
         n_s, n_a = self.rewards.shape
         if n_s < 1 or n_a < 1:
             raise InputError("need at least one state and one action")
@@ -62,10 +61,8 @@ class MdpSpec(Params):
                 f"got sum {self.shock_probs.sum()}"
             )
         if self.transition.shape != (n_s, n_a, self.shock_probs.size):
-            raise InputError(
-                f"transition shape {self.transition.shape} does not match "
-                f"({n_s}, {n_a}, {self.shock_probs.size})"
-            )
+            raise InputError(f"transition shape {self.transition.shape} does not match "
+                             f"({n_s}, {n_a}, {self.shock_probs.size})")
         if np.any(self.transition < 0) or np.any(self.transition >= n_s):
             raise InputError("transitions must land in valid states")
 

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._params import Params, check_number, float_array, param
+from ._params import Params, check_number, param
 from .errors import DomainError, InputError
 from .growth import cobb_douglas
 
@@ -41,19 +41,15 @@ class NeedsState(Params):
     g_resp: float = param(1.0, min=0)                     # responsiveness coefficient G(t)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_vec", float_array("n_vec", self.n_vec))
-        object.__setattr__(self, "d_mat", np.atleast_2d(float_array("d_mat", self.d_mat)))
-        object.__setattr__(self, "p_vec", float_array("p_vec", self.p_vec))
+        super().__post_init__()
+        object.__setattr__(self, "d_mat", np.atleast_2d(self.d_mat))
         if self.d_mat.shape != (self.n_vec.size, self.p_vec.size):
-            raise InputError(
-                f"distance matrix shape {self.d_mat.shape} does not match "
-                f"{self.n_vec.size} needs x {self.p_vec.size} sectors"
-            )
+            raise InputError(f"distance matrix shape {self.d_mat.shape} does not match "
+                             f"{self.n_vec.size} needs x {self.p_vec.size} sectors")
         if np.any(self.n_vec < 0) or np.any(self.p_vec < 0):
             raise DomainError("need intensities and potentials must be >= 0")
         if np.any(self.d_mat <= 0):
             raise DomainError("all distances must be > 0 (singularity)")
-        super().__post_init__()
 
     @property
     def nearest_distance(self) -> np.ndarray:

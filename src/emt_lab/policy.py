@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._params import Params, param
+from ._params import Params, param, param_fields, read_block
 from .errors import ConvergenceError, DomainError, InputError, NumericError
 
 FORMAT = "json"
@@ -51,9 +51,14 @@ class SubsidyProblem(Params):
         super().__post_init__()
         if not self.occupations:
             raise InputError("need at least one occupation")
-        occs = tuple(o if isinstance(o, Occupation) else Occupation(**o)
-                     for o in self.occupations)
-        object.__setattr__(self, "occupations", occs)
+        occs = list(self.occupations)
+        for i, o in enumerate(occs):
+            if not isinstance(o, Occupation):
+                values, errors = read_block(param_fields(Occupation), o, f"occupations.{i}.")
+                if errors:
+                    raise type(errors[0])("; ".join(map(str, errors)))
+                occs[i] = Occupation(**values)
+        object.__setattr__(self, "occupations", tuple(occs))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ replicates' generators `_SEED_BLOCK` at a time in one vectorized pass
 building its PCG64 and Generator objects (about 2-3 us) and the calls into
 numpy. Peak draw memory is workers x k_draws x 8 bytes, one draw array per
 worker (pareto briefly holds a second, the power of its uniforms).
-Maxima that overflow to inf raise NumericError, as no m-value is left.
+Maxima that overflow to inf or underflow to 0 raise NumericError: no m-value is left.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ class TailDistribution:
         if self.family == "pareto":
             return np.where(z <= p["xm"], 1.0, (p["xm"] / z) ** p["shape"])
         if self.family == "lognormal":
-            x = (np.log(z) - p["mu"]) / p["sigma"]
+            with np.errstate(divide="ignore"):  # log(0) = -inf, where survival is 1
+                x = (np.log(z) - p["mu"]) / p["sigma"]
             sf = [0.5 * math.erfc(v / _SQRT2) for v in x.ravel().tolist()]
             return np.array(sf).reshape(x.shape)
         return np.exp(-((z / p["scale"]) ** p["shape"]))
@@ -219,10 +220,11 @@ def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig, seed: int = 0)
     maxima = np.empty(cfg.replicates)
 
     def draw(share: range) -> None:
-        for start in range(0, len(share), _SEED_BLOCK):
-            block = share[start:start + _SEED_BLOCK]
-            for i, rng in zip(block, make_generators(seed, block)):
-                maxima[i] = dist.sample_max(rng, cfg.k_draws)
+        with np.errstate(over="ignore", divide="ignore"):  # per thread; inf raises below
+            for start in range(0, len(share), _SEED_BLOCK):
+                block = share[start:start + _SEED_BLOCK]
+                for i, rng in zip(block, make_generators(seed, block)):
+                    maxima[i] = dist.sample_max(rng, cfg.k_draws)
 
     workers = min(_cpus(), cfg.replicates)
     with ThreadPoolExecutor(workers) as pool:
@@ -230,6 +232,8 @@ def draw_max_statistic(dist: TailDistribution, cfg: EvtRunConfig, seed: int = 0)
     if not np.isfinite(maxima).all():
         raise NumericError(f"{dist.family} draws overflow: a replicate's maximum is not finite "
                            f"(parameters {dist.params})")
+    if not maxima.min() > 0:  # every m-value would be K
+        raise NumericError(f"{dist.family} draws underflow to 0 (parameters {dist.params})")
     return cfg.k_draws * dist.survival(maxima)
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import emt_lab
-from emt_lab import ConfigError, load_config, module_schema, validate_config
+from emt_lab import (ConfigError, DomainError, EmtLabError, InputError, ScenarioConfig,
+                     load_config, module_schema, validate_config)
 from emt_lab.cli import bundled_scenarios, main
 from emt_lab.config import MODULES, scenario_module
 from emt_lab import cli, runner
@@ -254,6 +255,18 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     ("epistemic", {"params": {"horizon": 100000}},
      "params: horizon x (n_problems + eta_rate x dt x horizon): 100000 steps x (10 + 1.0 x 0.1 x "
      "100000 problems) are above the budget of 500000000"),
+    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bars": 1.0, "eta": 1.0, "lambda_align": 1.0}]}},
+     "config error: params: occupations.0.unknown key 'l_bars'; did you mean 'l_bar'?; "
+     "occupations.0.l_bar: required\n"),
+    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0},
+                                           {"w": 1.0}]}},
+     "config error: params: occupations.1.l_bar: required; occupations.1.eta: required; "
+     "occupations.1.lambda_align: required\n"),
+    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}, 3]}},
+     "config error: params: occupations.1: expected object, got 3\n"),
+    ("policy", {"params": {"occupations": [{"w": "1", "l_bar": -1.0, "eta": 1.0, "lambda_align": 1.0}]}},
+     "config error: params: occupations.0.w: expected number, got '1'; "
+     "occupations.0.l_bar: must be > 0, got -1.0\n"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -670,6 +683,49 @@ def test_replace_checks_the_config():
     assert dataclasses.replace(cfg, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ConfigError, match="seed: must be >= 0, got -1"):
         dataclasses.replace(cfg, seed=-1)
+
+
+# A value of each schema type. A field is fed each that is not of its own
+# type ("integer" rejects 2.5 too), so a bool meets every number, a string
+# every object and array, and so on; and every field is fed the numbers that
+# are not finite as a float.
+TYPE_VALUES = {"number": 2.5, "string": "x", "boolean": True, "object": {"a": 1.0},
+               "array": [1.0]}
+NOT_FINITE = (float("nan"), float("inf"), float("-inf"), 10**400)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_a_file_and_direct_construction_reject_the_same_values(module):
+    scenario, fed = scenario_module(module).Scenario, 0
+    for name, spec in module_schema(module).items():
+        wrong = [v for kind, v in TYPE_VALUES.items() if kind != spec["type"]] + list(NOT_FINITE)
+        for value in wrong:
+            with pytest.raises(EmtLabError) as direct:
+                scenario(**{name: value})
+            assert type(direct.value) in (InputError, DomainError), (name, value)
+            with pytest.raises(ConfigError) as config:
+                validate_config(minimal(module=module, params={name: value}))
+            assert config.value.problems == [f"params.{direct.value}"], (name, value)
+            fed += 1
+    assert fed >= 8 * len(module_schema(module))
+
+
+@pytest.mark.parametrize("field, value, key, block", [
+    ("name", 5, "name", {"name": 5}),
+    ("output_path", 5, "output.path", {"output": {"path": 5}}),
+    ("params", [], "params", {"params": []}),
+])
+def test_a_file_and_a_direct_scenario_config_reject_the_same_values(field, value, key, block):
+    message = f"expected {'object' if field == 'params' else 'string'}, got {value!r}"
+    with pytest.raises(ConfigError) as direct:
+        ScenarioConfig(**{"name": "t", "module": "growth", field: value})
+    assert direct.value.problems == [f"{field}: {message}"]
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(validate_config(minimal(module="growth")), **{field: value})
+    assert replaced.value.problems == [f"{field}: {message}"]
+    with pytest.raises(ConfigError) as config:
+        validate_config({**minimal(module="growth"), **block})
+    assert config.value.problems == [f"{key}: {message}"]
 
 
 def test_no_scenario_imports_scipy(tmp_path):

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 from itertools import combinations
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -218,6 +220,8 @@ def _serial_draw_max_statistic(dist, cfg, seed=0):
     if not np.isfinite(maxima).all():
         raise NumericError(f"{dist.family} draws overflow: a replicate's maximum is not finite "
                            f"(parameters {dist.params})")
+    if not maxima.min() > 0:
+        raise NumericError(f"{dist.family} draws underflow to 0 (parameters {dist.params})")
     return cfg.k_draws * dist.survival(maxima)
 
 
@@ -274,13 +278,14 @@ def _outcome(draw_max, dist, cfg, seed):
 @example(("weibull", {"scale": 0.7, "shape": 1.5}), 1, 1, 2**64 - 1)
 @example(("pareto", {"xm": 1.7e308, "shape": 2.5}), 50, 3, 1)
 @example(("exponential", {"rate": 5e-324}), 10, 2, 0)
+@example(("uniform", {"b": 5e-324}), 1, 40, 0)
 @given(family_params=FAMILY_PARAMS, k_draws=st.integers(1, 300), replicates=st.integers(1, 40),
        seed=st.integers(0, 2**64 - 1))
 def test_draw_max_statistic_is_the_serial_loop_at_any_scale(family_params, k_draws, replicates,
                                                              seed):
     """`sample_max` scales each maximum once where `sample` scales every draw:
     the same m-value bytes, or the same NumericError text when a maximum
-    overflows."""
+    overflows or underflows to 0."""
     dist = TailDistribution(*family_params)
     cfg = EvtRunConfig(k_draws=k_draws, replicates=replicates)
     got = _outcome(draw_max_statistic, dist, cfg, seed)
@@ -323,6 +328,41 @@ def test_cli_exit_on_a_worker_exception_is_the_serial_one(cpus, monkeypatch, tmp
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     # nothing else on stderr: no traceback, no "Exception in thread" report
     assert capsys.readouterr().err == "runtime error: no draws\n"
+
+
+@pytest.mark.parametrize("family, family_params, k_draws, message", [
+    ("lognormal", {"mu": -1000, "sigma": 1}, 100,
+     "lognormal draws underflow to 0 (parameters {'mu': -1000, 'sigma': 1})"),
+    ("uniform", {"b": 5e-324}, 1, "uniform draws underflow to 0 (parameters {'b': 5e-324})"),
+    ("weibull", {"scale": 1e308, "shape": 0.5}, 100,
+     "weibull draws overflow: a replicate's maximum is not finite "
+     "(parameters {'scale': 1e+308, 'shape': 0.5})"),
+    ("pareto", {"xm": 1.7e308, "shape": 2.5}, 100,
+     "pareto draws overflow: a replicate's maximum is not finite "
+     "(parameters {'xm': 1.7e+308, 'shape': 2.5})"),
+], ids=["lognormal_underflow", "uniform_underflow", "weibull_overflow", "pareto_overflow"])
+def test_cli_draws_out_of_range_are_one_line_runtime_errors(family, family_params, k_draws,
+                                                            message, tmp_path):
+    # In a fresh interpreter, with numpy's warnings printed as they are by
+    # default: pytest would capture them in-process. Maxima of 0 would make
+    # every m-value K, a failed KS check rather than an error.
+    path = tmp_path / "evt.json"
+    path.write_text(json.dumps({"name": "evt", "module": "evt", "params": {
+        "family": family, "family_params": family_params, "k_draws": k_draws,
+        "replicates": 50}}))
+    src = str(Path(recombinant.__file__).parent.parent)
+    env = {**os.environ, "PYTHONWARNINGS": "default",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "emt_lab.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"runtime error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lognormal_survival_at_zero_is_one_without_a_warning():
+    # log(0) is -inf, where the normal survival is 1; the RuntimeWarning
+    # filter turns a divide-by-zero warning into a failure here
+    assert TailDistribution("lognormal").survival(np.array([0.0, 1.0])).tolist() == [1.0, 0.5]
 
 
 def test_an_evt_run_leaves_no_thread_behind(monkeypatch, tmp_path):
