@@ -5,8 +5,8 @@ The annotation gives the type, the default the default, and the keywords the
 bounds ("min", "exmin", "max", "exmax") and "choices". `field_error` is the
 rule for one value: the annotation's type (`_TYPES`), finite if a number,
 then the choices and bounds. `check` applies it to each field of a built
-instance, and `read_block` to each value of a JSON object (config's blocks,
-policy's occupations) along with its unknown and missing keys. `check` stores
+instance, and `read_block` to each value of a JSON object along with its
+unknown and missing keys; `build` reads one into its class. `check` stores
 a number in a field annotated `float` as a float, and an array in one
 annotated `np.ndarray` as a float array of finite elements (`float_array`).
 """
@@ -62,17 +62,11 @@ def _type_error(name: str, annotation: str, value):
     return None
 
 
-def check_number(name: str, value) -> None:
-    """Raise unless `value` passes the type rule of a field annotated `float`."""
-    if error := _type_error(name, "float", value):
-        raise error
-
-
 def float_array(name: str, values) -> np.ndarray:
     """`values` as a float array, converted as np.asarray(values, dtype=float)
     would, except that an element of a nested list must be a number: a bool,
     which np.asarray would read as 0.0 or 1.0, a str, which it would parse,
-    or a None is an InputError.
+    or a None is an InputError, and an int too large for a float a DomainError.
 
     One walk down the nesting levels, each flattened by C-level calls, reads
     the shape and the set of leaf types. Rectangular lists of exactly `int`
@@ -85,15 +79,18 @@ def float_array(name: str, values) -> np.ndarray:
         shape.append(lengths.pop() if len(lengths) == 1 else None)
         level = list(chain.from_iterable(level))
         types = set(map(type, level))
-    if types <= {int, float} and None not in shape:
-        return np.array(level, dtype=float).reshape(shape)
     if bool in types:
         raise InputError(f"{name}: every element must be a number, not a bool")
     odd = types & {str, type(None)}
     if odd:
         example = next(v for v in level if type(v) in odd)
         raise InputError(f"{name}: every element must be a number, got {example!r}")
-    return np.asarray(values, dtype=float)
+    try:
+        if types <= {int, float} and None not in shape:
+            return np.array(level, dtype=float).reshape(shape)
+        return np.asarray(values, dtype=float)
+    except OverflowError:  # an int too large for a float
+        raise DomainError(f"{name}: every element must be finite") from None
 
 
 def field_error(f, value, name: str):
@@ -157,6 +154,14 @@ def read_block(fields_by_key: dict, block, prefix: str = "") -> tuple:
         if values.setdefault(key, default) is MISSING:
             errors.append(InputError(f"{prefix}{key}: required"))
     return values, [error for error in errors if error]
+
+
+def build(cls, block, prefix: str = ""):
+    """`cls` built from the JSON object `block`; `read_block`'s errors are raised as one."""
+    values, errors = read_block(param_fields(cls), block, prefix)
+    if errors:
+        raise type(errors[0])("; ".join(map(str, errors)))
+    return cls(**values)
 
 
 class Params:

@@ -50,7 +50,8 @@ class ScenarioConfig:
 
     Its fields are a scenario file's top-level keys (`output_path` the one key
     of its `output` block). It is checked whenever built, by
-    `dataclasses.replace` too. The artifact format is the module's `FORMAT`.
+    `dataclasses.replace` too, and reads `params` as a file's block is read.
+    The artifact format is the module's `FORMAT`.
     """
 
     name: str = param()
@@ -73,11 +74,14 @@ class ScenarioConfig:
         if pure.is_absolute() or ".." in pure.parts or not pure.name or "\0" in path:
             key = "name" if self.output_path is None else "output.path"
             raise ConfigError(f"{key}: must give a relative file path inside --out, got {path!r}")
+        scenario = scenario_module(self.module).Scenario
+        params, problems = read_block(param_fields(scenario), self.params, "params.")
+        if problems:
+            raise ConfigError(list(map(str, problems)))
         try:
-            scenario = scenario_module(self.module).Scenario(**self.params)
+            object.__setattr__(self, "scenario", scenario(**params))
         except (EmtLabError, ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from exc
-        object.__setattr__(self, "scenario", scenario)
 
     @property
     def output_format(self) -> str:

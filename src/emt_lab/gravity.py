@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._params import Params, check_number, param
+from ._params import Params, build, param
 from .errors import DomainError, InputError
 from .growth import cobb_douglas
 
@@ -25,8 +25,15 @@ FORMAT = "csv"
 # Elements per block of flywheel_compare's need trajectories.
 _BLOCK = 2**16
 
-# Cobb-Douglas inputs of a `production` dict; a key it leaves out takes its value here.
-PRODUCTION = {"a": 1.0, "k": 1.0, "l": 1.0, "alpha": 0.5}
+
+@dataclass(frozen=True)
+class Production(Params):
+    """The Cobb-Douglas inputs of a `production` object, with its defaults."""
+
+    a: float = param(1.0, min=0)
+    k: float = param(1.0, min=0)
+    l: float = param(1.0, min=0)
+    alpha: float = param(0.5, exmin=0, exmax=1)
 
 
 @dataclass(frozen=True)
@@ -113,13 +120,8 @@ class FlywheelResult:
 
 
 def production_output(production: dict) -> float:
-    """Cobb-Douglas output Y = a*k^alpha*l^(1-alpha) of a `production` dict."""
-    unknown = sorted(set(production) - set(PRODUCTION))
-    if unknown:
-        raise InputError(f"production: unknown keys {unknown}; known: {list(PRODUCTION)}")
-    for key, value in production.items():
-        check_number(f"production.{key}", value)
-    return cobb_douglas(**{**PRODUCTION, **production})
+    """Cobb-Douglas output Y = a*k^alpha*l^(1-alpha) of a `production` object."""
+    return cobb_douglas(**vars(build(Production, production, "production.")))
 
 
 def flywheel_compare(
@@ -215,7 +217,7 @@ def coverage_operator(satisfied: np.ndarray, weights: np.ndarray) -> float:
 class Scenario(NeedsState):
     """One flywheel comparison of the blind and aligned economies."""
 
-    production: dict = param(PRODUCTION)
+    production: dict = param(vars(Production()))
     kappa: float = param(0.05, min=0)
     # A step of the default 5-need, 2-sector economy, its two CSV rows
     # included, costs about 12 us of CPU on a 2-core Xeon VM (10-14 us at

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._params import Params, param, param_fields, read_block
+from ._params import Params, build, param
 from .errors import ConvergenceError, DomainError, InputError, NumericError
 
 FORMAT = "json"
@@ -51,14 +51,9 @@ class SubsidyProblem(Params):
         super().__post_init__()
         if not self.occupations:
             raise InputError("need at least one occupation")
-        occs = list(self.occupations)
-        for i, o in enumerate(occs):
-            if not isinstance(o, Occupation):
-                values, errors = read_block(param_fields(Occupation), o, f"occupations.{i}.")
-                if errors:
-                    raise type(errors[0])("; ".join(map(str, errors)))
-                occs[i] = Occupation(**values)
-        object.__setattr__(self, "occupations", tuple(occs))
+        occs = tuple(o if isinstance(o, Occupation) else build(Occupation, o, f"occupations.{i}.")
+                     for i, o in enumerate(self.occupations))
+        object.__setattr__(self, "occupations", occs)
 
 
 @dataclass(frozen=True)

@@ -32,30 +32,37 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
-from ._params import Params, check_number, param
+from ._params import Params, build, param
 from ._rng import make_generators
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, NumericError
 
 FORMAT = "json"
 
 _SQRT2 = math.sqrt(2.0)
 
-# Each supported tail family and the defaults of its parameters.
+
+def _tail_family(name: str, **params) -> type:
+    """A frozen Params class named `name`, its float fields the `param` fields `params`."""
+    return make_dataclass(name, [(key, "float", f) for key, f in params.items()],
+                          bases=(Params,), namespace={"__module__": __name__}, frozen=True)
+
+
+# Each supported tail family and the class of its parameters.
 _FAMILIES = {
-    "exponential": {"rate": 1.0},
-    "uniform": {"b": 1.0},
-    "pareto": {"xm": 1.0, "shape": 2.0},
-    "lognormal": {"mu": 0.0, "sigma": 1.0},
-    "weibull": {"scale": 1.0, "shape": 1.5},
+    "exponential": _tail_family("Exponential", rate=param(1.0, exmin=0)),
+    "uniform": _tail_family("Uniform", b=param(1.0, exmin=0)),
+    "pareto": _tail_family("Pareto", xm=param(1.0, exmin=0), shape=param(2.0, exmin=0)),
+    "lognormal": _tail_family("Lognormal", mu=param(0.0), sigma=param(1.0, exmin=0)),
+    "weibull": _tail_family("Weibull", scale=param(1.0, exmin=0), shape=param(1.5, exmin=0)),
 }
 
 
 @dataclass(frozen=True)
-class TailDistribution:
+class TailDistribution(Params):
     """A continuous tail family with analytic survival and inverse survival.
 
     Supported families and parameter keys:
@@ -65,31 +72,17 @@ class TailDistribution:
       lognormal(mu, sigma)      survival of exp(N(mu, sigma^2))
       weibull(scale, shape)     survival exp(-(z/scale)^shape)
 
-    The normal family has no closed-form inverse survival and is deliberately
-    not supported.
+    `params` holds each of the family's parameters (`_FAMILIES`) as a float.
+    The normal family, with no closed-form inverse survival, is not supported.
     """
 
-    family: str
-    params: dict = field(default_factory=dict)
+    family: str = param(choices=tuple(_FAMILIES))
+    params: dict = param({})
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InputError(
-                f"unsupported tail family {self.family!r}; "
-                f"supported: {', '.join(_FAMILIES)}"
-            )
-        defaults = _FAMILIES[self.family]
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise InputError(
-                f"unknown parameter(s) {sorted(unknown)} for family {self.family!r}"
-            )
-        merged = {**defaults, **self.params}
-        for key, val in merged.items():
-            check_number(f"{self.family} parameter {key}", val)
-            if key != "mu" and val <= 0:
-                raise DomainError(f"{self.family} parameter {key} must be > 0, got {val}")
-        object.__setattr__(self, "params", merged)
+        super().__post_init__()
+        params = build(_FAMILIES[self.family], self.params, "params.")
+        object.__setattr__(self, "params", vars(params))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         p = self.params
@@ -267,7 +260,7 @@ def evt_diagnostics(m_values: np.ndarray, ks_threshold: float = 0.05) -> dict:
 
 @dataclass(frozen=True)
 class Scenario(EvtRunConfig):
-    """One EVT check of a tail family."""
+    """One EVT check of a tail family; errors in `family_params` name it."""
 
     family: str = param("exponential", choices=tuple(_FAMILIES))
     family_params: dict = param({})
@@ -279,7 +272,8 @@ class Scenario(EvtRunConfig):
         if self.k_draws * self.replicates > MAX_DRAWS:
             raise DomainError(f"k_draws x replicates: {self.k_draws} x {self.replicates} draws "
                               f"are above the budget of {MAX_DRAWS}")
-        object.__setattr__(self, "dist", TailDistribution(self.family, dict(self.family_params)))
+        params = build(_FAMILIES[self.family], self.family_params, "family_params.")
+        object.__setattr__(self, "dist", TailDistribution(self.family, vars(params)))
 
 
 def run(scenario: Scenario, seed: int):

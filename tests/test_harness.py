@@ -200,13 +200,16 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     ("mdp", {"params": {"shock_probs": [0.5, 0.5]}}, "transition shape"),
     ("mdp", {"output": {"format": "json"}}, "output.unknown key 'format'"),
     ("growth", {"params": {"psi": 2.0}}, "no equilibrium"),
-    ("gravity", {"params": {"production": {"alpha": 2}}}, "alpha must lie in (0, 1)"),
-    ("gravity", {"params": {"production": {"alpha": 0.5, "beta": 1}}}, "unknown keys ['beta']"),
+    ("gravity", {"params": {"production": {"alpha": 2}}},
+     "params: production.alpha: must be < 1, got 2"),
+    ("gravity", {"params": {"production": {"alpha": 0.5, "beta": 1}}},
+     "params: production.unknown key 'beta'"),
     ("feedback", {"params": {"e_target": float("nan")}}, "params.e_target"),
     ("feedback", {"params": {"e_target": float("inf")}}, "params.e_target"),
     ("gravity", {"params": {"kappa": 10**400}}, "params.kappa"),
     ("gravity", {"params": {"n_vec": [float("nan"), 4, 3, 2, 1]}}, "n_vec: every element must be finite"),
-    ("gravity", {"params": {"p_vec": [1.0, 10**400]}}, "too large"),
+    ("gravity", {"params": {"p_vec": [1.0, 10**400]}},
+     "config error: params: p_vec: every element must be finite\n"),
     ("mdp", {"params": {"rewards": [[float("inf"), 1.0]]}}, "rewards: every element must be finite"),
     ("mdp", {"params": {"shock_probs": [float("nan")]}}, "shock_probs: every element must be finite"),
     ("mdp", {"params": {"transition": [[[float("nan")], [0]]]}}, "transition: every element must be a whole number"),
@@ -224,15 +227,15 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     ("gravity", {"params": {"beta_g": 1.0}}, "params.unknown key 'beta_g'"),
     ("policy", {"params": {"tol": 1e-10}}, "params.unknown key 'tol'"),
     ("evt", {"params": {"family_params": {"rate": float("nan")}}},
-     "exponential parameter rate: must be finite, got nan"),
+     "params: family_params.rate: must be finite, got nan"),
     ("evt", {"params": {"family_params": {"rate": float("inf")}}},
-     "exponential parameter rate: must be finite, got inf"),
+     "params: family_params.rate: must be finite, got inf"),
     ("evt", {"params": {"family": "lognormal", "family_params": {"mu": float("nan")}}},
-     "lognormal parameter mu: must be finite, got nan"),
+     "params: family_params.mu: must be finite, got nan"),
     ("evt", {"params": {"family_params": {"rate": True}}},
-     "exponential parameter rate: expected number, got True"),
+     "params: family_params.rate: expected number, got True"),
     ("evt", {"params": {"family_params": {"rate": "x"}}},
-     "exponential parameter rate: expected number, got 'x'"),
+     "params: family_params.rate: expected number, got 'x'"),
     ("gravity", {"params": {"production": {"a": True}}}, "production.a: expected number, got True"),
     ("policy", {"params": {"occupations": [{"w": True, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}]}},
      "w: expected number, got True"),
@@ -275,6 +278,29 @@ def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path,
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+OCCUPATION = {"w": 1.0, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}
+
+
+@pytest.mark.parametrize("module, extra, problem", [
+    ("mdp", {"seeds": 1}, "unknown key 'seeds'; did you mean 'seed'?"),
+    ("mdp", {"output": {"paths": "a.json"}}, "output.unknown key 'paths'; did you mean 'path'?"),
+    ("growth", {"params": {"horizn": 5}}, "params.unknown key 'horizn'; did you mean 'horizon'?"),
+    ("policy", {"params": {"occupations": [{**OCCUPATION, "etas": 1.0}]}},
+     "params: occupations.0.unknown key 'etas'; did you mean 'eta'?"),
+    ("evt", {"params": {"family": "pareto", "family_params": {"shapes": 2.0}}},
+     "params: family_params.unknown key 'shapes'; did you mean 'shape'?"),
+    ("gravity", {"params": {"production": {"alphas": 0.5}}},
+     "params: production.unknown key 'alphas'; did you mean 'alpha'?"),
+], ids=["top", "output", "params", "occupation", "family_params", "production"])
+def test_every_object_reports_an_unknown_key_alike(module, extra, problem, tmp_path, capsys):
+    """Each JSON object of a scenario is read by `_params.read_block`: an
+    unknown key gets one message, under the object's dotted path."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(minimal(module=module, **extra)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
 
 
 @pytest.mark.parametrize("params, message", [
@@ -710,22 +736,40 @@ def test_a_file_and_direct_construction_reject_the_same_values(module):
     assert fed >= 8 * len(module_schema(module))
 
 
+# A growth `params` value and the one problem a file holding it gives.
+PARAMS_PROBLEMS = {
+    "unknown_key": ({"bogus": 1}, "params.unknown key 'bogus'"),
+    "wrong_type": ({"horizon": "5"}, "params.horizon: expected integer, got '5'"),
+    "out_of_bounds": ({"psi": -1.0, "horizon": 0},
+                      "params.psi: must be > 0, got -1.0; params.horizon: must be >= 1, got 0"),
+}
+
+
 @pytest.mark.parametrize("field, value, key, block", [
     ("name", 5, "name", {"name": 5}),
     ("output_path", 5, "output.path", {"output": {"path": 5}}),
     ("params", [], "params", {"params": []}),
+    *(("params", value, name, {"params": value}) for name, (value, _) in PARAMS_PROBLEMS.items()),
 ])
 def test_a_file_and_a_direct_scenario_config_reject_the_same_values(field, value, key, block):
-    message = f"expected {'object' if field == 'params' else 'string'}, got {value!r}"
-    with pytest.raises(ConfigError) as direct:
-        ScenarioConfig(**{"name": "t", "module": "growth", field: value})
-    assert direct.value.problems == [f"{field}: {message}"]
-    with pytest.raises(ConfigError) as replaced:
-        dataclasses.replace(validate_config(minimal(module="growth")), **{field: value})
-    assert replaced.value.problems == [f"{field}: {message}"]
+    """A ScenarioConfig built directly or by dataclasses.replace gives the
+    problems a file holding the same value gives, the file's `output.path`
+    being the field `output_path`. `key` names a PARAMS_PROBLEMS row or the
+    file's key."""
+    if key in PARAMS_PROBLEMS:
+        problems = PARAMS_PROBLEMS[key][1].split("; ")
+    else:
+        problems = [f"{key}: expected {'object' if field == 'params' else 'string'}, got {value!r}"]
     with pytest.raises(ConfigError) as config:
         validate_config({**minimal(module="growth"), **block})
-    assert config.value.problems == [f"{key}: {message}"]
+    assert config.value.problems == problems
+    in_python = [problem.replace("output.path", "output_path") for problem in problems]
+    with pytest.raises(ConfigError) as direct:
+        ScenarioConfig(**{"name": "t", "module": "growth", field: value})
+    assert direct.value.problems == in_python
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(validate_config(minimal(module="growth")), **{field: value})
+    assert replaced.value.problems == in_python
 
 
 def test_no_scenario_imports_scipy(tmp_path):

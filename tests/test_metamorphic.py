@@ -5,10 +5,15 @@ Such a relation holds where the floating-point map is exact. Multiplying by a
 power of two is exact while the result stays a normal double.
 """
 
+import dataclasses
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emt_lab import gravity
 from emt_lab.recombinant import EvtRunConfig, TailDistribution, draw_max_statistic
+from test_gravity import flywheels
 
 # Each family's scale parameter. lognormal has none to move exactly: its
 # scale is exp(mu).
@@ -43,3 +48,28 @@ def test_evt_m_values_hold_when_the_scale_is_multiplied_by_a_power_of_two(
     m = draw_max_statistic(TailDistribution(family, params), cfg, seed)
     scaled = TailDistribution(family, {**params, key: base * 2.0**k})
     assert draw_max_statistic(scaled, cfg, seed).tobytes() == m.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=flywheels(), k_in=st.floats(0.1, 10), l_in=st.floats(0.1, 10),
+       kappa=st.just(0.0) | st.floats(2.0**-30, 2), k=st.integers(-20, 20))
+def test_flywheel_holds_when_a_and_kappa_move_by_inverse_powers_of_two(case, k_in, l_in, kappa, k):
+    """Production `a` times 2^k and `kappa` times 2^-k leave the U and
+    coverage columns bitwise the same, and Y is exactly 2^k times its value.
+
+    Y = a*k^alpha*l^(1-alpha) is computed with `a` as the first factor, so it
+    moves by exactly 2^k, and the needs see the output only through kappa*Y,
+    whose exact value, and so its rounding, does not move. With a, k and l in
+    [0.1, 10] and kappa 0 or in [2^-30, 2], every scaled value stays a normal
+    double for |k| <= 20.
+    """
+    state, production, horizon, _, eps = case
+    base = gravity.Scenario(n_vec=state.n_vec, d_mat=state.d_mat, p_vec=state.p_vec,
+                            g_resp=state.g_resp, production={**production, "k": k_in, "l": l_in},
+                            kappa=kappa, horizon=horizon, coverage_eps=eps)
+    a = production["a"] * 2.0**k
+    scaled = dataclasses.replace(base, production={**base.production, "a": a}, kappa=kappa * 2.0**-k)
+    (_, columns), _ = gravity.run(base, 0)
+    (_, moved), _ = gravity.run(scaled, 0)
+    assert [c.tobytes() for c in moved[2:4]] == [c.tobytes() for c in columns[2:4]]
+    assert moved[4].tobytes() == array("d", [y * 2.0**k for y in columns[4]]).tobytes()

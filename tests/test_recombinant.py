@@ -332,7 +332,7 @@ def test_cli_exit_on_a_worker_exception_is_the_serial_one(cpus, monkeypatch, tmp
 
 @pytest.mark.parametrize("family, family_params, k_draws, message", [
     ("lognormal", {"mu": -1000, "sigma": 1}, 100,
-     "lognormal draws underflow to 0 (parameters {'mu': -1000, 'sigma': 1})"),
+     "lognormal draws underflow to 0 (parameters {'mu': -1000.0, 'sigma': 1.0})"),
     ("uniform", {"b": 5e-324}, 1, "uniform draws underflow to 0 (parameters {'b': 5e-324})"),
     ("weibull", {"scale": 1e308, "shape": 0.5}, 100,
      "weibull draws overflow: a replicate's maximum is not finite "
