@@ -150,9 +150,10 @@ def read_block(fields_by_key: dict, block, prefix: str = "") -> tuple:
             errors.append(field_error(f, value, prefix + key))
             values[key] = value
     for key, f in fields_by_key.items():
-        default = f.default if f.default_factory is MISSING else f.default_factory()
-        if values.setdefault(key, default) is MISSING:
-            errors.append(InputError(f"{prefix}{key}: required"))
+        if key not in values:  # a default is built only for a key the block leaves out
+            values[key] = f.default if f.default_factory is MISSING else f.default_factory()
+            if values[key] is MISSING:
+                errors.append(InputError(f"{prefix}{key}: required"))
     return values, [error for error in errors if error]
 
 

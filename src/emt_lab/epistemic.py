@@ -8,20 +8,24 @@ multiplier on knowledge growth and as the driver of the collapsing marginal
 cost of producing a new idea.
 
 Alongside runs a pool of problems: they emerge at rate eta and aligned
-research resolves them at rate R. `run` keeps the complexities of the open
-problems as a list in creation order, plus the count and a running sum of
-every problem ever created, added in creation order: resolved problems still
-set the mean complexity of arrivals. Its knowledge recurrence stays in local
-floats. `ProblemPool`, `research_output`, `step_problem_pool` and
-`step_knowledge` are the one-step API over the same definitions: the draw
-order, the solve probabilities and the Euler update are each written once, in
-private helpers that both `run` and that API call.
+research resolves them at rate R. The knowledge recurrence never reads the
+pool, so `run` makes two passes: the first builds the knowledge columns, the
+second the pool's draws and R. It keeps the complexities of the open problems
+as a list in creation order, plus the count and a running sum of every
+problem ever created, added in creation order: resolved problems still set
+the mean complexity of arrivals. Once capability exceeds every open
+complexity, each solve probability is exactly 1 and R = lambda * n.
+`ProblemPool`, `research_output`, `step_problem_pool` and `step_knowledge`
+are the one-step API over the same definitions: the draw order, the solve
+probabilities and the Euler update are each written once, in private helpers
+that both `run` and that API call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain, islice, repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,20 +224,20 @@ def _left_sum(values, total: float = 0.0) -> float:
     return total
 
 
-def _pool_draws(rng, items: list, probs: list, lambda_align: float, dt: float,
-                eta_rate: float, mean_c: float):
+def _pool_draws(rng, items: list, thresholds, eta_rate: float, dt: float, mean_c: float):
     """One step's draws; returns (the `items` that stay open, the list of the
     arrivals' complexities).
 
-    `items` and `probs` run over the open problems in creation order, and
-    `mean_c` is the mean complexity of every problem created so far. Draws
-    come in a fixed order: one uniform per open problem, then the arrival
-    count, then one exponential of mean `mean_c` per arrival.
+    `items` runs over the open problems in creation order, `thresholds` over
+    their resolution thresholds lambda * pi_i * dt, and `mean_c` is the mean
+    complexity of every problem created so far. Draws come in a fixed order:
+    one uniform per open problem, then the arrival count, then one
+    exponential of mean `mean_c` per arrival.
     """
     # A uniform draw is below 1, so comparing it with lambda * pi_i * dt
     # caps that probability at 1.
-    kept = [x for x, u, p in zip(items, rng.random(len(probs)).tolist(), probs)
-            if u >= lambda_align * p * dt]
+    kept = [x for x, u, th in zip(items, rng.random(len(items)).tolist(), thresholds)
+            if u >= th]
     n_new = rng.poisson(eta_rate * dt)
     return kept, rng.exponential(mean_c, n_new).tolist() if n_new else []
 
@@ -265,9 +269,10 @@ def step_problem_pool(
             f"{open_ids.size} open problems"
         )
     problems = pool.problems
-    kept, arrivals = _pool_draws(rng, open_ids.tolist(), output.solve_probs.tolist(),
-                                 pool.lambda_align, dt, pool.eta_rate,
-                                 _left_sum(problems.tolist()) / problems.size
+    lam = pool.lambda_align
+    kept, arrivals = _pool_draws(rng, open_ids.tolist(),
+                                 [lam * p * dt for p in output.solve_probs.tolist()],
+                                 pool.eta_rate, dt, _left_sum(problems.tolist()) / problems.size
                                  if problems.size else 1.0)
     is_open = np.zeros(problems.size + len(arrivals), dtype=bool)
     is_open[kept] = True
@@ -317,15 +322,16 @@ def inversion_crossing(
 
 
 # Bounds on a scenario's size, checked at validation, measured on a 2-core
-# Xeon VM. A step costs about 14 us of CPU and 460 bytes of rows and columns,
-# so about 15 s and 460 MB of RSS at the horizon bound. The pool holds at most
-# the n_problems it starts with plus about eta_rate x dt x horizon arrivals,
-# about 110 bytes each, so about 550 MB at MAX_POOL. Each step scans the open
-# pool at 250-290 ns per problem. If no problem resolves, a run scans
-# horizon x (n_problems + eta_rate x dt x horizon / 2) problems, so the budget
-# MAX_POOL_WORK on horizon x (n_problems + eta_rate x dt x horizon) is about a
-# minute when arrivals fill the pool and about two and a half when the
-# starting pool does.
+# Xeon VM. A step costs about 9 us of CPU and 260 bytes of columns, so about
+# 10 s and 300 MB of RSS at the horizon bound. The pool holds at most the
+# n_problems it starts with plus about eta_rate x dt x horizon arrivals, about
+# 130 bytes each at the peak of a step, so about 650 MB at MAX_POOL. Each step
+# scans the open pool at about 110 ns per problem while capability exceeds
+# every open complexity, and at 300-380 ns otherwise. If no problem resolves,
+# a run scans horizon x (n_problems + eta_rate x dt x horizon / 2) problems, so
+# with no step capped the budget MAX_POOL_WORK on horizon x (n_problems +
+# eta_rate x dt x horizon) is about a minute and a half when arrivals fill the
+# pool and about three when the starting pool does.
 MAX_POOL = 5 * 10**6
 MAX_POOL_WORK = 5 * 10**8
 
@@ -364,42 +370,50 @@ def run(scenario: Scenario, seed: int):
     """Trajectory of the domain and its pool, plus the mode-transition checks.
 
     The same trajectory as stepping `initial_state`, `step_problem_pool`,
-    `step_knowledge` and `research_output`, without their per-step objects.
+    `step_knowledge` and `research_output`, without their per-step objects,
+    in two passes. The knowledge pass builds the columns that never read the
+    pool; the pool pass then keeps only the draws and R. Once capability
+    exceeds every open complexity, every solve probability is exactly 1.0,
+    because IEEE `+` and `/` are monotone: R is then lambda * n, the
+    left-to-right sum of n ones, and each threshold lambda * 1.0 * dt.
     """
     s = scenario
     dt, eta, lam, eps = s.dt, s.eta_rate, s.lambda_align, s.eps_floor
+    # knowledge pass: the same sequential adds as `t += dt`; a step grows the
+    # stock with the capability at its start
+    t = list(accumulate(repeat(dt, s.horizon), initial=0.0))
+    a_caps = list(accumulate(repeat(s.a_growth * dt, s.horizon), initial=s.a0))
+    P = list(accumulate(islice(a_caps, s.horizon), lambda p, a: _stock_step(p, a, s, dt),
+                        initial=s.p0))
+    theta = [_uncertainty(p, s) for p in P]
+    pi = [discovery_probability(x) for x in theta]
+    C = [marginal_ideation_cost(s.c0, s.alpha_cost, a) for a in a_caps]
+    # pool pass
     rng_pool = make_generator(seed, 1)
     open_c = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems).tolist()
     # the count and sum of every problem ever created, added in creation order
     n_created, total = len(open_c), _left_sum(open_c)
-    state = initial_state(s, a_cap=s.a0, p0=s.p0)
-    t, p, theta, c, pi, inverted, a_cap = (state.t, state.p, state.theta, state.c,
-                                           state.pi, state.inverted, state.a_cap)
-    _, probs, r = _research(open_c, a_cap, lam, eps)
-    rows = [[t, p, theta, c, pi, _FLAG[inverted], r, len(open_c), _FLAG[r > eta]]]
-    for _ in range(s.horizon):
-        surplus = r > eta
-        open_c, arrivals = _pool_draws(rng_pool, open_c, probs, lam, dt, eta,
-                                       total / n_created if n_created else 1.0)
-        total = _left_sum(arrivals, total)
-        n_created += len(arrivals)
-        open_c += arrivals
-        p = _stock_step(p, a_cap, s, dt)
-        theta = _uncertainty(p, s)
-        pi = discovery_probability(theta)
-        t += dt
-        # capability grows between steps; refresh the cost-side quantities
-        a_cap = a_cap + s.a_growth * dt
-        c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
-        inverted = c < s.theta_star
-        _, probs, r = _research(open_c, a_cap, lam, eps)
-        rows.append([t, p, theta, c, pi, _FLAG[inverted], r, len(open_c), _FLAG[surplus]])
+    R, sizes = [], []
+    for a_cap in a_caps:
+        if R:  # a step from the row before
+            open_c, arrivals = _pool_draws(rng_pool, open_c, thresholds, eta, dt,
+                                           total / n_created if n_created else 1.0)
+            total = _left_sum(arrivals, total)
+            n_created += len(arrivals)
+            open_c += arrivals
+        if not open_c or a_cap / (max(open_c) + eps) > 1.0:
+            r, thresholds = lam * len(open_c), repeat(lam * 1.0 * dt)
+        else:
+            probs, r = _research(open_c, a_cap, lam, eps)[1:]
+            thresholds = (lam * x * dt for x in probs)
+        R.append(r)
+        sizes.append(len(open_c))
     # theta follows the threshold law on both sides of p_bar, stated apart from _uncertainty
-    transition_ok = all(row[2] == (s.eps_resid if row[1] >= s.p_bar else s.theta0 / (1.0 + row[1]))
-                        for row in rows)
-    pi_monotone = all(b[4] >= a[4] - 1e-15 for a, b in zip(rows, rows[1:]))
+    checks = {"mode_transition": all(x == (s.eps_resid if p >= s.p_bar else s.theta0 / (1.0 + p))
+                                     for p, x in zip(P, theta)),
+              "pi_monotone": all(b >= a - 1e-15 for a, b in zip(pi, pi[1:]))}
     header = ["t", "P", "theta", "C", "pi", "inverted", "R", "pool_size", "surplus"]
-    # The columns are the tuples of zip(*rows): as array('d') the float columns
-    # cost 5-7% of a run, and the pool's lists outweigh the rows in memory.
-    columns = list(zip(*rows))
-    return (header, columns), {"mode_transition": transition_ok, "pi_monotone": pi_monotone}
+    # a row's surplus flag is the R of the row before (of its own row at t = 0)
+    columns = [t, P, theta, C, pi, [_FLAG[c < s.theta_star] for c in C], R, sizes,
+               [_FLAG[r > eta] for r in chain(R[:1], islice(R, s.horizon))]]
+    return (header, columns), checks

@@ -287,6 +287,12 @@ EDGE_CASES = {
     "unit_step": Scenario(dt=1.0, eta_rate=4.0, horizon=30),
     "one_step": Scenario(horizon=1),
     "integer_inputs": Scenario(a0=2, p0=3, dt=1, lambda_align=1, eta_rate=2, horizon=20),
+    # capability above every complexity, so every step takes the capped closed form
+    "capped_from_start": Scenario(a0=1e6, eta_rate=3.0, horizon=50),
+    "never_capped": Scenario(a0=0, a_growth=0, eta_rate=3.0, horizon=50),
+    # capped at first; with capability held, only an arrival can uncap the pool
+    "uncapped_by_arrival": Scenario(a0=3.5, a_growth=0.0, complexity_mean=1.0, n_problems=5,
+                                    eta_rate=5.0, horizon=60),
 }
 
 
@@ -300,6 +306,21 @@ def _assert_run_matches_reference(scenario, seed):
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_run_matches_the_one_step_api_on_edge_cases(name):
     _assert_run_matches_reference(EDGE_CASES[name], seed=11)
+
+
+def test_capped_edge_cases_take_the_path_they_name(monkeypatch):
+    """`_research` runs only on the steps whose pool is not capped."""
+    research, calls = epistemic._research, []
+    monkeypatch.setattr(epistemic, "_research", lambda *a: calls.append(a) or research(*a))
+    steps = {}
+    for name in ("capped_from_start", "never_capped", "uncapped_by_arrival"):
+        calls.clear()
+        (_, columns), _ = run(EDGE_CASES[name], seed=11)
+        steps[name] = len(calls)
+    assert steps["capped_from_start"] == 0 and steps["never_capped"] == 51
+    assert 0 < steps["uncapped_by_arrival"] < 61
+    # that last run is capped at t = 0, where R is lambda * n_problems
+    assert columns[6][0] == EDGE_CASES["uncapped_by_arrival"].lambda_align * 5
 
 
 def test_run_matches_the_one_step_api_on_random_scenarios():

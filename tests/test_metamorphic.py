@@ -11,7 +11,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emt_lab import gravity
+from emt_lab import epistemic, gravity, runner
 from emt_lab.recombinant import EvtRunConfig, TailDistribution, draw_max_statistic
 from test_gravity import flywheels
 
@@ -73,3 +73,46 @@ def test_flywheel_holds_when_a_and_kappa_move_by_inverse_powers_of_two(case, k_i
     (_, moved), _ = gravity.run(scaled, 0)
     assert [c.tobytes() for c in moved[2:4]] == [c.tobytes() for c in columns[2:4]]
     assert moved[4].tobytes() == array("d", [y * 2.0**k for y in columns[4]]).tobytes()
+
+
+@st.composite
+def epistemic_scenarios(draw):
+    """Scenario settings with phi_elast 1 and at least one starting problem."""
+    theta0 = draw(st.floats(0.1, 3))
+    small = st.just(0.0) | st.floats(2.0**-30, 3)
+    return dict(
+        theta0=theta0, eps_resid=theta0 * draw(st.floats(0, 0.99)), p_bar=draw(st.floats(0.5, 30)),
+        alpha_prod=draw(small), phi_elast=1.0, c0=draw(st.floats(0.1, 3)),
+        alpha_cost=draw(small), theta_star=draw(st.floats(0.01, 1)), lp=draw(st.floats(0, 3)),
+        a0=draw(small), a_growth=draw(small), p0=draw(st.just(0.0) | st.floats(0, 20)),
+        dt=draw(st.sampled_from([0.1, 1.0]) | st.floats(0.01, 1)), horizon=draw(st.integers(1, 80)),
+        n_problems=draw(st.integers(1, 30)), complexity_mean=draw(st.floats(0.05, 5)),
+        eta_rate=draw(st.floats(0, 20)), lambda_align=draw(st.floats(0, 1)),
+        eps_floor=draw(st.just(1e-6) | st.floats(1e-9, 1)))
+
+
+def _epistemic_csv_and_checks(params: dict, seed: int):
+    (header, columns), checks = epistemic.run(epistemic.Scenario(**params), seed)
+    return "".join(runner._csv_blocks(header, columns)), checks
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=epistemic_scenarios(), k=st.integers(-20, 20), seed=st.integers(0, 2**64 - 1))
+def test_epistemic_run_holds_when_capability_and_complexity_move_by_a_power_of_two(params, k, seed):
+    """a0, a_growth, complexity_mean and eps_floor times 2^k, with alpha_cost
+    and alpha_prod divided by 2^k, give the same CSV bytes and checks.
+
+    Capability and every complexity then move by exactly 2^k: an exponential
+    draw is its scale times a standard draw, and the running sum, and so the
+    mean that arrivals draw from, moves with them. Each solve ratio
+    A / (c + eps_floor) is the same quotient, and with phi_elast 1 the
+    knowledge growth alpha_prod * A and the cost's alpha_cost * A are the same
+    products. With the settings drawn here, every scaled value stays a normal
+    double for |k| <= 20. An empty starting pool is left out: its first
+    arrivals draw with the absolute mean 1.0, which does not scale.
+    """
+    scale = 2.0**k
+    scaled = {**params, **{key: params[key] * scale
+                           for key in ("a0", "a_growth", "complexity_mean", "eps_floor")},
+              "alpha_cost": params["alpha_cost"] / scale, "alpha_prod": params["alpha_prod"] / scale}
+    assert _epistemic_csv_and_checks(scaled, seed) == _epistemic_csv_and_checks(params, seed)
