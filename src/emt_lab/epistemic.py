@@ -13,12 +13,20 @@ pool, so `run` makes two passes: the first builds the knowledge columns, the
 second the pool's draws and R. It keeps the complexities of the open problems
 as a list in creation order, plus the count and a running sum of every
 problem ever created, added in creation order: resolved problems still set
-the mean complexity of arrivals. Once capability exceeds every open
-complexity, each solve probability is exactly 1 and R = lambda * n.
+the mean complexity of arrivals (`complexity_mean` while none was created).
+Once capability exceeds every open complexity, each solve probability is
+exactly 1 and R = lambda * n.
+
+The pool draws from one stream of the seed per purpose: stream 0 the
+starting complexities, 1 the resolution uniforms, 2 the arrival counts and
+3 one standard exponential per arrival, scaled by the mean complexity at its
+step. Arrivals never depend on which problems resolve, so two scenarios that
+differ only in capability get the same arrivals (common random numbers), and
+`run` draws each stream in bulk.
 `ProblemPool`, `research_output`, `step_problem_pool` and `step_knowledge`
-are the one-step API over the same definitions: the draw order, the solve
-probabilities and the Euler update are each written once, in private helpers
-that both `run` and that API call.
+are the one-step API over the same definitions: a step's outcome from its
+draws, the solve probabilities and the Euler update are each written once,
+in private helpers that both `run` and that API call.
 """
 
 from __future__ import annotations
@@ -72,6 +80,48 @@ class EpistemicParams(Params):
         super().__post_init__()
         if not self.eps_resid < self.theta0:
             raise DomainError("eps_resid must satisfy 0 <= eps_resid < theta0")
+
+
+# Bounds on a scenario's size, checked at validation, measured on a 2-core
+# Xeon VM whose speed drifts. A step costs 7-10 us of CPU and about 270 bytes
+# of columns, so about 10 s and 300 MB of RSS at the horizon bound. The pool
+# holds at most the n_problems it starts with plus about eta_rate x dt x
+# horizon arrivals, about 120 bytes each at the peak of a step (45 while
+# capability exceeds every open complexity), so about 650 MB at MAX_POOL.
+# Each step scans the open pool at 80-110 ns per problem while capability
+# exceeds every open complexity, and at 300-380 ns otherwise. If no problem
+# resolves, a run scans horizon x (n_problems + eta_rate x dt x horizon / 2)
+# problems, so with no step capped the budget MAX_POOL_WORK on horizon x
+# (n_problems + eta_rate x dt x horizon) is about a minute and a half when
+# arrivals fill the pool and about three when the starting pool does.
+MAX_POOL = 5 * 10**6
+MAX_POOL_WORK = 5 * 10**8
+
+
+@dataclass(frozen=True)
+class Scenario(EpistemicParams):
+    """One run of the domain: `horizon` steps of `dt` from stock p0, with
+    capability a0 growing by a_growth per unit time and a problem pool."""
+
+    a0: float = param(1.0, min=0)
+    a_growth: float = param(0.5, min=0)
+    p0: float = param(0.0, min=0)
+    dt: float = param(0.1, exmin=0)
+    horizon: int = param(200, min=1, max=10**6)
+    n_problems: int = param(10, min=0, max=MAX_POOL)
+    complexity_mean: float = param(2.0, exmin=0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        pool = self.n_problems + self.eta_rate * self.dt * self.horizon
+        sizes = f"{self.n_problems} + {self.eta_rate} x {self.dt} x {self.horizon} problems"
+        if pool > MAX_POOL:
+            raise DomainError(f"n_problems + eta_rate x dt x horizon: {sizes} "
+                              f"are above the pool bound of {MAX_POOL}")
+        if self.horizon * pool > MAX_POOL_WORK:
+            raise DomainError(f"horizon x (n_problems + eta_rate x dt x horizon): "
+                              f"{self.horizon} steps x ({sizes}) are above the budget of "
+                              f"{MAX_POOL_WORK}")
 
 
 @dataclass(frozen=True)
@@ -165,14 +215,16 @@ class ProblemPool:
 
     `problems` holds the complexity of every problem ever created, in
     creation order; `open` marks the unresolved ones (all, if not given).
-    Rebuilt every step, it does not check its rates; Scenario does.
-    `run` keeps the open ones as a list and a running sum of all instead."""
+    Arrivals draw with the mean of `problems`, or with `complexity_mean` while
+    it is empty. Rebuilt every step, it does not check its rates; Scenario
+    does. `run` keeps the open ones as a list and a running sum of all instead."""
 
     problems: np.ndarray = field(default_factory=lambda: np.empty(0))
     open: np.ndarray | None = None
     eta_rate: float = EpistemicParams.eta_rate
     lambda_align: float = EpistemicParams.lambda_align
     eps_floor: float = EpistemicParams.eps_floor
+    complexity_mean: float = Scenario.complexity_mean
 
     def __post_init__(self):
         self.problems = np.asarray(self.problems, dtype=float)
@@ -224,29 +276,46 @@ def _left_sum(values, total: float = 0.0) -> float:
     return total
 
 
-def _pool_draws(rng, items: list, thresholds, eta_rate: float, dt: float, mean_c: float):
-    """One step's draws; returns (the `items` that stay open, the list of the
-    arrivals' complexities).
+def _pool_draws(items: list, uniforms, thresholds, exps, mean_c: float):
+    """One step's outcome from its draws: (the `items` that stay open, the
+    list of the arrivals' complexities).
 
-    `items` runs over the open problems in creation order, `thresholds` over
-    their resolution thresholds lambda * pi_i * dt, and `mean_c` is the mean
-    complexity of every problem created so far. Draws come in a fixed order:
-    one uniform per open problem, then the arrival count, then one
-    exponential of mean `mean_c` per arrival.
+    `items` runs over the open problems in creation order, `uniforms` over
+    their resolution uniforms and `thresholds` over their resolution
+    thresholds lambda * pi_i * dt. `exps` holds one standard exponential per
+    arrival and `mean_c` is the mean complexity of every problem created so
+    far: an arrival's complexity `mean_c * e` is numpy's `exponential(mean_c)`
+    bit for bit.
     """
     # A uniform draw is below 1, so comparing it with lambda * pi_i * dt
-    # caps that probability at 1.
-    kept = [x for x, u, th in zip(items, rng.random(len(items)).tolist(), thresholds)
-            if u >= th]
-    n_new = rng.poisson(eta_rate * dt)
-    return kept, rng.exponential(mean_c, n_new).tolist() if n_new else []
+    # caps that probability at 1. zip takes no uniform past the last item.
+    kept = [x for x, u, th in zip(items, uniforms, thresholds) if u >= th]
+    return kept, [mean_c * e for e in exps]
+
+
+def pool_streams(seed: int) -> Tuple[np.random.Generator, ...]:
+    """The generators of the pool's resolution uniforms, arrival counts and
+    arrival draws: streams 1, 2 and 3 of `seed` (stream 0 draws the starting
+    complexities)."""
+    return tuple(make_generator(seed, i) for i in (1, 2, 3))
+
+
+# How many values `run` draws from a stream per numpy call. No value depends
+# on it: `random(n)` then `random(m)` draws what `random(n + m)` does, and so
+# does `standard_exponential`.
+_DRAW_BLOCK = 1024
+
+
+def _blocks(draw):
+    """An endless iterator over the values of `draw(_DRAW_BLOCK)`, call after call."""
+    return chain.from_iterable(iter(lambda: draw(_DRAW_BLOCK).tolist(), None))
 
 
 def step_problem_pool(
     pool: ProblemPool,
     output: ResearchOutput,
     dt: float,
-    rng: np.random.Generator,
+    streams: Tuple[np.random.Generator, np.random.Generator, np.random.Generator],
 ) -> Tuple[ProblemPool, bool]:
     """One stochastic step of pool dynamics; returns (new pool, surplus flag).
 
@@ -255,10 +324,12 @@ def step_problem_pool(
     probability lambda * pi_i * dt (capped at 1), so the expected net change
     matches (eta - R) * dt. Surplus means resolution outpaces emergence:
     R > eta. New problems draw their complexity from an exponential whose
-    mean matches every problem created so far, summed left to right (1.0 for
-    an empty pool).
-    Draws come in a fixed order: one uniform per open problem, in creation
-    order, then the arrival count, then one exponential per arrival.
+    mean matches every problem created so far, summed left to right
+    (`complexity_mean` for an empty pool).
+    ``streams`` are the generators of `pool_streams`. The step draws one
+    uniform per open problem, in creation order, from the first, the arrival
+    count from the second and one standard exponential per arrival from the
+    third: the values `run` draws in bulk from the same streams.
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
@@ -270,10 +341,13 @@ def step_problem_pool(
         )
     problems = pool.problems
     lam = pool.lambda_align
-    kept, arrivals = _pool_draws(rng, open_ids.tolist(),
+    uniforms, counts, exps = streams
+    n_new = counts.poisson(pool.eta_rate * dt)
+    kept, arrivals = _pool_draws(open_ids.tolist(), uniforms.random(open_ids.size).tolist(),
                                  [lam * p * dt for p in output.solve_probs.tolist()],
-                                 pool.eta_rate, dt, _left_sum(problems.tolist()) / problems.size
-                                 if problems.size else 1.0)
+                                 exps.standard_exponential(n_new).tolist(),
+                                 _left_sum(problems.tolist()) / problems.size
+                                 if problems.size else pool.complexity_mean)
     is_open = np.zeros(problems.size + len(arrivals), dtype=bool)
     is_open[kept] = True
     is_open[problems.size:] = True
@@ -321,47 +395,6 @@ def inversion_crossing(
     return None
 
 
-# Bounds on a scenario's size, checked at validation, measured on a 2-core
-# Xeon VM. A step costs about 9 us of CPU and 260 bytes of columns, so about
-# 10 s and 300 MB of RSS at the horizon bound. The pool holds at most the
-# n_problems it starts with plus about eta_rate x dt x horizon arrivals, about
-# 130 bytes each at the peak of a step, so about 650 MB at MAX_POOL. Each step
-# scans the open pool at about 110 ns per problem while capability exceeds
-# every open complexity, and at 300-380 ns otherwise. If no problem resolves,
-# a run scans horizon x (n_problems + eta_rate x dt x horizon / 2) problems, so
-# with no step capped the budget MAX_POOL_WORK on horizon x (n_problems +
-# eta_rate x dt x horizon) is about a minute and a half when arrivals fill the
-# pool and about three when the starting pool does.
-MAX_POOL = 5 * 10**6
-MAX_POOL_WORK = 5 * 10**8
-
-
-@dataclass(frozen=True)
-class Scenario(EpistemicParams):
-    """One run of the domain: `horizon` steps of `dt` from stock p0, with
-    capability a0 growing by a_growth per unit time and a problem pool."""
-
-    a0: float = param(1.0, min=0)
-    a_growth: float = param(0.5, min=0)
-    p0: float = param(0.0, min=0)
-    dt: float = param(0.1, exmin=0)
-    horizon: int = param(200, min=1, max=10**6)
-    n_problems: int = param(10, min=0, max=MAX_POOL)
-    complexity_mean: float = param(2.0, exmin=0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        pool = self.n_problems + self.eta_rate * self.dt * self.horizon
-        sizes = f"{self.n_problems} + {self.eta_rate} x {self.dt} x {self.horizon} problems"
-        if pool > MAX_POOL:
-            raise DomainError(f"n_problems + eta_rate x dt x horizon: {sizes} "
-                              f"are above the pool bound of {MAX_POOL}")
-        if self.horizon * pool > MAX_POOL_WORK:
-            raise DomainError(f"horizon x (n_problems + eta_rate x dt x horizon): "
-                              f"{self.horizon} steps x ({sizes}) are above the budget of "
-                              f"{MAX_POOL_WORK}")
-
-
 # The CSV cells of a bool, indexed by it.
 _FLAG = ("false", "true")
 
@@ -369,13 +402,17 @@ _FLAG = ("false", "true")
 def run(scenario: Scenario, seed: int):
     """Trajectory of the domain and its pool, plus the mode-transition checks.
 
-    The same trajectory as stepping `initial_state`, `step_problem_pool`,
-    `step_knowledge` and `research_output`, without their per-step objects,
-    in two passes. The knowledge pass builds the columns that never read the
-    pool; the pool pass then keeps only the draws and R. Once capability
-    exceeds every open complexity, every solve probability is exactly 1.0,
-    because IEEE `+` and `/` are monotone: R is then lambda * n, the
-    left-to-right sum of n ones, and each threshold lambda * 1.0 * dt.
+    The same trajectory as stepping `initial_state`, `step_problem_pool` on
+    `pool_streams(seed)`, `step_knowledge` and `research_output`, without
+    their per-step objects, in two passes. The knowledge pass builds the
+    columns that never read the pool; the pool pass then keeps only the draws
+    and R. It draws every arrival count in one call and the uniforms and
+    arrival draws in blocks of `_DRAW_BLOCK`: the values the one-step API
+    draws a step at a time, as numpy gives a stream the same values in one
+    call or in many. Once capability exceeds every open complexity, every
+    solve probability is exactly 1.0, because IEEE `+` and `/` are monotone:
+    R is then lambda * n, the left-to-right sum of n ones, and each threshold
+    lambda * 1.0 * dt.
     """
     s = scenario
     dt, eta, lam, eps = s.dt, s.eta_rate, s.lambda_align, s.eps_floor
@@ -388,16 +425,18 @@ def run(scenario: Scenario, seed: int):
     theta = [_uncertainty(p, s) for p in P]
     pi = [discovery_probability(x) for x in theta]
     C = [marginal_ideation_cost(s.c0, s.alpha_cost, a) for a in a_caps]
-    # pool pass
-    rng_pool = make_generator(seed, 1)
+    # pool pass: each stream drawn in bulk, the counts in one call
+    rng_uniforms, rng_counts, rng_exps = pool_streams(seed)
+    uniforms, exps = _blocks(rng_uniforms.random), _blocks(rng_exps.standard_exponential)
+    counts = iter(rng_counts.poisson(eta * dt, s.horizon).tolist())
     open_c = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems).tolist()
     # the count and sum of every problem ever created, added in creation order
     n_created, total = len(open_c), _left_sum(open_c)
     R, sizes = [], []
     for a_cap in a_caps:
         if R:  # a step from the row before
-            open_c, arrivals = _pool_draws(rng_pool, open_c, thresholds, eta, dt,
-                                           total / n_created if n_created else 1.0)
+            open_c, arrivals = _pool_draws(open_c, uniforms, thresholds, islice(exps, next(counts)),
+                                           total / n_created if n_created else s.complexity_mean)
             total = _left_sum(arrivals, total)
             n_created += len(arrivals)
             open_c += arrivals

@@ -1,12 +1,13 @@
 """Epistemic mode-transition dynamics and problem-pool behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from emt_lab import DomainError, InputError, epistemic, make_generator
+from emt_lab import DomainError, InputError, epistemic, make_generator, runner
 from emt_lab.epistemic import (
     EpistemicParams,
     EpistemicState,
@@ -17,6 +18,7 @@ from emt_lab.epistemic import (
     initial_state,
     inversion_crossing,
     marginal_ideation_cost,
+    pool_streams,
     research_output,
     run,
     step_knowledge,
@@ -120,30 +122,37 @@ def test_pool_rejects_bad_arrays():
 def test_pool_step_resolves_everything_at_probability_one():
     pool = ProblemPool(problems=np.full(20, 0.5), eta_rate=0.0, lambda_align=1.0)
     out = research_output(pool, a_cap=10.0)  # all probs clamp to 1
-    new_pool, surplus = step_problem_pool(pool, out, dt=1.0, rng=make_generator(0))
+    new_pool, surplus = step_problem_pool(pool, out, 1.0, pool_streams(0))
     assert not new_pool.open.any()
     assert new_pool.problems.tolist() == [0.5] * 20  # resolved problems are kept
     assert pool.open.all()  # the step returns a new pool
     assert surplus  # R = 20 > eta = 0
 
 
+def _states(streams) -> list:
+    return [g.bit_generator.state for g in streams]
+
+
 def test_pool_step_draw_order_matches_scalar_draws():
-    # One uniform per open problem in creation order, then the arrival
-    # count, then one exponential per arrival, each as a scalar call.
+    # Scalar calls on streams 1, 2 and 3 of the seed: one uniform per open
+    # problem in creation order from stream 1, the arrival count from
+    # stream 2, one exponential per arrival from stream 3, and no other draw.
     complexities = [0.5, 2.0, 1.0, 4.0, 0.1]
     pool = ProblemPool(problems=complexities, open=[True, False, True, True, True],
                        eta_rate=30.0, lambda_align=0.8)
     out = research_output(pool, a_cap=0.7)
     dt = 0.5
-    new_pool, _ = step_problem_pool(pool, out, dt, rng=make_generator(5))
+    streams = pool_streams(7)
+    new_pool, _ = step_problem_pool(pool, out, dt, streams)
 
-    ref = make_generator(5)
-    still_open = [ref.random() >= min(1.0, 0.8 * p * dt) for p in out.solve_probs.tolist()]
-    n_new = ref.poisson(30.0 * dt)
-    arrivals = [float(ref.exponential(np.mean(complexities))) for _ in range(n_new)]
-    assert n_new > 0
+    uniforms, counts, exps = (make_generator(7, i) for i in (1, 2, 3))
+    still_open = [uniforms.random() >= min(1.0, 0.8 * p * dt) for p in out.solve_probs.tolist()]
+    n_new = counts.poisson(30.0 * dt)
+    arrivals = [float(exps.exponential(np.mean(complexities))) for _ in range(n_new)]
+    assert n_new > 0 and True in still_open and False in still_open
     assert new_pool.problems.tolist() == complexities + arrivals
     assert new_pool.open.tolist() == [still_open[0], False, *still_open[1:]] + [True] * n_new
+    assert _states(streams) == _states((uniforms, counts, exps))
 
 
 def test_empty_pool_has_no_output_and_draws_nothing():
@@ -152,12 +161,20 @@ def test_empty_pool_has_no_output_and_draws_nothing():
     assert out.r == 0.0
     assert len(out.solve_probs) == 0
     assert out.clamped == 0
-    rng = make_generator(3)
-    before = rng.bit_generator.state
-    new_pool, surplus = step_problem_pool(pool, out, dt=1.0, rng=rng)
-    assert rng.bit_generator.state == before
+    streams = pool_streams(3)
+    before = _states(streams)
+    new_pool, surplus = step_problem_pool(pool, out, 1.0, streams)
+    assert _states(streams) == before  # poisson(0.0) draws nothing
     assert len(new_pool.problems) == 0
     assert not surplus
+
+
+def test_a_never_filled_pool_draws_arrivals_with_complexity_mean():
+    pool = ProblemPool(eta_rate=4.0, complexity_mean=5.0)
+    new_pool, _ = step_problem_pool(pool, research_output(pool, a_cap=1.0), 1.0, pool_streams(9))
+    n_new = make_generator(9, 2).poisson(4.0)
+    assert n_new > 0
+    assert new_pool.problems.tolist() == make_generator(9, 3).exponential(5.0, n_new).tolist()
 
 
 def test_arrivals_draw_from_mean_of_resolved_problems():
@@ -169,26 +186,25 @@ def test_arrivals_draw_from_mean_of_resolved_problems():
         pool = ProblemPool(problems=complexities, open=closed, eta_rate=4.0)
         out = research_output(pool, a_cap=1.0)
         assert len(out.solve_probs) == 0 and out.r == 0.0
-        new_pool, _ = step_problem_pool(pool, out, dt=1.0, rng=make_generator(9))
+        new_pool, _ = step_problem_pool(pool, out, 1.0, pool_streams(9))
 
         total = 0.0
         for x in complexities:
             total += x
-        ref = make_generator(9)
-        n_new = ref.poisson(4.0)
+        n_new = make_generator(9, 2).poisson(4.0)
         assert n_new > 0
-        arrivals = ref.exponential(total / len(complexities), n_new).tolist()
+        arrivals = make_generator(9, 3).exponential(total / len(complexities), n_new).tolist()
         assert new_pool.problems.tolist() == complexities + arrivals
         assert new_pool.open.tolist() == closed + [True] * n_new
 
 
 def test_pool_step_arrival_rate_matches_poisson_mean():
-    rng = make_generator(123)
+    streams = pool_streams(123)
     pool = ProblemPool(eta_rate=3.0, lambda_align=1.0)
     out = research_output(pool, a_cap=1.0)
     totals = []
     for _ in range(2000):
-        new_pool, _ = step_problem_pool(pool, out, dt=1.0, rng=rng)
+        new_pool, _ = step_problem_pool(pool, out, 1.0, streams)
         totals.append(len(new_pool.problems))
     mean = np.mean(totals)
     # Poisson(3): 3 sigma of the sample mean
@@ -200,10 +216,10 @@ def test_pool_step_rejects_stale_output():
     out = research_output(pool, a_cap=1.0)
     smaller = ProblemPool(problems=[1.0])
     with pytest.raises(InputError):
-        step_problem_pool(smaller, out, dt=0.1, rng=make_generator(0))
+        step_problem_pool(smaller, out, 0.1, pool_streams(0))
     one_resolved = ProblemPool(problems=[1.0, 1.0], open=[True, False])
     with pytest.raises(InputError):
-        step_problem_pool(one_resolved, out, dt=0.1, rng=make_generator(0))
+        step_problem_pool(one_resolved, out, 0.1, pool_streams(0))
 
 
 def test_hamiltonian_value():
@@ -234,18 +250,20 @@ def test_params_validation():
 
 
 def _reference_run(s: Scenario, seed: int):
-    """run()'s rows and checks, stepped through the public one-step API."""
+    """run()'s rows and checks, stepped through the public one-step API, and
+    the pool of each row."""
     flag = ("false", "true")  # the CSV cells of a bool
-    rng_pool = make_generator(seed, 1)
+    streams = pool_streams(seed)
     pool = ProblemPool(problems=make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems),
-                       eta_rate=s.eta_rate, lambda_align=s.lambda_align, eps_floor=s.eps_floor)
+                       eta_rate=s.eta_rate, lambda_align=s.lambda_align, eps_floor=s.eps_floor,
+                       complexity_mean=s.complexity_mean)
     state = initial_state(s, a_cap=s.a0, p0=s.p0)
     out = research_output(pool, state.a_cap)
     rows = [[state.t, state.p, state.theta, state.c, state.pi, flag[state.inverted],
              out.r, len(out.solve_probs), flag[out.r > s.eta_rate]]]
-    states = [state]
+    states, pools = [state], [pool]
     for _ in range(s.horizon):
-        pool, surplus = step_problem_pool(pool, out, s.dt, rng_pool)
+        pool, surplus = step_problem_pool(pool, out, s.dt, streams)
         state = step_knowledge(state, s, s.dt)
         a_cap = state.a_cap + s.a_growth * s.dt
         c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
@@ -255,11 +273,12 @@ def _reference_run(s: Scenario, seed: int):
         rows.append([state.t, state.p, state.theta, state.c, state.pi, flag[state.inverted],
                      out.r, int(np.count_nonzero(pool.open)), flag[surplus]])
         states.append(state)
+        pools.append(pool)
     checks = {
         "mode_transition": all(x.theta == s.eps_resid for x in states[1:] if x.p >= s.p_bar),
         "pi_monotone": all(b.pi >= a.pi - 1e-15 for a, b in zip(states, states[1:])),
     }
-    return rows, checks
+    return rows, checks, pools
 
 
 def _random_scenario(rng) -> Scenario:
@@ -298,7 +317,7 @@ EDGE_CASES = {
 
 def _assert_run_matches_reference(scenario, seed):
     (_, columns), checks = run(scenario, seed)
-    ref_rows, ref_checks = _reference_run(scenario, seed)
+    ref_rows, ref_checks, _ = _reference_run(scenario, seed)
     assert repr([list(row) for row in zip(*columns)]) == repr(ref_rows)
     assert checks == ref_checks
 
@@ -340,3 +359,154 @@ def test_mode_transition_check_fails_when_theta_leaves_the_law(switch_at, monkey
     assert run(Scenario(), 0)[1]["mode_transition"]
     monkeypatch.setattr(epistemic, "_uncertainty", mutant)
     assert not run(Scenario(), 0)[1]["mode_transition"]
+
+
+def _csv_and_checks(s: Scenario, seed: int):
+    (header, columns), checks = run(s, seed)
+    return "".join(runner._csv_blocks(header, columns)), checks
+
+
+def test_run_bytes_do_not_depend_on_the_draw_block(monkeypatch):
+    """A block of 1 draws every value in its own call; a block above the sum
+    of the pool sizes draws each stream in one call. A step draws one uniform
+    per problem open in the row before it, and each arrival is open in the
+    row after its step, so neither stream needs more values than that sum."""
+    rng = np.random.default_rng(20261020)
+    for s in [*EDGE_CASES.values(), *(_random_scenario(rng) for _ in range(20))]:
+        expected = _csv_and_checks(s, 11)
+        beyond = sum(run(s, 11)[0][1][7]) + 1
+        for block in (1, beyond):
+            monkeypatch.setattr(epistemic, "_DRAW_BLOCK", block)
+            assert _csv_and_checks(s, 11) == expected
+        monkeypatch.undo()
+
+
+def test_arrivals_do_not_depend_on_capability():
+    """Common random numbers: two scenarios that differ only in a0 and
+    a_growth resolve different problems, yet get bit-identical arrival
+    counts and complexities, step by step."""
+    low = Scenario(a0=0.5, a_growth=0.05, eta_rate=4.0, horizon=80)
+    high = replace(low, a0=4.0, a_growth=1.0)
+    (low_rows, _, low_pools), (high_rows, _, high_pools) = (
+        _reference_run(s, seed=21) for s in (low, high))
+    assert [row[7] for row in low_rows] != [row[7] for row in high_rows]
+    assert [p.problems.size for p in low_pools] == [p.problems.size for p in high_pools]
+    assert low_pools[-1].problems.tobytes() == high_pools[-1].problems.tobytes()
+
+
+def _single_stream_step(pool: ProblemPool, out, dt: float, rng):
+    """`step_problem_pool` as it drew before the pool had a stream per
+    purpose: all from one generator, one uniform per open problem, then the
+    arrival count, then one exponential per arrival. The oracle of the law."""
+    open_ids = np.flatnonzero(pool.open)
+    resolved = open_ids[rng.random(open_ids.size) < pool.lambda_align * out.solve_probs * dt]
+    n_new = rng.poisson(pool.eta_rate * dt)
+    arrivals = rng.exponential(pool.problems.mean() if pool.problems.size else pool.complexity_mean,
+                               n_new)
+    is_open = np.concatenate((pool.open, np.ones(n_new, dtype=bool)))
+    is_open[resolved] = False
+    return replace(pool, problems=np.concatenate((pool.problems, arrivals)), open=is_open), None
+
+
+def _pool_outcomes(s: Scenario, seeds, step, draws):
+    """Per seed: the final open count, the number of arrivals and their mean
+    complexity, stepping the pool with `step(pool, output, dt, draws(seed))`."""
+    outcomes = []
+    for seed in seeds:
+        pool = ProblemPool(make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems),
+                           eta_rate=s.eta_rate, lambda_align=s.lambda_align,
+                           complexity_mean=s.complexity_mean)
+        streams = draws(seed)
+        for k in range(s.horizon):
+            pool, _ = step(pool, research_output(pool, s.a0 + k * s.a_growth * s.dt), s.dt, streams)
+        arrivals = pool.problems[s.n_problems:]
+        outcomes.append((np.count_nonzero(pool.open), arrivals.size, arrivals.mean()))
+    return np.array(outcomes, dtype=float).T
+
+
+def test_pool_law_matches_the_single_stream_order():
+    """Over 1,000 seeds, the final pool size and the mean arrival complexity
+    of the pool's streams and of the single-stream oracle agree within 4
+    standard errors, and so do the exact expectations where they exist.
+
+    Each seed's run is independent of the others, so a mean over N seeds
+    has standard error sigma / sqrt(N), and a difference of two such means
+    sqrt(s1^2 / N + s2^2 / N), with each sigma estimated by its sample
+    standard deviation (relative error about sqrt(2 / N), 4.5% at N = 1,000).
+    Both sides draw the starting pool from stream 0 of the same seed, which
+    correlates them positively, so the difference spreads less than that and
+    the bound is conservative. By the central limit theorem a difference of
+    equal laws exceeds 4 standard errors with probability about 6e-5; the
+    seeds are fixed, so the test is deterministic.
+    The exact expectations: the total arrivals are Poisson(eta * dt *
+    horizon), with variance equal to their mean; and given the counts, each
+    arrival's complexity has expectation `complexity_mean`, because the mean
+    complexity of all problems created, which scales the arrival draws, is a
+    martingale that starts at the mean of the starting pool, whose
+    expectation is `complexity_mean`, and resolutions never move it. So the
+    mean arrival complexity of a run with arrivals has that expectation too.
+    A scenario with eta * dt * horizon = 30 has arrivals with probability
+    1 - e^-30.
+    """
+    s = Scenario(a0=1.0, a_growth=0.05, n_problems=5, eta_rate=2.0, dt=0.5, horizon=30,
+                 lambda_align=0.9, complexity_mean=2.0)
+    seeds, n = range(1000), 1000
+    streams = _pool_outcomes(s, seeds, step_problem_pool, pool_streams)
+    oracle = _pool_outcomes(s, seeds, _single_stream_step, lambda seed: make_generator(seed, 1))
+
+    def se(x):
+        return np.std(x, ddof=1) / math.sqrt(n)
+
+    for ours, theirs in zip(streams, oracle):
+        assert abs(ours.mean() - theirs.mean()) < 4 * math.hypot(se(ours), se(theirs))
+    arrivals = s.eta_rate * s.dt * s.horizon
+    for _, count, mean_c in (streams, oracle):
+        assert abs(count.mean() - arrivals) < 4 * math.sqrt(arrivals / n)
+        assert abs(mean_c.mean() - s.complexity_mean) < 4 * se(mean_c)
+
+
+# Boundaries that no other test reaches: a comparison flipped at each of
+# them (< for <=, > for >=) passes the rest of the suite.
+def test_eps_resid_equal_to_theta0_is_rejected():
+    with pytest.raises(DomainError, match="eps_resid"):
+        EpistemicParams(theta0=1.0, eps_resid=1.0)
+
+
+def test_zero_baseline_cost_is_rejected():
+    with pytest.raises(DomainError, match="baseline cost"):
+        marginal_ideation_cost(0.0, 1.0, 1.0)
+
+
+def test_zero_dt_is_rejected_by_both_steps():
+    with pytest.raises(DomainError, match="dt"):
+        step_knowledge(initial_state(EpistemicParams(), a_cap=1.0), EpistemicParams(), 0.0)
+    pool = ProblemPool(problems=[1.0])
+    with pytest.raises(DomainError, match="dt"):
+        step_problem_pool(pool, research_output(pool, a_cap=1.0), 0.0, pool_streams(0))
+
+
+def test_a_cost_at_theta_star_is_not_inverted():
+    assert inversion_crossing([(0.0, 0.1), (1.0, 0.05)], theta_star=0.1) == 1.0
+    params = EpistemicParams(c0=0.1, alpha_cost=0.0, theta_star=0.1)
+    assert not initial_state(params, a_cap=1.0).inverted
+    (_, columns), _ = run(Scenario(c0=0.1, alpha_cost=0.0, theta_star=0.1, horizon=3), 0)
+    assert list(columns[3]) == [0.1] * 4 and columns[5] == ["false"] * 4
+
+
+def test_a_ratio_of_exactly_one_is_not_clamped():
+    out = research_output(ProblemPool(problems=[1.0], eps_floor=1.0), a_cap=2.0)
+    assert out.solve_probs.tolist() == [1.0] and out.clamped == 0
+
+
+_AT_SLACK = 0.5 - 1e-15
+
+
+@pytest.mark.parametrize("second, monotone",
+                         [(_AT_SLACK, True), (math.nextafter(_AT_SLACK, 0.0), False)],
+                         ids=["at_slack", "one_ulp_beyond"])
+def test_pi_monotone_forgives_a_drop_of_1e_15_and_no_more(second, monotone, monkeypatch):
+    """pi may fall by the slack 1e-15 between rows, as 0.5 to 0.5 - 1e-15,
+    and not by one ULP more."""
+    pis = iter([0.5, second])
+    monkeypatch.setattr(epistemic, "discovery_probability", lambda theta: next(pis))
+    assert run(Scenario(horizon=1), 0)[1]["pi_monotone"] is monotone

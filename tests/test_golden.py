@@ -29,7 +29,7 @@ from emt_lab.feedback import FeedbackParams, simulate_loop
 from emt_lab.runner import run_scenario
 
 ARTIFACTS = {
-    "epistemic_default.csv": "5ca219694790157718fa9040d21ff40ce00363d5c718333d3c6ccd38a1d6617f",
+    "epistemic_default.csv": "4d07c2fe0ed51bb263eddfca97e6b95c2d07300ba24e6831e018e1aceb9b4b80",
     "evt_exponential.json": "7e61e6c61170911b3f537a3391dad99df88cdf00d3146e7c0abd44f5386683b0",
     "feedback_default.csv": "69844de7fc5d2dee005a24afd4a25a2ca5eec58bcd1339ca200505fb0f0d15a5",
     "feedback_unstable.csv": "55ae974cd3dacab0667d3a86da5c8fb0b8912a29855912293496de5b33971643",
@@ -50,7 +50,7 @@ LARGE_POOL = {
     "params": {"horizon": 1200, "eta_rate": 20, "dt": 0.1, "n_problems": 10,
                "complexity_mean": 2.0, "lambda_align": 0.9},
 }
-LARGE_POOL_DIGEST = "c08c192b3440642dadc6f404e2a548fe5fb93d619a105efc48580cbfbd9c38df"
+LARGE_POOL_DIGEST = "751714f0632bb2c5fe9659e963446c2124b0a430ac63da5d0b33b6f3db36572f"
 
 # Some 16,000 problems over 8,000 steps: the mean complexity of arrivals
 # divides a running sum over up to 16,000 values, added in creation order, so
@@ -62,7 +62,7 @@ LONG_POOL = {
     "params": {"horizon": 8000, "eta_rate": 20, "dt": 0.1, "n_problems": 10,
                "complexity_mean": 2.0, "lambda_align": 0.9},
 }
-LONG_POOL_DIGEST = "31ba5c638b217865dedc0ffc57944f832cea798ec19d9985c7fdf831c715d6b0"
+LONG_POOL_DIGEST = "e1288b1bafda2b4cf56e24e2cfe1bad88144cba1fdbbeff5c5d02776fa22470e"
 
 # Neither bundled feedback scenario has noise or meta-learning; this one has
 # both, so the order and values of the normal draws shape its bytes.
