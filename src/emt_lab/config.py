@@ -6,10 +6,10 @@ the fields of `ScenarioConfig`, a module's parameters those of its `Scenario`
 dataclass, so the defaults, `emt-lab schema` and the rule each value must meet
 (`_params.field_error`, the one a directly built dataclass meets too) all come
 from them. A file adds its keys: unknown ones are rejected with a closest-key
-suggestion, and every problem is collected before failing (`_params.read_block`).
-Validation ends by building the ScenarioConfig, whose checks (the artifact path
-stays inside the output directory) and Scenario's cross-field checks fail here
-too, before anything runs.
+suggestion, and every problem is collected before failing (`_params.read_block`),
+those of the artifact path (it stays inside the output directory) too.
+Validation ends by building the ScenarioConfig, whose checks and Scenario's
+cross-field checks fail here too, before anything runs.
 """
 
 from __future__ import annotations
@@ -44,6 +44,21 @@ def scenario_module(module: str):
     return importlib.import_module(f"{__package__}.{MODULES[module]}")
 
 
+def _path_problems(name: str, module: str, output_path: str | None) -> list:
+    """The problems of a config's artifact path: the last '/' part of `name`,
+    then the path, `output_path` or else `<name>.<format>`, which must stay
+    inside the output directory."""
+    problems = []
+    if name.rsplit("/", 1)[-1] in ("", ".", ".."):
+        problems.append(f"name: its last '/' part must not be empty, '.' or '..', got {name!r}")
+    path = f"{name}.{scenario_module(module).FORMAT}" if output_path is None else output_path
+    pure = PurePath(path)
+    if pure.is_absolute() or ".." in pure.parts or not pure.name or "\0" in path:
+        key = "name" if output_path is None else "output.path"
+        problems.append(f"{key}: must give a relative file path inside --out, got {path!r}")
+    return problems
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A fully validated scenario ready to run; `scenario` is built from `params`.
@@ -66,14 +81,8 @@ class ScenarioConfig:
             check(self)
         except EmtLabError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.name.rsplit("/", 1)[-1] in ("", ".", ".."):
-            raise ConfigError(f"name: its last '/' part must not be empty, '.' or '..', "
-                              f"got {self.name!r}")
-        path = self.artifact_path
-        pure = PurePath(path)
-        if pure.is_absolute() or ".." in pure.parts or not pure.name or "\0" in path:
-            key = "name" if self.output_path is None else "output.path"
-            raise ConfigError(f"{key}: must give a relative file path inside --out, got {path!r}")
+        if problems := _path_problems(self.name, self.module, self.output_path):
+            raise ConfigError(problems)
         scenario = scenario_module(self.module).Scenario
         params, problems = read_block(param_fields(scenario), self.params, "params.")
         if problems:
@@ -121,16 +130,21 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"scenario must be a JSON object, got {type(raw).__name__}"])
     top, problems = read_block(_TOP, raw)
-    module, params, output = top["module"], top["params"], top["output"]
-    if isinstance(module, str) and module in MODULES and isinstance(params, dict):
+    name, module, params, output = top["name"], top["module"], top["params"], top["output"]
+    known = isinstance(module, str) and module in MODULES
+    if known and isinstance(params, dict):
         params, more = read_block(param_fields(scenario_module(module).Scenario), params, "params.")
         problems += more
     if isinstance(output, dict):
         output, more = read_block(_OUTPUT, output, "output.")
         problems += more
+        path = output["path"]
+        # a path named by `name` needs the module's format
+        if isinstance(name, str) and (isinstance(path, str) or path is None and known):
+            problems += _path_problems(name, module, path)
     if problems:
         raise ConfigError(list(map(str, problems)))
-    return ScenarioConfig(name=top["name"], module=module, params=params, seed=top["seed"],
+    return ScenarioConfig(name=name, module=module, params=params, seed=top["seed"],
                           output_path=output["path"])
 
 

@@ -23,10 +23,11 @@ starting complexities, 1 the resolution uniforms, 2 the arrival counts and
 step. Arrivals never depend on which problems resolve, so two scenarios that
 differ only in capability get the same arrivals (common random numbers), and
 `run` draws each stream in bulk.
-`ProblemPool`, `research_output`, `step_problem_pool` and `step_knowledge`
-are the one-step API over the same definitions: a step's outcome from its
-draws, the solve probabilities and the Euler update are each written once,
-in private helpers that both `run` and that API call.
+`ProblemPool` (the pool's state), `research_output`, `step_problem_pool` and
+`step_knowledge`, which read the rates of an `EpistemicParams`, are the
+one-step API over the same definitions: a step's outcome from its draws, the
+solve probabilities and the Euler update are each written once, in helpers
+that `run` calls too.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class EpistemicParams(Params):
     eta_rate    emergence rate of new problems in the pool
     lambda_align alignment weight on the pool's research output, in [0, 1]
     eps_floor   irreducible-uncertainty floor added to each complexity (> 0)
+    complexity_mean mean complexity of the first problems created (> 0)
     """
 
     theta0: float = param(1.0, exmin=0)
@@ -75,6 +77,7 @@ class EpistemicParams(Params):
     eta_rate: float = param(1.0, min=0)
     lambda_align: float = param(1.0, min=0, max=1)
     eps_floor: float = param(1e-6, exmin=0)
+    complexity_mean: float = param(2.0, exmin=0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -109,7 +112,6 @@ class Scenario(EpistemicParams):
     dt: float = param(0.1, exmin=0)
     horizon: int = param(200, min=1, max=10**6)
     n_problems: int = param(10, min=0, max=MAX_POOL)
-    complexity_mean: float = param(2.0, exmin=0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -210,21 +212,15 @@ def step_knowledge(state: EpistemicState, params: EpistemicParams, dt: float) ->
 
 @dataclass
 class ProblemPool:
-    """Dynamic pool of problems with emergence rate and alignment weighting,
-    the state of the one-step API (`research_output`, `step_problem_pool`).
+    """The pool's state in the one-step API (`research_output`,
+    `step_problem_pool`), whose rates come from an `EpistemicParams`.
 
     `problems` holds the complexity of every problem ever created, in
     creation order; `open` marks the unresolved ones (all, if not given).
-    Arrivals draw with the mean of `problems`, or with `complexity_mean` while
-    it is empty. Rebuilt every step, it does not check its rates; Scenario
-    does. `run` keeps the open ones as a list and a running sum of all instead."""
+    `run` keeps the open ones as a list and a running sum of all instead."""
 
     problems: np.ndarray = field(default_factory=lambda: np.empty(0))
     open: np.ndarray | None = None
-    eta_rate: float = EpistemicParams.eta_rate
-    lambda_align: float = EpistemicParams.lambda_align
-    eps_floor: float = EpistemicParams.eps_floor
-    complexity_mean: float = Scenario.complexity_mean
 
     def __post_init__(self):
         self.problems = np.asarray(self.problems, dtype=float)
@@ -246,17 +242,17 @@ class ResearchOutput:
     clamped: int  # how many raw ratios exceeded 1 and were capped
 
 
-def research_output(pool: ProblemPool, a_cap: float) -> ResearchOutput:
+def research_output(pool: ProblemPool, params: EpistemicParams, a_cap: float) -> ResearchOutput:
     """Real-time research output over the open problems.
 
     Per-problem solve probability is capability over complexity (plus the
-    irreducible-uncertainty floor), capped at 1; the output rate is the
-    alignment-weighted sum.
+    irreducible-uncertainty floor `params.eps_floor`), capped at 1; the
+    output rate is their sum weighted by `params.lambda_align`.
     """
     if a_cap < 0:
         raise DomainError(f"capability must be >= 0, got {a_cap}")
     raw, probs, r = _research(pool.problems[pool.open].tolist(), a_cap,
-                              pool.lambda_align, pool.eps_floor)
+                              params.lambda_align, params.eps_floor)
     return ResearchOutput(r=r, solve_probs=np.array(probs, dtype=float),
                           clamped=sum(x > 1.0 for x in raw))
 
@@ -314,18 +310,19 @@ def _blocks(draw):
 def step_problem_pool(
     pool: ProblemPool,
     output: ResearchOutput,
+    params: EpistemicParams,
     dt: float,
     streams: Tuple[np.random.Generator, np.random.Generator, np.random.Generator],
 ) -> Tuple[ProblemPool, bool]:
     """One stochastic step of pool dynamics; returns (new pool, surplus flag).
 
-    ``output`` is the current research_output of the pool. Arrivals are
-    Poisson with mean eta*dt. Each open problem resolves independently with
-    probability lambda * pi_i * dt (capped at 1), so the expected net change
-    matches (eta - R) * dt. Surplus means resolution outpaces emergence:
-    R > eta. New problems draw their complexity from an exponential whose
-    mean matches every problem created so far, summed left to right
-    (`complexity_mean` for an empty pool).
+    ``output`` is the current research_output of the pool, and the rates
+    are those of ``params``. Arrivals are Poisson with mean eta*dt. Each open
+    problem resolves independently with probability lambda * pi_i * dt
+    (capped at 1), so the expected net change matches (eta - R) * dt. Surplus
+    means resolution outpaces emergence: R > eta. New problems draw their
+    complexity from an exponential whose mean matches every problem created
+    so far, summed left to right (`complexity_mean` for an empty pool).
     ``streams`` are the generators of `pool_streams`. The step draws one
     uniform per open problem, in creation order, from the first, the arrival
     count from the second and one standard exponential per arrival from the
@@ -339,20 +336,19 @@ def step_problem_pool(
             f"solve_probs length {len(output.solve_probs)} does not match "
             f"{open_ids.size} open problems"
         )
-    problems = pool.problems
-    lam = pool.lambda_align
+    problems, lam = pool.problems, params.lambda_align
     uniforms, counts, exps = streams
-    n_new = counts.poisson(pool.eta_rate * dt)
+    n_new = counts.poisson(params.eta_rate * dt)
     kept, arrivals = _pool_draws(open_ids.tolist(), uniforms.random(open_ids.size).tolist(),
                                  [lam * p * dt for p in output.solve_probs.tolist()],
                                  exps.standard_exponential(n_new).tolist(),
                                  _left_sum(problems.tolist()) / problems.size
-                                 if problems.size else pool.complexity_mean)
+                                 if problems.size else params.complexity_mean)
     is_open = np.zeros(problems.size + len(arrivals), dtype=bool)
     is_open[kept] = True
     is_open[problems.size:] = True
     new_pool = replace(pool, problems=np.concatenate((problems, arrivals)), open=is_open)
-    return new_pool, output.r > pool.eta_rate
+    return new_pool, output.r > params.eta_rate
 
 
 def hamiltonian_value(

@@ -213,6 +213,14 @@ def coverage_operator(satisfied: np.ndarray, weights: np.ndarray) -> float:
     return float(w[mask].sum() / total)
 
 
+# The budget on horizon x needs x sectors, checked at validation. On a 2-core
+# Xeon VM a flywheel step costs 2.6-3.3 ns of CPU per need-sector pair from
+# 100 needs x 100 sectors up to 1000 x 1000 (best of 3), so the budget is
+# about a minute (52-66 s). Below that size the step's fixed cost dominates
+# (about 7 us at 5 x 2, 11 us at 30 x 30), and the horizon bound caps it.
+MAX_FLYWHEEL_WORK = 2 * 10**10
+
+
 @dataclass(frozen=True)
 class Scenario(NeedsState):
     """One flywheel comparison of the blind and aligned economies."""
@@ -221,14 +229,17 @@ class Scenario(NeedsState):
     kappa: float = param(0.05, min=0)
     # A step of the default 5-need, 2-sector economy, its two CSV rows
     # included, costs about 12 us of CPU on a 2-core Xeon VM (10-14 us at
-    # horizon 10^5), so about 6 s at the bound; the cost grows with needs x
-    # sectors too.
+    # horizon 10^5), so about 6 s at the bound.
     horizon: int = param(50, min=1, max=5 * 10**5)
     coverage_eps: float = param(1e-3, exmin=0)
     check_dominance: bool = param(False)
 
     def __post_init__(self):
         super().__post_init__()
+        needs, sectors = self.n_vec.size, self.p_vec.size
+        if self.horizon * needs * sectors > MAX_FLYWHEEL_WORK:
+            raise DomainError(f"horizon x needs x sectors: {self.horizon} x {needs} x {sectors} "
+                              f"need-sector steps are above the budget of {MAX_FLYWHEEL_WORK}")
         production_output(self.production)  # fails on unknown keys or bad inputs
         if not self.n_vec.any():  # the coverage weights
             raise DomainError("n_vec: need intensities must not all be zero")

@@ -1,7 +1,7 @@
 """Epistemic mode-transition dynamics and problem-pool behavior."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -85,12 +85,12 @@ def test_inversion_flag():
 
 
 def test_research_output_clamping_and_rate():
-    pool = ProblemPool(problems=[1.0, 0.0], lambda_align=0.5)
-    out = research_output(pool, a_cap=0.5)
+    params = EpistemicParams(lambda_align=0.5)
+    out = research_output(ProblemPool(problems=[1.0, 0.0]), params, a_cap=0.5)
     # second problem's raw ratio 0.5/eps_floor >> 1 gets clamped
     assert out.clamped == 1
     assert out.solve_probs[1] == 1.0
-    assert out.solve_probs[0] == pytest.approx(0.5 / (1.0 + pool.eps_floor))
+    assert out.solve_probs[0] == pytest.approx(0.5 / (1.0 + params.eps_floor))
     assert out.r == pytest.approx(0.5 * sum(out.solve_probs))
 
 
@@ -105,9 +105,10 @@ def test_research_sums_left_to_right():
 
 def test_research_output_skips_resolved_problems():
     pool = ProblemPool(problems=[1.0, 0.0, 3.0], open=[True, False, True])
-    out = research_output(pool, a_cap=0.5)
+    eps = EpistemicParams().eps_floor
+    out = research_output(pool, EpistemicParams(), a_cap=0.5)
     assert out.clamped == 0
-    assert out.solve_probs.tolist() == [0.5 / (1.0 + pool.eps_floor), 0.5 / (3.0 + pool.eps_floor)]
+    assert out.solve_probs.tolist() == [0.5 / (1.0 + eps), 0.5 / (3.0 + eps)]
 
 
 def test_pool_rejects_bad_arrays():
@@ -119,10 +120,21 @@ def test_pool_rejects_bad_arrays():
         ProblemPool(problems=[[1.0, 2.0]])
 
 
+def test_the_pool_is_only_its_state_and_its_rates_are_checked_once():
+    """The rates live on EpistemicParams alone, so the values that once
+    broke a pool's step (inside numpy, with ZeroDivisionError, or silently)
+    fail where the params are built."""
+    assert [f.name for f in fields(ProblemPool)] == ["problems", "open"]
+    for key, value in (("eta_rate", -1.0), ("eps_floor", -1.0), ("lambda_align", 5.0)):
+        with pytest.raises(DomainError, match=f"^{key}: must be "):
+            EpistemicParams(**{key: value})
+
+
 def test_pool_step_resolves_everything_at_probability_one():
-    pool = ProblemPool(problems=np.full(20, 0.5), eta_rate=0.0, lambda_align=1.0)
-    out = research_output(pool, a_cap=10.0)  # all probs clamp to 1
-    new_pool, surplus = step_problem_pool(pool, out, 1.0, pool_streams(0))
+    params = EpistemicParams(eta_rate=0.0, lambda_align=1.0)
+    pool = ProblemPool(problems=np.full(20, 0.5))
+    out = research_output(pool, params, a_cap=10.0)  # all probs clamp to 1
+    new_pool, surplus = step_problem_pool(pool, out, params, 1.0, pool_streams(0))
     assert not new_pool.open.any()
     assert new_pool.problems.tolist() == [0.5] * 20  # resolved problems are kept
     assert pool.open.all()  # the step returns a new pool
@@ -138,12 +150,12 @@ def test_pool_step_draw_order_matches_scalar_draws():
     # problem in creation order from stream 1, the arrival count from
     # stream 2, one exponential per arrival from stream 3, and no other draw.
     complexities = [0.5, 2.0, 1.0, 4.0, 0.1]
-    pool = ProblemPool(problems=complexities, open=[True, False, True, True, True],
-                       eta_rate=30.0, lambda_align=0.8)
-    out = research_output(pool, a_cap=0.7)
+    pool = ProblemPool(problems=complexities, open=[True, False, True, True, True])
+    params = EpistemicParams(eta_rate=30.0, lambda_align=0.8)
+    out = research_output(pool, params, a_cap=0.7)
     dt = 0.5
     streams = pool_streams(7)
-    new_pool, _ = step_problem_pool(pool, out, dt, streams)
+    new_pool, _ = step_problem_pool(pool, out, params, dt, streams)
 
     uniforms, counts, exps = (make_generator(7, i) for i in (1, 2, 3))
     still_open = [uniforms.random() >= min(1.0, 0.8 * p * dt) for p in out.solve_probs.tolist()]
@@ -156,22 +168,23 @@ def test_pool_step_draw_order_matches_scalar_draws():
 
 
 def test_empty_pool_has_no_output_and_draws_nothing():
-    pool = ProblemPool(eta_rate=0.0)
-    out = research_output(pool, a_cap=1.0)
+    pool, params = ProblemPool(), EpistemicParams(eta_rate=0.0)
+    out = research_output(pool, params, a_cap=1.0)
     assert out.r == 0.0
     assert len(out.solve_probs) == 0
     assert out.clamped == 0
     streams = pool_streams(3)
     before = _states(streams)
-    new_pool, surplus = step_problem_pool(pool, out, 1.0, streams)
+    new_pool, surplus = step_problem_pool(pool, out, params, 1.0, streams)
     assert _states(streams) == before  # poisson(0.0) draws nothing
     assert len(new_pool.problems) == 0
     assert not surplus
 
 
 def test_a_never_filled_pool_draws_arrivals_with_complexity_mean():
-    pool = ProblemPool(eta_rate=4.0, complexity_mean=5.0)
-    new_pool, _ = step_problem_pool(pool, research_output(pool, a_cap=1.0), 1.0, pool_streams(9))
+    pool, params = ProblemPool(), EpistemicParams(eta_rate=4.0, complexity_mean=5.0)
+    out = research_output(pool, params, a_cap=1.0)
+    new_pool, _ = step_problem_pool(pool, out, params, 1.0, pool_streams(9))
     n_new = make_generator(9, 2).poisson(4.0)
     assert n_new > 0
     assert new_pool.problems.tolist() == make_generator(9, 3).exponential(5.0, n_new).tolist()
@@ -183,10 +196,10 @@ def test_arrivals_draw_from_mean_of_resolved_problems():
     # eight 2**-53 sum to 1.0 left to right but to 1.0000000000000009 pairwise.
     for complexities in ([1.0, 3.0], [1.0] + [2.0**-53] * 8):
         closed = [False] * len(complexities)
-        pool = ProblemPool(problems=complexities, open=closed, eta_rate=4.0)
-        out = research_output(pool, a_cap=1.0)
+        pool, params = ProblemPool(problems=complexities, open=closed), EpistemicParams(eta_rate=4.0)
+        out = research_output(pool, params, a_cap=1.0)
         assert len(out.solve_probs) == 0 and out.r == 0.0
-        new_pool, _ = step_problem_pool(pool, out, 1.0, pool_streams(9))
+        new_pool, _ = step_problem_pool(pool, out, params, 1.0, pool_streams(9))
 
         total = 0.0
         for x in complexities:
@@ -200,11 +213,11 @@ def test_arrivals_draw_from_mean_of_resolved_problems():
 
 def test_pool_step_arrival_rate_matches_poisson_mean():
     streams = pool_streams(123)
-    pool = ProblemPool(eta_rate=3.0, lambda_align=1.0)
-    out = research_output(pool, a_cap=1.0)
+    pool, params = ProblemPool(), EpistemicParams(eta_rate=3.0, lambda_align=1.0)
+    out = research_output(pool, params, a_cap=1.0)
     totals = []
     for _ in range(2000):
-        new_pool, _ = step_problem_pool(pool, out, 1.0, streams)
+        new_pool, _ = step_problem_pool(pool, out, params, 1.0, streams)
         totals.append(len(new_pool.problems))
     mean = np.mean(totals)
     # Poisson(3): 3 sigma of the sample mean
@@ -212,14 +225,14 @@ def test_pool_step_arrival_rate_matches_poisson_mean():
 
 
 def test_pool_step_rejects_stale_output():
-    pool = ProblemPool(problems=[1.0, 1.0])
-    out = research_output(pool, a_cap=1.0)
+    params = EpistemicParams()
+    out = research_output(ProblemPool(problems=[1.0, 1.0]), params, a_cap=1.0)
     smaller = ProblemPool(problems=[1.0])
     with pytest.raises(InputError):
-        step_problem_pool(smaller, out, 0.1, pool_streams(0))
+        step_problem_pool(smaller, out, params, 0.1, pool_streams(0))
     one_resolved = ProblemPool(problems=[1.0, 1.0], open=[True, False])
     with pytest.raises(InputError):
-        step_problem_pool(one_resolved, out, 0.1, pool_streams(0))
+        step_problem_pool(one_resolved, out, params, 0.1, pool_streams(0))
 
 
 def test_hamiltonian_value():
@@ -254,22 +267,20 @@ def _reference_run(s: Scenario, seed: int):
     the pool of each row."""
     flag = ("false", "true")  # the CSV cells of a bool
     streams = pool_streams(seed)
-    pool = ProblemPool(problems=make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems),
-                       eta_rate=s.eta_rate, lambda_align=s.lambda_align, eps_floor=s.eps_floor,
-                       complexity_mean=s.complexity_mean)
+    pool = ProblemPool(problems=make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems))
     state = initial_state(s, a_cap=s.a0, p0=s.p0)
-    out = research_output(pool, state.a_cap)
+    out = research_output(pool, s, state.a_cap)
     rows = [[state.t, state.p, state.theta, state.c, state.pi, flag[state.inverted],
              out.r, len(out.solve_probs), flag[out.r > s.eta_rate]]]
     states, pools = [state], [pool]
     for _ in range(s.horizon):
-        pool, surplus = step_problem_pool(pool, out, s.dt, streams)
+        pool, surplus = step_problem_pool(pool, out, s, s.dt, streams)
         state = step_knowledge(state, s, s.dt)
         a_cap = state.a_cap + s.a_growth * s.dt
         c = marginal_ideation_cost(s.c0, s.alpha_cost, a_cap)
         state = EpistemicState(t=state.t, p=state.p, theta=state.theta, c=c, a_cap=a_cap,
                                pi=state.pi, inverted=c < s.theta_star)
-        out = research_output(pool, state.a_cap)
+        out = research_output(pool, s, state.a_cap)
         rows.append([state.t, state.p, state.theta, state.c, state.pi, flag[state.inverted],
                      out.r, int(np.count_nonzero(pool.open)), flag[surplus]])
         states.append(state)
@@ -394,14 +405,14 @@ def test_arrivals_do_not_depend_on_capability():
     assert low_pools[-1].problems.tobytes() == high_pools[-1].problems.tobytes()
 
 
-def _single_stream_step(pool: ProblemPool, out, dt: float, rng):
+def _single_stream_step(pool: ProblemPool, out, params: EpistemicParams, dt: float, rng):
     """`step_problem_pool` as it drew before the pool had a stream per
     purpose: all from one generator, one uniform per open problem, then the
     arrival count, then one exponential per arrival. The oracle of the law."""
     open_ids = np.flatnonzero(pool.open)
-    resolved = open_ids[rng.random(open_ids.size) < pool.lambda_align * out.solve_probs * dt]
-    n_new = rng.poisson(pool.eta_rate * dt)
-    arrivals = rng.exponential(pool.problems.mean() if pool.problems.size else pool.complexity_mean,
+    resolved = open_ids[rng.random(open_ids.size) < params.lambda_align * out.solve_probs * dt]
+    n_new = rng.poisson(params.eta_rate * dt)
+    arrivals = rng.exponential(pool.problems.mean() if pool.problems.size else params.complexity_mean,
                                n_new)
     is_open = np.concatenate((pool.open, np.ones(n_new, dtype=bool)))
     is_open[resolved] = False
@@ -410,15 +421,14 @@ def _single_stream_step(pool: ProblemPool, out, dt: float, rng):
 
 def _pool_outcomes(s: Scenario, seeds, step, draws):
     """Per seed: the final open count, the number of arrivals and their mean
-    complexity, stepping the pool with `step(pool, output, dt, draws(seed))`."""
+    complexity, stepping the pool with `step(pool, output, s, dt, draws(seed))`."""
     outcomes = []
     for seed in seeds:
-        pool = ProblemPool(make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems),
-                           eta_rate=s.eta_rate, lambda_align=s.lambda_align,
-                           complexity_mean=s.complexity_mean)
+        pool = ProblemPool(make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems))
         streams = draws(seed)
         for k in range(s.horizon):
-            pool, _ = step(pool, research_output(pool, s.a0 + k * s.a_growth * s.dt), s.dt, streams)
+            out = research_output(pool, s, s.a0 + k * s.a_growth * s.dt)
+            pool, _ = step(pool, out, s, s.dt, streams)
         arrivals = pool.problems[s.n_problems:]
         outcomes.append((np.count_nonzero(pool.open), arrivals.size, arrivals.mean()))
     return np.array(outcomes, dtype=float).T
@@ -480,9 +490,10 @@ def test_zero_baseline_cost_is_rejected():
 def test_zero_dt_is_rejected_by_both_steps():
     with pytest.raises(DomainError, match="dt"):
         step_knowledge(initial_state(EpistemicParams(), a_cap=1.0), EpistemicParams(), 0.0)
-    pool = ProblemPool(problems=[1.0])
+    pool, params = ProblemPool(problems=[1.0]), EpistemicParams()
     with pytest.raises(DomainError, match="dt"):
-        step_problem_pool(pool, research_output(pool, a_cap=1.0), 0.0, pool_streams(0))
+        step_problem_pool(pool, research_output(pool, params, a_cap=1.0), params, 0.0,
+                          pool_streams(0))
 
 
 def test_a_cost_at_theta_star_is_not_inverted():
@@ -494,7 +505,7 @@ def test_a_cost_at_theta_star_is_not_inverted():
 
 
 def test_a_ratio_of_exactly_one_is_not_clamped():
-    out = research_output(ProblemPool(problems=[1.0], eps_floor=1.0), a_cap=2.0)
+    out = research_output(ProblemPool(problems=[1.0]), EpistemicParams(eps_floor=1.0), a_cap=2.0)
     assert out.solve_probs.tolist() == [1.0] and out.clamped == 0
 
 

@@ -270,6 +270,20 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     ("policy", {"params": {"occupations": [{"w": "1", "l_bar": -1.0, "eta": 1.0, "lambda_align": 1.0}]}},
      "config error: params: occupations.0.w: expected number, got '1'; "
      "occupations.0.l_bar: must be > 0, got -1.0\n"),
+    pytest.param("growth", {"name": "..", "params": {"bogus": 1}},
+                 "config error: params.unknown key 'bogus'\n"
+                 "config error: name: its last '/' part must not be empty, '.' or '..', got '..'\n",
+                 id="name_and_params"),
+    pytest.param("growth", {"params": {"bogus": 1}, "output": {"path": "/abs.csv"}},
+                 "config error: params.unknown key 'bogus'\n"
+                 "config error: output.path: must give a relative file path inside --out, "
+                 "got '/abs.csv'\n",
+                 id="output_path_and_params"),
+    pytest.param("gravity", {"params": {"n_vec": [1.0] * 201, "d_mat": [[1.0] * 200] * 201,
+                                        "p_vec": [1.0] * 200, "horizon": 5 * 10**5}},
+                 "config error: params: horizon x needs x sectors: 500000 x 201 x 200 need-sector "
+                 "steps are above the budget of 20000000000\n",
+                 id="gravity_work"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -348,6 +362,15 @@ def test_growth_and_epistemic_sizes_at_their_bounds_are_valid(module, params):
     # every input sits exactly on its module's budget, most also on a maximum or the pool bound
     scenario = validate_config(minimal(module=module, params=params)).scenario
     assert {key: getattr(scenario, key) for key in params} == params
+
+
+def test_gravity_work_at_its_budget_is_valid():
+    from emt_lab.gravity import MAX_FLYWHEEL_WORK
+
+    params = {"n_vec": [1.0] * 200, "d_mat": [[1.0] * 200] * 200, "p_vec": [1.0] * 200,
+              "horizon": 5 * 10**5}
+    scenario = validate_config(minimal(module="gravity", params=params)).scenario
+    assert scenario.horizon * scenario.n_vec.size * scenario.p_vec.size == MAX_FLYWHEEL_WORK
 
 
 def test_mdp_max_iter_at_its_bound_is_valid():

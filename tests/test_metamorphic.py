@@ -2,18 +2,23 @@
 transformed outputs bit for bit, with no tolerance to argue about.
 
 Such a relation holds where the floating-point map is exact. Multiplying by a
-power of two is exact while the result stays a normal double.
+power of two is exact while the result stays a normal double, and relabelling
+only moves values.
 """
 
 import dataclasses
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emt_lab import epistemic, gravity, runner
+from emt_lab.dynprog import MdpSpec, evaluate_policy, value_iteration
+from emt_lab.game import StageGame, spne_search
 from emt_lab.recombinant import EvtRunConfig, TailDistribution, draw_max_statistic
 from test_gravity import flywheels
+from util_mdp import random_mdp
 
 # Each family's scale parameter. lognormal has none to move exactly: its
 # scale is exp(mu).
@@ -116,3 +121,109 @@ def test_epistemic_run_holds_when_capability_and_complexity_move_by_a_power_of_t
                            for key in ("a0", "a_growth", "complexity_mean", "eps_floor")},
               "alpha_cost": params["alpha_cost"] / scale, "alpha_prod": params["alpha_prod"] / scale}
     assert _epistemic_csv_and_checks(scaled, seed) == _epistemic_csv_and_checks(params, seed)
+
+
+@st.composite
+def mdps(draw):
+    """A random MDP of up to 12 states, 4 actions and 4 shocks, beta at most
+    0.9 so that value iteration stops well above its rounding floor."""
+    return random_mdp(draw(st.integers(0, 2**32 - 1)), n_states=draw(st.integers(1, 12)),
+                      n_actions=draw(st.integers(1, 4)), n_shocks=draw(st.integers(1, 4)),
+                      beta=draw(st.floats(0.1, 0.9)))
+
+
+def _bits(*values) -> list:
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _solution_bits(solution) -> list:
+    return _bits(solution.values, solution.policy, solution.iterations, solution.residual)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=mdps(), data=st.data())
+def test_mdp_solves_hold_when_the_states_are_relabelled(spec, data):
+    """Old state s is new state perm[s]: rewards, transitions (rows and the
+    states they land in) and the policy permute together. `value_iteration`
+    returns the permuted `Solution` bitwise, and `evaluate_policy` the
+    permuted values.
+
+    Each state's backup adds its shocks in the same order under any labels,
+    and the bounds, the residual and the argmax's lowest-index tie rule read
+    only the multiset of states or the action index.
+    """
+    n = spec.n_states
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=int)
+    policy = np.array(data.draw(st.lists(st.integers(0, spec.n_actions - 1), min_size=n,
+                                         max_size=n)), dtype=int)
+    rewards, transition, moved_policy = (np.empty_like(x) for x in
+                                         (spec.rewards, spec.transition, policy))
+    rewards[perm], transition[perm], moved_policy[perm] = spec.rewards, perm[spec.transition], policy
+    moved = MdpSpec(rewards=rewards, shock_probs=spec.shock_probs, transition=transition,
+                    beta=spec.beta)
+    solution, relabelled = value_iteration(spec), value_iteration(moved)
+    assert _solution_bits(dataclasses.replace(relabelled, values=relabelled.values[perm],
+                                              policy=relabelled.policy[perm])) == \
+        _solution_bits(solution)
+    assert _bits(evaluate_policy(moved, moved_policy)[perm]) == _bits(evaluate_policy(spec, policy))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=mdps(), tol_exp=st.integers(-40, -14), k=st.integers(-3, 10))
+def test_value_iteration_holds_when_rewards_and_tol_move_by_a_power_of_two(spec, tol_exp, k):
+    """Rewards and `tol` times 2^k scale `value_iteration`'s values and
+    residual by exactly 2^k and leave its policy and iterations the same.
+
+    The backup, the bounds' width and midpoint and the residual are sums and
+    products with one scaled factor each, exact in 2^k while every value is
+    a normal double, as it is here: rewards in [-1, 1] and |V*| at most 10
+    before scaling. `evaluate_policy` is left out: it stops at the absolute
+    `SURPLUS_TOL`, so its sweep count moves with the scale.
+    """
+    tol, scale = 2.0**tol_exp, 2.0**k
+    solution = value_iteration(spec, tol=tol)
+    scaled = value_iteration(dataclasses.replace(spec, rewards=spec.rewards * scale),
+                             tol=tol * scale)
+    assert _solution_bits(scaled) == _bits(solution.values * scale, solution.policy,
+                                           solution.iterations, solution.residual * scale)
+
+
+# A payoff or penalty that stays a normal double times 2^k for |k| <= 20,
+# small whole numbers among them so that payoffs tie.
+_PAYOFF = (st.integers(-4, 4).map(float)
+           | st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), st.floats(2.0**-10, 10)))
+
+
+@st.composite
+def stage_games(draw):
+    """A stage game and a strategy class small enough to search at once."""
+    n_players = draw(st.integers(2, 3))
+    strategy_class = "constant" if n_players == 3 else draw(st.sampled_from(["constant", "memory1"]))
+    game = StageGame(
+        n_players=n_players, payoff_cc=draw(_PAYOFF), payoff_defector=draw(_PAYOFF),
+        payoff_victim=draw(_PAYOFF), payoff_dd=draw(_PAYOFF),
+        p_disc=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.01, 0.99)),
+        delta_disc=draw(st.floats(0.01, 0.99)), horizon=draw(st.integers(1, 3)),
+        omega=draw(st.just(0.0) | st.floats(2.0**-10, 10).map(lambda x: -x)))
+    return game, strategy_class
+
+
+@pytest.mark.parametrize("penalty_mode", ["lexicographic", "finite"])
+@settings(max_examples=100, deadline=None)
+@given(case=stage_games(), k=st.integers(-20, 20))
+def test_spne_search_holds_when_payoffs_and_omega_move_by_a_power_of_two(penalty_mode, case, k):
+    """The four payoffs and `omega` times 2^k give an equal `SpneReport`.
+
+    Every value a deviation test compares is a sum of products of one payoff
+    or penalty with survival probabilities and discounts, which do not move,
+    so it moves by exactly 2^k and each comparison keeps its outcome. With
+    the probabilities and discounts in [0.01, 0.99] (or 0, 0.5 and 1) and
+    the payoffs drawn here, every such value stays a normal double for
+    |k| <= 20.
+    """
+    game, strategy_class = case
+    game = dataclasses.replace(game, penalty_mode=penalty_mode)
+    scale = 2.0**k
+    scaled = dataclasses.replace(game, **{key: getattr(game, key) * scale for key in (
+        "payoff_cc", "payoff_defector", "payoff_victim", "payoff_dd", "omega")})
+    assert spne_search(scaled, strategy_class) == spne_search(game, strategy_class)
