@@ -4,12 +4,11 @@ A scenario is a single JSON document naming a module, a module-specific
 parameter block, a master seed, and an output sink. Its top-level keys are
 the fields of `ScenarioConfig`, a module's parameters those of its `Scenario`
 dataclass, so the defaults, `emt-lab schema` and the rule each value must meet
-(`_params.field_error`, the one a directly built dataclass meets too) all come
-from them. A file adds its keys: unknown ones are rejected with a closest-key
-suggestion, and every problem is collected before failing (`_params.read_block`),
-those of the artifact path (it stays inside the output directory) too.
-Validation ends by building the ScenarioConfig, whose checks and Scenario's
-cross-field checks fail here too, before anything runs.
+(`_params.field_error`) all come from them. `ScenarioConfig` is the one reader
+of `params` (`_params.read_block`) and of the artifact path, which stays in the
+output directory, and keeps what it read, so one scenario has one digest however
+it is built. A file's problems, and the dotted paths of its repeated keys, are
+all reported at once, before anything runs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import PurePath
 
-from ._params import check, param, param_fields, read_block, schema as param_schema
+import numpy as np
+
+from ._params import Params, check, param, param_fields, read_block, schema as param_schema
 from .errors import ConfigError, EmtLabError
 
 # Scenario module name -> the emt_lab module defining its `Scenario` dataclass,
@@ -44,19 +45,36 @@ def scenario_module(module: str):
     return importlib.import_module(f"{__package__}.{MODULES[module]}")
 
 
-def _path_problems(name: str, module: str, output_path: str | None) -> list:
-    """The problems of a config's artifact path: the last '/' part of `name`,
-    then the path, `output_path` or else `<name>.<format>`, which must stay
-    inside the output directory."""
-    problems = []
-    if name.rsplit("/", 1)[-1] in ("", ".", ".."):
-        problems.append(f"name: its last '/' part must not be empty, '.' or '..', got {name!r}")
-    path = f"{name}.{scenario_module(module).FORMAT}" if output_path is None else output_path
-    pure = PurePath(path)
-    if pure.is_absolute() or ".." in pure.parts or not pure.name or "\0" in path:
-        key = "name" if output_path is None else "output.path"
-        problems.append(f"{key}: must give a relative file path inside --out, got {path!r}")
-    return problems
+def _read(name, module, params, output_path, between=()) -> tuple:
+    """(values, problems): `params`, once `module` is known, read with defaults
+    filled (a callable, which no file holds, is a problem), then `between`, then
+    the last '/' part of `name` and the path, `output_path` or else `<name>.<format>`
+    (so `module` too must be known), which must stay inside --out, once typed."""
+    known = isinstance(module, str) and module in MODULES
+    values, problems = {}, []
+    if known and isinstance(params, dict):
+        values, problems = read_block(param_fields(scenario_module(module).Scenario), params, "params.")
+        problems += [f"params.{key}: expected a JSON value, got a callable"
+                     for key, value in values.items() if callable(value)]
+    problems += between
+    if isinstance(name, str) and (isinstance(output_path, str) or output_path is None and known):
+        if name.rsplit("/", 1)[-1] in ("", ".", ".."):
+            problems.append(f"name: its last '/' part must not be empty, '.' or '..', got {name!r}")
+        path = f"{name}.{scenario_module(module).FORMAT}" if output_path is None else output_path
+        pure = PurePath(path)
+        if pure.is_absolute() or ".." in pure.parts or not pure.name or "\0" in path:
+            key = "name" if output_path is None else "output.path"
+            problems.append(f"{key}: must give a relative file path inside --out, got {path!r}")
+    return values, list(map(str, problems))
+
+
+def _as_json(value):
+    """A numpy array or number, or a policy `Occupation`, in `params` as a file holds it."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, Params):
+        return {key: getattr(value, key) for key in param_fields(value)}
+    raise TypeError(f"{type(value).__name__} is not a JSON value")
 
 
 @dataclass(frozen=True)
@@ -64,9 +82,9 @@ class ScenarioConfig:
     """A fully validated scenario ready to run; `scenario` is built from `params`.
 
     Its fields are a scenario file's top-level keys (`output_path` the one key
-    of its `output` block). It is checked whenever built, by
-    `dataclasses.replace` too, and reads `params` as a file's block is read.
-    The artifact format is the module's `FORMAT`.
+    of its `output` block). It is checked whenever built, by `dataclasses.replace`
+    too, and keeps as `params` what it read there, defaults filled, so one scenario
+    has one digest however it is built. The artifact format is the module's `FORMAT`.
     """
 
     name: str = param()
@@ -81,14 +99,12 @@ class ScenarioConfig:
             check(self)
         except EmtLabError as exc:
             raise ConfigError(str(exc)) from exc
-        if problems := _path_problems(self.name, self.module, self.output_path):
-            raise ConfigError(problems)
-        scenario = scenario_module(self.module).Scenario
-        params, problems = read_block(param_fields(scenario), self.params, "params.")
+        params, problems = _read(self.name, self.module, self.params, self.output_path)
         if problems:
-            raise ConfigError(list(map(str, problems)))
+            raise ConfigError(problems)
+        object.__setattr__(self, "params", params)
         try:
-            object.__setattr__(self, "scenario", scenario(**params))
+            object.__setattr__(self, "scenario", scenario_module(self.module).Scenario(**params))
         except (EmtLabError, ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from exc
 
@@ -115,7 +131,7 @@ class ScenarioConfig:
         # A built config holds only values its Scenario accepted, and no
         # Scenario accepts a cycle, so the encoder's cycle scan is skipped.
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"),
-                          check_circular=False)
+                          check_circular=False, default=_as_json)
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -126,75 +142,59 @@ _TOP["output"] = _TOP["params"]
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw scenario dict, collecting every problem."""
+    """Validate a raw scenario dict, collecting every problem: its own keys here,
+    `params` and the path by `ScenarioConfig`, or by `_read` if the keys have some."""
     if not isinstance(raw, dict):
         raise ConfigError([f"scenario must be a JSON object, got {type(raw).__name__}"])
     top, problems = read_block(_TOP, raw)
-    name, module, params, output = top["name"], top["module"], top["params"], top["output"]
-    known = isinstance(module, str) and module in MODULES
-    if known and isinstance(params, dict):
-        params, more = read_block(param_fields(scenario_module(module).Scenario), params, "params.")
-        problems += more
+    output, seed = top.pop("output"), top.pop("seed")
+    top["output_path"], more = False, []  # no path rule while `output` is no object
     if isinstance(output, dict):
         output, more = read_block(_OUTPUT, output, "output.")
-        problems += more
-        path = output["path"]
-        # a path named by `name` needs the module's format
-        if isinstance(name, str) and (isinstance(path, str) or path is None and known):
-            problems += _path_problems(name, module, path)
-    if problems:
-        raise ConfigError(list(map(str, problems)))
-    return ScenarioConfig(name=name, module=module, params=params, seed=top["seed"],
-                          output_path=output["path"])
+        top["output_path"] = output["path"]
+    if problems or more:
+        raise ConfigError(list(map(str, problems)) + _read(**top, between=more)[1])
+    return ScenarioConfig(**top, seed=seed)
 
 
-def _repeated_under(value, repeated: dict) -> list:
-    """The dotted paths, relative to `value`, of the keys repeated in the
-    objects `repeated` holds by id: `value` itself or objects in its lists,
-    which are looked through only once some object has repeated a key."""
-    if isinstance(value, dict):
-        return repeated.get(id(value), (None, []))[1]
-    if isinstance(value, list) and repeated:
-        return [f"{i}.{path}" for i, item in enumerate(value)
-                for path in _repeated_under(item, repeated)]
-    return []
+def _dict(pairs: list) -> dict:
+    """A json `object_pairs_hook`: the object as a dict; a ConfigError if it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ConfigError("duplicate key")
+    return obj
 
 
-def _pairs_hook(repeated: dict):
-    """A json `object_pairs_hook` that decodes an object to a dict and, when
-    the object or one nested in it repeats a key, keeps that dict and the
-    keys' dotted paths in `repeated`, by the dict's id. Nested objects are
-    decoded first."""
-    def hook(pairs: list) -> dict:
-        obj = dict(pairs)
-        paths = []
-        if len(obj) < len(pairs):
-            paths = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
-        paths += [f"{key}.{path}" for key, value in pairs
-                  for path in _repeated_under(value, repeated)]
-        if paths:
-            repeated[id(obj)] = (obj, paths)
-        return obj
-
-    return hook
+def _repeated_keys(text: str) -> dict:
+    """The dotted paths of the keys repeated in the JSON `text`, in document order:
+    each object decoded as a tuple of its pairs, walked with a stack to any depth."""
+    stack, paths = [("", json.loads(text, object_pairs_hook=tuple))], []
+    while stack:
+        prefix, value = stack.pop()
+        if isinstance(value, list):  # an array is walked as an object keyed by index
+            value = tuple(enumerate(value))
+        if isinstance(value, tuple):
+            paths += [f"{prefix}{key}" for key, n in Counter(key for key, _ in value).items() if n > 1]
+            stack += reversed([(f"{prefix}{key}.", item) for key, item in value])
+    return dict.fromkeys(paths)
 
 
 def load_config(path: str) -> ScenarioConfig:
     """Load and validate a scenario JSON file; a key repeated in any of its
-    objects is an error."""
-    repeated: dict = {}
+    objects is an error, and only then is the text decoded again to name it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_pairs_hook(repeated))
-        duplicates = dict.fromkeys(_repeated_under(raw, repeated))
+            text = fh.read()
+        try:
+            raw = json.loads(text, object_pairs_hook=_dict)
+        except ConfigError:
+            raise ConfigError([f"{path}: duplicate key {key!r}" for key in _repeated_keys(text)]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         )
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError([f"{path}: cannot read config: {exc}"])
-    if duplicates:
-        raise ConfigError([f"{path}: duplicate key {key!r}" for key in duplicates])
     return validate_config(raw)
 
 

@@ -214,9 +214,9 @@ MAX_SEARCH_WORK = 10**7
 _CLASSES = ("constant", "memory1")
 
 
-def profile_count(n_players: int, strategy_class: str, bound: int = MAX_PROFILES) -> int | None:
+def profile_count(n_players: int, strategy_class: str) -> int | None:
     """The number of strategy profiles of `strategy_class` for `n_players`,
-    or None when it is larger than `bound`.
+    or None when it is larger than `MAX_PROFILES`.
 
     A player has 2 constant strategies, or 2 * 2**(2**n) memory-one ones (an
     opening action and a response to each joint action). A count past the
@@ -224,11 +224,11 @@ def profile_count(n_players: int, strategy_class: str, bound: int = MAX_PROFILES
     """
     if strategy_class not in _CLASSES:
         raise InputError(f"unknown strategy class {strategy_class!r}")
-    if n_players >= bound.bit_length():  # at least 2**n_players > bound profiles
+    if n_players >= MAX_PROFILES.bit_length():  # at least 2**n_players > MAX_PROFILES profiles
         return None
     per_player = 2 if strategy_class == "constant" else 2 * 2 ** (2 ** n_players)
     count = per_player ** n_players
-    return count if count <= bound else None
+    return count if count <= MAX_PROFILES else None
 
 
 def _strategy_tables(n_players: int, strategy_class: str):

@@ -323,13 +323,15 @@ def test_constant_search_at_a_long_horizon_exits_cleanly(tmp_path, capsys):
     assert report["all_c_is_spne"] and report["all_c_continuity_prob"] == 1.0
 
 
-def test_profile_count():
+def test_profile_count(monkeypatch):
     assert profile_count(2, "constant") == 4
     assert profile_count(17, "constant") == 2**17
     assert profile_count(18, "constant") is None
     assert profile_count(2, "memory1") == 32**2
     assert profile_count(3, "memory1") is None
     assert profile_count(10**18, "memory1") is None
-    assert profile_count(3, "memory1", bound=512**3) == 512**3
+    monkeypatch.setattr("emt_lab.game.MAX_PROFILES", 512**3)  # the bound is read at each call
+    assert profile_count(3, "memory1") == 512**3
+    assert profile_count(4, "memory1") is None
     with pytest.raises(InputError):
         profile_count(2, "memory2")

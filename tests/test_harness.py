@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import emt_lab
@@ -18,7 +19,9 @@ from emt_lab import (ConfigError, DomainError, EmtLabError, InputError, Scenario
                      load_config, module_schema, validate_config)
 from emt_lab.cli import bundled_scenarios, main
 from emt_lab.config import MODULES, scenario_module
-from emt_lab import cli, runner
+from emt_lab import cli, config, runner
+from emt_lab._params import read_block
+from emt_lab.policy import Occupation
 from emt_lab.runner import _write_artifact, run_scenario
 from test_golden import ARTIFACTS, LARGE_POOL, LONG_FLYWHEEL, LONG_POOL, NOISY_FEEDBACK
 
@@ -93,6 +96,61 @@ def test_digest_stable_and_sensitive():
     c = validate_config(minimal(seed=1))
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_one_scenario_has_one_digest_however_it_is_built(module, tmp_path):
+    """A file, a direct build and a replace of the file's config hold the same
+    `params`, defaults filled, and so give one digest."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "t", "module": module}))
+    loaded = load_config(str(path))
+    for cfg in (ScenarioConfig(name="t", module=module, params={}), dataclasses.replace(loaded)):
+        assert cfg.params == loaded.params and cfg.digest() == loaded.digest()
+
+
+def test_a_file_s_params_are_read_once(monkeypatch, tmp_path):
+    """One load_config reads `params` with read_block once, in ScenarioConfig."""
+    calls = []
+
+    def counted(fields_by_key, block, prefix=""):
+        calls.append(prefix)
+        return read_block(fields_by_key, block, prefix)
+
+    monkeypatch.setattr(config, "read_block", counted)
+    for module in MODULES:
+        calls.clear()
+        path = tmp_path / f"{module}.json"
+        path.write_text(json.dumps({"name": "t", "module": module, "output": {"path": "x"}}))
+        load_config(str(path))
+        assert calls.count("params.") == 1, module
+
+
+OCCUPATION_FIELDS = {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0}
+
+
+@pytest.mark.parametrize("module, direct, in_a_file", [
+    pytest.param("mdp", {"rewards": np.array([[0.0, 1.0]])}, {"rewards": [[0.0, 1.0]]}, id="ndarray"),
+    pytest.param("mdp", {"max_iter": np.int64(50)}, {"max_iter": 50}, id="numpy_int"),
+    pytest.param("policy", {"occupations": [Occupation(**OCCUPATION_FIELDS)]},
+                 {"occupations": [OCCUPATION_FIELDS]}, id="occupation"),
+])
+def test_a_direct_config_of_values_json_cannot_encode_has_the_file_s_digest(
+        module, direct, in_a_file, tmp_path):
+    """A numpy value or an Occupation in a directly built config is digested
+    as the JSON a file holds for it, so its run reports that file's digest."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "t", "module": module, "params": in_a_file}))
+    report = run_scenario(ScenarioConfig(name="t", module=module, params=direct), str(tmp_path))
+    assert report.config_digest == load_config(str(path)).digest()
+
+
+def test_a_direct_config_holding_a_callable_is_a_config_error():
+    """No file holds a callable, so a config that does has no digest: its
+    build fails, before anything runs or is written."""
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(name="t", module="feedback", params={"e_target": lambda t: 1.0})
+    assert err.value.problems == ["params.e_target: expected a JSON value, got a callable"]
 
 
 @pytest.mark.parametrize("fname", [f for f, _ in bundled_scenarios()])
@@ -371,6 +429,17 @@ def test_gravity_work_at_its_budget_is_valid():
               "horizon": 5 * 10**5}
     scenario = validate_config(minimal(module="gravity", params=params)).scenario
     assert scenario.horizon * scenario.n_vec.size * scenario.p_vec.size == MAX_FLYWHEEL_WORK
+
+
+def test_a_value_at_an_exclusive_upper_bound_is_rejected():
+    with pytest.raises(ConfigError) as err:
+        validate_config(minimal(module="mdp", params={"beta": 1.0}))
+    assert err.value.problems == ["params.beta: must be < 1, got 1.0"]
+
+
+def test_the_largest_double_is_a_finite_value():
+    kappa = sys.float_info.max
+    assert validate_config(minimal(module="gravity", params={"kappa": kappa})).scenario.kappa == kappa
 
 
 def test_mdp_max_iter_at_its_bound_is_valid():
@@ -671,7 +740,11 @@ def _run_leaves_nothing(cfg, tmp_path, capsys, *args):
      '[{"w": 1, "l_bar": 1, "eta": 1, "lambda_align": 1, "w": 2}]}}', ["params.occupations.0.w"]),
     ('{"name": "t", "module": "game", "params": {"horizon": 2, "horizon": 3}, "params": {}}',
      ["params", "params.horizon"]),
-], ids=["top_and_params", "in_a_list", "in_a_replaced_block"])
+    pytest.param('{"a": ' * 899 + '{"k": 1, "k": 2}' + "}" * 899, ["a." * 899 + "k"],
+                 id="nested_900_deep"),
+    pytest.param('{"seed": 1, "seed": 2, "params": {"rewards": [["a", 1], ["a", 2]]}}', ["seed"],
+                 id="not_in_an_array_of_pairs"),
+], ids=["top_and_params", "in_a_list", "in_a_replaced_block", None, None])
 def test_cli_duplicate_keys_are_config_errors(text, keys, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(text)

@@ -80,6 +80,60 @@ def test_flywheel_holds_when_a_and_kappa_move_by_inverse_powers_of_two(case, k_i
     assert moved[4].tobytes() == array("d", [y * 2.0**k for y in columns[4]]).tobytes()
 
 
+def _normal_flywheel(case) -> bool:
+    """Each need, potential and G is 0 or at least 2^-30, as a subnormal one
+    (which `flywheels` draws now and then) does not scale exactly."""
+    state = case[0]
+    values = np.concatenate((state.n_vec, state.p_vec, [state.g_resp]))
+    return bool(np.all((values == 0) | (values >= 2.0**-30)))
+
+
+def _flywheel_scenario(case, scale_needs=1.0, scale_g=1.0) -> gravity.Scenario:
+    """The scenario of a `flywheels` case, with the need intensities, kappa
+    and coverage_eps times `scale_needs` and G times `scale_g`."""
+    state, production, horizon, kappa, eps = case
+    return gravity.Scenario(n_vec=state.n_vec * scale_needs, d_mat=state.d_mat,
+                            p_vec=state.p_vec, g_resp=state.g_resp * scale_g,
+                            production=production, kappa=kappa * scale_needs, horizon=horizon,
+                            coverage_eps=eps * scale_needs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=flywheels().filter(_normal_flywheel), k=st.integers(-20, 20))
+def test_flywheel_holds_when_needs_kappa_and_coverage_eps_move_by_a_power_of_two(case, k):
+    """Need intensities, kappa and coverage_eps times 2^k multiply U by
+    exactly 4^k and leave the t, mode, coverage and Y columns bitwise the same.
+
+    A flow row is G * N_i * P_j / D_ij^2 with one factor N_i, so each row and
+    their total move by 2^k and the shares not at all; the step kappa * Y *
+    share and so each need then move by 2^k, and U = sum(N^2) by 4^k. A need
+    is counted satisfied by comparing it with coverage_eps, both scaled, and
+    the coverage weights are the scaled initial needs, whose ratios stand.
+    Every value is exact in 2^k while it stays a normal double, as it does
+    here for |k| <= 20: needs, potentials and G are 0 or in [2^-30, 10], and
+    distances in [0.1, 5], so the least nonzero flow is above 2^-95, and the
+    least positive need after a step was above 2^-76 in 3,000 drawn flywheels.
+    """
+    (_, columns), _ = gravity.run(_flywheel_scenario(case), 0)
+    (_, moved), _ = gravity.run(_flywheel_scenario(case, scale_needs=2.0**k), 0)
+    assert moved[:2] == columns[:2]
+    assert moved[2].tobytes() == array("d", [u * 4.0**k for u in columns[2]]).tobytes()
+    assert [c.tobytes() for c in moved[3:]] == [c.tobytes() for c in columns[3:]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=flywheels().filter(_normal_flywheel), k=st.integers(-20, 20))
+def test_flywheel_csv_holds_when_g_resp_moves_by_a_power_of_two(case, k):
+    """G times 2^k gives the same CSV bytes: G is one factor of every flow,
+    so it moves each row and their total by 2^k, and the allocation shares,
+    the only values the run reads G through, not at all. Each flow stays a
+    normal double, as in the relation above."""
+    (header, columns), _ = gravity.run(_flywheel_scenario(case), 0)
+    (moved_header, moved), _ = gravity.run(_flywheel_scenario(case, scale_g=2.0**k), 0)
+    assert "".join(runner._csv_blocks(moved_header, moved)) == \
+        "".join(runner._csv_blocks(header, columns))
+
+
 @st.composite
 def epistemic_scenarios(draw):
     """Scenario settings with phi_elast 1."""

@@ -142,6 +142,15 @@ def test_float_array_is_np_asarray_bit_for_bit(values):
     assert got.tobytes() == want.tobytes()
 
 
+def test_float_array_rejects_a_ragged_list_as_np_asarray_does():
+    values = [[0.5, 1.0], [1.0]]
+    with pytest.raises(ValueError) as want:
+        np.asarray(values, dtype=float)
+    with pytest.raises(ValueError) as got:
+        float_array("x", values)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("module, key, value", [
     ("mdp", "rewards", [[0.0, 1.0], [1.0]]),
     ("mdp", "rewards", [[0.0, 1.0], 1.0]),
