@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import difflib
+import math
 import numbers
 import sys
 from dataclasses import MISSING, field, fields
@@ -53,11 +54,16 @@ def param(default=MISSING, **bounds):
 
 def _type_error(name: str, annotation: str, value):
     """The error of `value` against the type `annotation`, or None: a failed
-    test, or a number that is NaN, an infinity or too large for a float."""
+    test, or a number that is NaN, an infinity or too large for a float. A
+    rational number (an int, a Fraction) is compared with the largest float
+    exactly; any other is tested as its float, since comparing a numpy
+    float32 with that bound would cast the bound to float32, which overflows."""
     kind, test = _TYPES[annotation]
     if not test(value):
         return InputError(f"{name}: expected {kind}, got {value!r}")
-    if kind in ("number", "integer") and not abs(value) <= sys.float_info.max:
+    if kind in ("number", "integer") and not (
+            abs(value) <= sys.float_info.max if isinstance(value, numbers.Rational)
+            else math.isfinite(value)):
         return DomainError(f"{name}: must be finite, got {value}")
     return None
 

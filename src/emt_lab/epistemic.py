@@ -28,11 +28,18 @@ differ only in capability get the same arrivals (common random numbers), and
 one-step API over the same definitions: a step's outcome from its draws, the
 solve probabilities and the Euler update are each written once, in helpers
 that `run` calls too.
+
+`run` hands its CSV columns over as lists, except `theta` and `pi`, which
+are `array('d')`: from the first row with P >= p_bar on, each holds one
+double (eps_resid and 1 / (1 + eps_resid)), a constant tail that the runner
+formats once for all those rows. The other float columns vary to the end,
+and a list is iterated without boxing a float per cell.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice, repeat
 from typing import Optional, Sequence, Tuple
@@ -449,6 +456,7 @@ def run(scenario: Scenario, seed: int):
               "pi_monotone": all(b >= a - 1e-15 for a, b in zip(pi, pi[1:]))}
     header = ["t", "P", "theta", "C", "pi", "inverted", "R", "pool_size", "surplus"]
     # a row's surplus flag is the R of the row before (of its own row at t = 0)
-    columns = [t, P, theta, C, pi, [_FLAG[c < s.theta_star] for c in C], R, sizes,
+    columns = [t, P, array("d", theta), C, array("d", pi),
+               [_FLAG[c < s.theta_star] for c in C], R, sizes,
                [_FLAG[r > eta] for r in chain(R[:1], islice(R, s.horizon))]]
     return (header, columns), checks

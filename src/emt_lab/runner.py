@@ -13,10 +13,15 @@ cell, header included, is a Python `int`, a `float` or a `str` with no `,`,
 the shortest round-trip repr of a float, the digits of an int, a string as it
 stands. A bool or a numpy scalar is not a cell; a module spells a flag as
 "true"/"false" and turns arrays into lists with `.tolist()`. The lines come
-from one `%s` format string, so the file is what `line % row` writes for each
-row of `zip(*columns)`. A float column whose doubles are all the same bits is
-formatted once, into that string, and the lines are joined and written in
-blocks of `_BLOCK_ROWS`.
+from `%s` format strings, so the file is what `line % row` writes for each
+row of `zip(*columns)`, `line` being one `%s` per column. An `array('d')`
+column's constant tail, from the first row on which its doubles all have its
+last double's bits, is formatted once, into the format string of the rows
+from there on, unless it is one row long: the rows are written in segments
+between the columns' tail starts, so a column of one double is formatted
+once for the file. Epistemic's theta and pi, one double each from the mode
+transition on, are such columns. The lines are joined and written in blocks
+of up to `_BLOCK_ROWS`, a block within one segment.
 
 A JSON artifact is what `json.dumps(artifact, sort_keys=True, indent=2)`
 would write, plus a final newline: nested dicts with `str` keys, lists and
@@ -36,6 +41,7 @@ import os
 import stat
 import time
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path, PurePath
@@ -43,9 +49,10 @@ from pathlib import Path, PurePath
 from .config import ScenarioConfig, scenario_module
 
 # CSV lines per joined write. A block's text is held while it is joined and
-# written: writing a 10^5-step feedback run peaked at 1.3 MB in blocks of
-# 4,096 lines, and at 23 MB as one joined text. Blocks of 1,024 to 16,384
-# lines wrote a 12k-step run at the same speed.
+# written: writing a 10^5-step feedback run peaked at 0.96 MB in blocks of
+# 4,096 lines (1.3 MB while the block before was held as the next was made),
+# and at 23 MB as one joined text. Blocks of 1,024 to 16,384 lines wrote a
+# 12k-step run at the same speed.
 _BLOCK_ROWS = 4096
 
 
@@ -103,12 +110,20 @@ def _json_text(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _one_double(col: array, n: int) -> bool:
-    """Whether the n > 0 doubles of `col` all have its first double's bits.
-    The last is compared first, which settles most columns without copying
-    them."""
-    first = col[:1].tobytes()
-    return col[-1:].tobytes() == first and col.tobytes() == first * n
+def _tail_start(col: array, n: int) -> int:
+    """The first row from which the n > 0 doubles of `col` all have its last
+    double's bits, or n when its last two doubles differ: a tail of one row
+    is not folded. The doubles are compared as 64-bit words, in place, so
+    0.0 and -0.0 stay apart, as do two NaN payloads. Two words settle a
+    column whose last two doubles differ and one full compare a column of
+    one double; otherwise a bisection finds the start, each probe comparing
+    the rest of the column with itself shifted by one row."""
+    bits = memoryview(col).cast("B").cast("Q")
+    if bits[n - 2] != bits[n - 1]:  # for n = 1, bits[-1] is the last double itself
+        return n
+    if bits[:n - 1] == bits[1:]:
+        return 0
+    return bisect_left(range(n - 2), True, key=lambda i: bits[i:n - 1] == bits[i + 1:])
 
 
 def _csv_blocks(header, columns):
@@ -117,25 +132,36 @@ def _csv_blocks(header, columns):
     text is made, unless there is one column per header cell, all of one
     length.
 
-    A float column is folded into the line template when its bytes are all
-    its first double's (_one_double): bytes, not `==`, so 0.0 and -0.0 stay
-    apart."""
+    An `array('d')` column (a float column; of epistemic's, theta and pi) is
+    folded into the line template from the start of its constant tail
+    (_tail_start) on, found by bits, not `==`, so 0.0 and -0.0 stay apart.
+    The rows are written in segments between the columns' tail starts, each
+    with its own template (_row_blocks), so a column of one double is folded
+    in every row."""
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(col) != n for col in columns):
         raise TypeError(f"CSV columns of lengths {[len(col) for col in columns]} "
                         f"under a header of {len(header)} cells")
-    cells, varying = [], []
-    for col in columns:
-        if type(col) is array and n and _one_double(col, n):
-            cells.append(repr(col[0]))
-        else:
-            cells.append("%s")
-            varying.append(col)
-    line = ",".join(cells) + "\r\n"
-    rows = zip(*varying) if varying else repeat((), n)
+    tails = [_tail_start(col, n) if type(col) is array and n else n for col in columns]
     head = (",".join(["%s"] * len(header)) + "\r\n") % tuple(header)
-    return chain([head], ("".join(map(line.__mod__, islice(rows, _BLOCK_ROWS)))
-                          for _ in range(0, n, _BLOCK_ROWS)))
+    return chain([head], _row_blocks(columns, tails, n))
+
+
+def _row_blocks(columns, tails, n: int):
+    """The blocks of the n rows of `columns`, segment by segment: the rows
+    from one tail start in `tails` to the next come from one `%s` line
+    template, in which a column whose tail has begun is folded as the repr
+    of its last double, and each other column gives its next cells from its
+    one iterator: no segment copies a column."""
+    cells = [iter(col) for col in columns]
+    edges = sorted({0, n, *tails})
+    for start, stop in zip(edges, edges[1:]):
+        line = ",".join(repr(col[-1]) if tail <= start else "%s"
+                        for col, tail in zip(columns, tails)) + "\r\n"
+        varying = [it for it, tail in zip(cells, tails) if tail > start]
+        rows = islice(zip(*varying), stop - start) if varying else repeat((), stop - start)
+        for _ in range(start, stop, _BLOCK_ROWS):
+            yield "".join(map(line.__mod__, islice(rows, _BLOCK_ROWS)))
 
 
 def _is_link(name: str, dir_fd: int) -> bool:
@@ -194,8 +220,7 @@ def _write_artifact(artifact, path):
         path = Path(path)
         path = ArtifactPath(str(path.parent), path.name)
     with _create_beneath(path.out, path.rel) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.writelines(chunks)  # drops each block before the next is made
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> RunReport:

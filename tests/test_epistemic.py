@@ -1,6 +1,7 @@
 """Epistemic mode-transition dynamics and problem-pool behavior."""
 
 import math
+from array import array
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emt_lab import DomainError, InputError, epistemic, make_generator, runner
+from emt_lab.cli import bundled_scenarios
 from emt_lab.epistemic import (
     EpistemicParams,
     EpistemicState,
@@ -74,6 +76,21 @@ def test_mode_transition_trajectory():
             assert state.theta == params.eps_resid
     assert crossed
     assert all(b >= a for a, b in zip(pis, pis[1:]))
+
+
+def test_theta_and_pi_are_folded_from_the_first_row_past_p_bar():
+    """run hands theta and pi as array('d'), so the writer folds each into its
+    line template from its constant tail on, which starts at the first row
+    with P >= p_bar (criterion 12's row) on the bundled default."""
+    cfg = dict(bundled_scenarios())["epistemic_default.json"]
+    (header, columns), _ = run(cfg.scenario, cfg.seed)
+    P = columns[header.index("P")]
+    first = next(i for i, p in enumerate(P) if p >= cfg.scenario.p_bar)
+    assert 0 < first < len(P) - 1
+    for name in ("theta", "pi"):
+        col = columns[header.index(name)]
+        assert type(col) is array and col.typecode == "d"
+        assert runner._tail_start(col, len(col)) == first
 
 
 def test_inversion_flag():

@@ -132,6 +132,7 @@ OCCUPATION_FIELDS = {"w": 1.0, "l_bar": 1.0, "eta": 0.5, "lambda_align": 1.0}
 @pytest.mark.parametrize("module, direct, in_a_file", [
     pytest.param("mdp", {"rewards": np.array([[0.0, 1.0]])}, {"rewards": [[0.0, 1.0]]}, id="ndarray"),
     pytest.param("mdp", {"max_iter": np.int64(50)}, {"max_iter": 50}, id="numpy_int"),
+    pytest.param("mdp", {"beta": np.float32(0.5)}, {"beta": 0.5}, id="numpy_float32"),
     pytest.param("policy", {"occupations": [Occupation(**OCCUPATION_FIELDS)]},
                  {"occupations": [OCCUPATION_FIELDS]}, id="occupation"),
 ])
@@ -813,7 +814,7 @@ def test_replace_checks_the_config():
 # are not finite as a float.
 TYPE_VALUES = {"number": 2.5, "string": "x", "boolean": True, "object": {"a": 1.0},
                "array": [1.0]}
-NOT_FINITE = (float("nan"), float("inf"), float("-inf"), 10**400)
+NOT_FINITE = (float("nan"), float("inf"), float("-inf"), 10**400, np.float32("inf"))
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))

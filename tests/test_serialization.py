@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from emt_lab._params import float_array
 from emt_lab.cli import main
-from emt_lab.runner import _json_text, _write_artifact
+from emt_lab.runner import _json_text, _tail_start, _write_artifact
 from test_harness import minimal
 
 SCALARS = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats() | st.text()
@@ -64,8 +64,9 @@ def _twin(x: float) -> float:
 
 
 def _csv_column(n: int):
-    """A column of n cells: an array('d') (free, constant, or constant but for
-    one double, often its twin), or a list of ints or strs."""
+    """A column of n cells: an array('d') (free, constant, constant but for
+    one double, often its twin, or a free head and then one double to the end,
+    the head's last cell often its twin), or a list of ints or strs."""
     floats = EDGE_FLOATS | st.floats()
 
     def almost(base, at, odd):
@@ -74,13 +75,27 @@ def _csv_column(n: int):
             cells[at] = _twin(base) if odd is None else odd
         return array("d", cells)
 
+    def tailed(head, x, twin):
+        if head and twin:
+            head[-1] = _twin(x)
+        return array("d", head + [x] * (n - len(head)))
+
     free = st.lists(floats, min_size=n, max_size=n).map(lambda xs: array("d", xs))
     constant = floats.map(lambda x: array("d", [x]) * n)
     almost_constant = st.builds(almost, floats, st.integers(0, max(n - 1, 0)),
                                 st.none() | EDGE_FLOATS)
+    constant_tail = st.builds(tailed, st.lists(floats, max_size=n), floats, st.booleans())
     ints = st.lists(st.integers(-2**80, 2**80), min_size=n, max_size=n)
     strs = st.lists(CELL_TEXT, min_size=n, max_size=n)
-    return free | constant | almost_constant | ints | strs
+    return free | constant | almost_constant | constant_tail | ints | strs
+
+
+def _tail_by_rows(col: array) -> int:
+    """_tail_start by its definition: the first row from which every double
+    has the last one's bits, or the length when that tail is one row long."""
+    n, last = len(col), col[-1:].tobytes()
+    start = next(i for i in range(n) if all(col[j:j + 1].tobytes() == last for j in range(i, n)))
+    return n if start == n - 1 and n > 1 else start
 
 
 def _csv_by_rows(header, columns) -> bytes:
@@ -94,19 +109,29 @@ def _csv_by_rows(header, columns) -> bytes:
 @example([array("d", [0.0, -0.0, 0.0])])
 @example([array("d", [-0.0, -0.0]), [1, 2], array("d", [math.nan, math.nan])])
 @example([array("d", [2.5] * 3), array("d", [-0.0] * 3)])
+@example([array("d", [1.5, -0.0, 0.0]), [1, 2, 3]])  # a tail of one row
+@example([array("d", [math.nan]), ["x"]])
+@example([array("d", [1.0, 0.0, -0.0, -0.0, -0.0]), [1, 2, 3, 4, 5],
+          array("d", [2.0, 2.5, 2.5, 2.5, 2.5]), array("d", [math.nan] * 5)])
 def test_csv_columns_are_written_as_one_format_per_row_writes_them(tmp_path_factory, columns):
     header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "a.csv"
     _write_artifact((header, columns), path)
     assert path.read_bytes() == _csv_by_rows(header, columns)
+    for col in columns:
+        if type(col) is array and col:
+            assert _tail_start(col, len(col)) == _tail_by_rows(col)
 
 
 def test_csv_columns_are_written_across_blocks(tmp_path):
-    # more rows than one block, with a constant, a varying and an int column
+    # more rows than one block, with a constant, a varying, an int column and
+    # one whose constant tail starts inside the second block
     n = 3 * 4096 + 5
-    columns = [array("d", [0.5]) * n, array("d", map(float, range(n))), list(range(n))]
-    _write_artifact((["a", "b", "c"], columns), tmp_path / "a.csv")
-    assert (tmp_path / "a.csv").read_bytes() == _csv_by_rows(["a", "b", "c"], columns)
+    tailed = array("d", map(float, range(4096 + 7))) + array("d", [-1.5]) * (n - 4096 - 7)
+    columns = [array("d", [0.5]) * n, array("d", map(float, range(n))), list(range(n)), tailed]
+    assert _tail_start(tailed, n) == 4096 + 7
+    _write_artifact((["a", "b", "c", "d"], columns), tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == _csv_by_rows(["a", "b", "c", "d"], columns)
 
 
 @pytest.mark.parametrize("columns", [
