@@ -8,7 +8,8 @@ then the choices and bounds. `check` applies it to each field of a built
 instance, and `read_block` to each value of a JSON object along with its
 unknown and missing keys; `build` reads one into its class. `check` stores
 a number in a field annotated `float` as a float, and an array in one
-annotated `np.ndarray` as a float array of finite elements (`float_array`).
+annotated `np.ndarray` as a float array of finite elements (`float_array`)
+with as many dimensions as its default.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def check(obj) -> None:
             raise error
         if f.type == "np.ndarray":
             value = float_array(f.name, value)
+            if value.ndim != (ndim := np.ndim(f.default_factory())):
+                raise InputError(f"{f.name}: must be {ndim}-D, got {value.ndim}-D")
             if not np.isfinite(value).all():
                 raise DomainError(f"{f.name}: every element must be finite")
         object.__setattr__(obj, f.name, float(value) if f.type == "float" else value)

@@ -26,10 +26,11 @@ FORMAT = "json"
 
 
 def _indices(name: str, values) -> np.ndarray:
-    """`values` as an int array; every element must be a finite whole number."""
+    """`values` as an int array; every element must be a whole number that
+    an int64 holds."""
     arr = float_array(name, values)
-    if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
-        raise InputError(f"{name}: every element must be a whole number")
+    if not np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
+        raise InputError(f"{name}: every element must be a whole number of magnitude below 2**63")
     return arr.astype(int)
 
 
@@ -37,7 +38,8 @@ def _indices(name: str, values) -> np.ndarray:
 class MdpSpec(Params):
     """Finite MDP with a finite shock support.
 
-    rewards     (n_states, n_actions) table r(s, a)
+    rewards     (n_states, n_actions) table r(s, a), a list of rows even for
+                one state
     shock_probs length-n_shocks probabilities summing to 1
     transition  (n_states, n_actions, n_shocks) next-state indices
     beta        discount factor in (0, 1)
@@ -50,7 +52,6 @@ class MdpSpec(Params):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "rewards", np.atleast_2d(self.rewards))
         object.__setattr__(self, "transition", _indices("transition", self.transition))
         n_s, n_a = self.rewards.shape
         if n_s < 1 or n_a < 1:
@@ -134,6 +135,7 @@ def _bound_factor(spec: MdpSpec) -> float:
     return spec.beta * (1.0 - gap) / one_minus_b
 
 
+@np.errstate(over="ignore", invalid="ignore")  # values past the float range raise below
 def value_iteration(spec: MdpSpec, tol: float = 1e-12, max_iter: int = MAX_SWEEPS) -> Solution:
     """Value iteration from zero, stopped on the MacQueen-Porteus bounds.
 
@@ -167,7 +169,7 @@ def value_iteration(spec: MdpSpec, tol: float = 1e-12, max_iter: int = MAX_SWEEP
         v = v_new
         lo, hi = float(d.min()), float(d.max())
         width = c * (hi - lo)
-        if width <= tol:
+        if not width > tol:  # a NaN width stops the sweeps too
             break
     else:
         raise ConvergenceError(
@@ -178,9 +180,12 @@ def value_iteration(spec: MdpSpec, tol: float = 1e-12, max_iter: int = MAX_SWEEP
     q = spec.rewards + spec.beta * spec.expected_next_values(v)
     policy = q.argmax(axis=1)  # argmax returns the lowest index on ties
     residual = float(np.max(np.abs(q[np.arange(spec.n_states), policy] - v)))
+    if not math.isfinite(residual):  # a finite residual has finite values
+        raise NumericError("value iteration: the values leave the float range")
     return Solution(values=v, policy=policy, iterations=it, residual=residual)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # values past the float range raise below
 def evaluate_policy(spec: MdpSpec, policy: np.ndarray) -> np.ndarray:
     """V_pi within SURPLUS_TOL in sup norm, by successive approximation on
     the fixed policy from zero (Puterman 1994, section 6.3), in at most
@@ -204,8 +209,11 @@ def evaluate_policy(spec: MdpSpec, policy: np.ndarray) -> np.ndarray:
         v = v + d
         lo, hi = float(d.min()), float(d.max())
         width = c * (hi - lo)
-        if width <= SURPLUS_TOL:
-            return v + c * (hi + lo) / 2.0
+        if not width > SURPLUS_TOL:  # a NaN width stops the sweeps too
+            v = v + c * (hi + lo) / 2.0
+            if not np.isfinite(v).all():
+                raise NumericError("policy evaluation: the values leave the float range")
+            return v
         # The einsum of value_iteration's backup; `@` would go through
         # BLAS, whose rounding depends on its thread count.
         d = spec.beta * np.einsum("k,sk->s", spec.shock_probs, d[t_pi])
@@ -327,7 +335,10 @@ def run(scenario: Scenario, seed: int):
     }
     checks = {}
     if scenario.legacy_policy is not None:
-        surplus = sol.values - evaluate_policy(scenario, scenario.legacy_policy)
+        with np.errstate(over="ignore"):
+            surplus = sol.values - evaluate_policy(scenario, scenario.legacy_policy)
+        if not np.isfinite(surplus).all():
+            raise NumericError("the realtime surplus leaves the float range")
         report["realtime_surplus"] = surplus.tolist()
         checks["surplus_nonneg"] = bool(np.min(surplus) >= -1e-8)
     return report, checks

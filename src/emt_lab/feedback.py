@@ -23,6 +23,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._params import Params, param
 from ._rng import make_generator
 from .errors import DomainError, NumericError
@@ -69,7 +71,8 @@ def trajectory_columns(params: FeedbackParams, seed: int = 0) -> list[array]:
     if params.noise_sd > 0:
         # the same doubles as scale * z per step: a float product rounds once either way
         scale = params.noise_sd * math.sqrt(dt)
-        kicks = array("d", (scale * make_generator(seed).standard_normal(horizon)).tobytes())
+        with np.errstate(over="ignore"):  # an infinite kick ends the loop below as diverged
+            kicks = array("d", (scale * make_generator(seed).standard_normal(horizon)).tobytes())
     t_col = array("d", [0.0])
     t_col.extend(map(dt.__rmul__, range(1, horizon + 1)))  # (k+1)*dt, as int*float rounds it
     o, a, gamma = params.o0, params.a0, params.gamma0

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from ._params import Params, build, param
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericError
 from .growth import cobb_douglas
 
 FORMAT = "csv"
@@ -39,7 +39,8 @@ class Production(Params):
 @dataclass(frozen=True)
 class NeedsState(Params):
     """Need intensities, sector potentials, the distance matrix and the
-    responsiveness of flows to them."""
+    responsiveness of flows to them. Each array has its default's
+    dimensions: `d_mat` is a list of rows even for one need."""
 
     n_vec: np.ndarray = param([5.0, 4.0, 3.0, 2.0, 1.0])  # need intensities, length n
     # epistemic distances, n x m, all > 0
@@ -49,7 +50,6 @@ class NeedsState(Params):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "d_mat", np.atleast_2d(self.d_mat))
         if self.d_mat.shape != (self.n_vec.size, self.p_vec.size):
             raise InputError(f"distance matrix shape {self.d_mat.shape} does not match "
                              f"{self.n_vec.size} needs x {self.p_vec.size} sectors")
@@ -124,6 +124,7 @@ def production_output(production: dict) -> float:
     return cobb_douglas(**vars(build(Production, production, "production.")))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a non-finite U raises below
 def flywheel_compare(
     state0: NeedsState,
     production: dict,
@@ -177,6 +178,8 @@ def flywheel_compare(
         if start == horizon:
             break
         blind[0], aligned[0] = blind[rows - 1], aligned[rows - 1]
+    if not (np.isfinite(u_b).all() and np.isfinite(u_a).all()):
+        raise NumericError("flywheel: the flows or the potential energy U leave the float range")
     return FlywheelResult(u_blind=u_b, u_aligned=u_a, y=y, coverage_blind=cov_b,
                           coverage_aligned=cov_a)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._params import Params, param
 from ._rng import make_generator
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 FORMAT = "csv"
 
@@ -69,7 +69,10 @@ def cobb_douglas(a: float, k: float, l: float, alpha: float) -> float:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not (0 <= a < math.inf and 0 <= k < math.inf and 0 <= l < math.inf):
         raise DomainError(f"inputs must be finite and >= 0, got a={a}, k={k}, l={l}")
-    return a * k**alpha * l ** (1.0 - alpha)
+    y = a * k**alpha * l ** (1.0 - alpha)
+    if y == math.inf:
+        raise NumericError(f"output overflows: a={a}, k={k}, l={l}")
+    return y
 
 
 def romer_variety_output(
@@ -142,6 +145,7 @@ def ladder_step(
 _BLOCK = 2**15
 
 
+@np.errstate(over="ignore")  # a Q past the largest float is inf, which cobb_douglas rejects
 def quality_path(
     n_lines: int,
     mu: float,
@@ -163,11 +167,10 @@ def quality_path(
     _check_ladder(mu, lambda_step, dt)
     p = min(1.0, mu * dt)
     # powers[m] for every number of upgrades m a line can reach, inf past the
-    # largest float without a warning: most runs never reach those entries
+    # largest float: most runs never reach those entries
     powers = np.full(horizon + 1, float(lambda_step))
     powers[0] = 1.0
-    with np.errstate(over="ignore"):
-        np.multiply.accumulate(powers, out=powers)
+    np.multiply.accumulate(powers, out=powers)
     path = np.empty(horizon + 1)
     path[0] = 1.0  # the mean of n_lines ones
     block = max(1, _BLOCK // n_lines)
@@ -185,7 +188,10 @@ def incumbent_value(pi_flow: float, r_rate: float, mu: float) -> float:
     """Steady-state value of an incumbent monopoly: pi / (r + mu)."""
     if r_rate + mu <= 0:
         raise DomainError(f"r + mu must be > 0, got {r_rate + mu}")
-    return pi_flow / (r_rate + mu)
+    v = pi_flow / (r_rate + mu)
+    if v == math.inf:
+        raise NumericError(f"incumbent value pi / (r + mu) overflows: {pi_flow} / {r_rate + mu}")
+    return v
 
 
 def free_entry_mu(pi_flow: float, psi: float, r_rate: float) -> float:

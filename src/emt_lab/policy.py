@@ -190,6 +190,15 @@ def _inner_subsidy(i: int, occ: Occupation, mu: float) -> float:
     return _brentq(lambda s: _stationarity(occ, s, mu), 0.0, hi, xtol=1e-14, what=what)
 
 
+def _fsum(values, what: str) -> float:
+    """math.fsum of `values`; finite values whose sum is past the float range
+    are a NumericError naming `what` (math.fsum raises OverflowError)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise NumericError(f"the {what} leaves the float range") from None
+
+
 @dataclass(frozen=True)
 class SubsidySolution:
     s_star: np.ndarray
@@ -212,26 +221,26 @@ def optimize_subsidies(problem: SubsidyProblem) -> SubsidySolution:
     occs = problem.occupations
     if all(o.lambda_align * o.eta == 0 for o in occs):
         s0 = np.zeros(len(occs))
-        obj = math.fsum(o.lambda_align * labor_supply(o, 0.0) for o in occs)
+        obj = _fsum((o.lambda_align * labor_supply(o, 0.0) for o in occs), "objective")
         return SubsidySolution(
             s_star=s0, objective=obj, spend=0.0, multiplier=0.0,
             note="objective flat in all subsidies; canonical s = 0",
         )
 
     def spend_at(mu: float) -> float:
-        return math.fsum(_spend_one(o, _inner_subsidy(i, o, mu)) for i, o in enumerate(occs))
+        return _fsum((_spend_one(o, _inner_subsidy(i, o, mu)) for i, o in enumerate(occs)), "spend")
 
     mu_hi = max(o.lambda_align * o.eta / o.w for o in occs if o.lambda_align * o.eta > 0)
     mu_lo = mu_hi
     while spend_at(mu_lo) < problem.budget:
         mu_lo /= 2.0
-        if mu_lo < 1e-300:
+        if not 1e-300 <= mu_lo < math.inf:  # an infinite bound, which halving keeps
             raise ConvergenceError("could not bracket the budget multiplier")
     mu = _brentq(lambda m: spend_at(m) - problem.budget, mu_lo, mu_hi,
                  xtol=1e-15, rtol=8.9e-16, maxiter=500, what="root-find of the budget multiplier")
     s_star = np.array([_inner_subsidy(i, o, mu) for i, o in enumerate(occs)])
-    spend = math.fsum(_spend_one(o, s) for o, s in zip(occs, s_star))
-    objective = math.fsum(o.lambda_align * labor_supply(o, s) for o, s in zip(occs, s_star))
+    spend = _fsum((_spend_one(o, s) for o, s in zip(occs, s_star)), "spend")
+    objective = _fsum((o.lambda_align * labor_supply(o, s) for o, s in zip(occs, s_star)), "objective")
     return SubsidySolution(
         s_star=s_star, objective=objective, spend=spend, multiplier=mu
     )

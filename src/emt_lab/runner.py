@@ -174,8 +174,9 @@ def _is_link(name: str, dir_fd: int) -> bool:
 def _create_beneath(out: str, rel: str):
     """A new file at out/rel, open for writing text. `out` is made if missing
     and followed if it is a link. Each part of `rel` is opened by descriptor,
-    relative to its parent, and never followed: a link there raises OSError
-    naming it. A missing directory is made. An old file at the leaf is
+    relative to its parent, and never followed: a link there, or any other
+    part that cannot be opened as a directory, raises OSError naming its
+    path from `out`. A missing directory is made. An old file at the leaf is
     unlinked, not truncated, so a link there is replaced, and closing a
     rewritten file costs no flush on ext4; a directory there raises OSError."""
     os.makedirs(out, exist_ok=True)
@@ -190,11 +191,12 @@ def _create_beneath(out: str, rel: str):
             try:
                 child = os.open(part, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC,
                                 dir_fd=fd)
-            except OSError:
+            except OSError as exc:
+                path = os.path.join(out, *parents[:depth])
                 if _is_link(part, fd):
                     raise OSError(errno.ELOOP, "a link below the output directory is not followed",
-                                  os.path.join(out, *parents[:depth])) from None
-                raise
+                                  path) from None
+                raise OSError(exc.errno, exc.strerror, path) from None
             os.close(fd)
             fd = child
         try:

@@ -11,8 +11,9 @@ what the module does (an equivalent mutant).
     python tests/mutate.py src/emt_lab/config.py mutants.json
 
 writes each site (line, byte offset, the flip) with its outcome, "killed",
-"survived" or "timeout", to the JSON file, and prints the totals. Stdlib
-only; pytest does not collect this file.
+"survived" or "timeout", to the JSON file, and prints the totals. A run
+stopped by SIGTERM kills its pytest run and removes its copy. Stdlib only;
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import ast
 import json
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -118,7 +120,13 @@ def mutate(module: Path, tests: list, root: Path = ROOT, timeout: float = TIMEOU
     return results
 
 
+def _exit(signum, frame):
+    """Leave as an exception does, so `with` blocks and subprocess.run clean up."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list) -> int:
+    signal.signal(signal.SIGTERM, _exit)
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2

@@ -59,6 +59,15 @@ def test_spec_validation():
         MdpSpec([[1.0]], [1.0], [[[0]]], 1.0)
 
 
+@pytest.mark.parametrize("key, value", [("rewards", [0.0, 1.0]), ("rewards", [[[0.0, 1.0]]]),
+                                        ("shock_probs", [[1.0]])],
+                         ids=["rewards_1d", "rewards_3d", "shock_probs_2d"])
+def test_a_spec_array_must_have_the_dimensions_of_its_default(key, value):
+    """A 1-D `rewards` is no longer read as one state's row."""
+    with pytest.raises(InputError, match=f"^{key}: must be "):
+        MdpSpec(**{key: value})
+
+
 def test_residual_decay_rate_bounded_by_beta():
     spec = random_mdp(0, beta=0.9)
     residuals = []

@@ -97,6 +97,17 @@ def test_needs_state_checks_its_bounds_and_finiteness():
         _state(p=[1.0, np.inf])
 
 
+@pytest.mark.parametrize("key, values", [
+    ("d_mat", {"n_vec": [5.0], "d_mat": [1.0, 2.0], "p_vec": [1.0, 1.0]}),
+    ("n_vec", {"n_vec": [[5.0, 4.0, 3.0, 2.0, 1.0]]}),
+    ("p_vec", {"p_vec": [[1.0, 1.0]]}),
+], ids=["d_mat_1d", "n_vec_2d", "p_vec_2d"])
+def test_needs_state_arrays_must_have_the_dimensions_of_their_defaults(key, values):
+    """A 1-D `d_mat` is no longer read as one need's row."""
+    with pytest.raises(InputError, match=f"^{key}: must be "):
+        NeedsState(**values)
+
+
 def test_flywheel_kappa_zero_constant():
     res = flywheel_compare(_state(), {"a": 1, "k": 1, "l": 1, "alpha": 0.5}, 10, 0.0)
     assert np.all(res.u_blind == res.u_blind[0])

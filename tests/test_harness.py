@@ -252,83 +252,158 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
     assert list(out.iterdir()) == [out / "okrun.json"]
 
 
+OCCUPATION = {"w": 1.0, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}
+
+
+# Every row names its own id, so adding a row or rewording a message renames
+# no other row. The first 48 keep the ids pytest once made of their position
+# and message, the names the test record knows them by.
 @pytest.mark.parametrize("module, extra, message", [
-    ("epistemic", {"params": {"eps_resid": 2.0}}, "eps_resid"),
-    ("evt", {"params": {"family_params": {"bogus": 1}}}, "bogus"),
-    ("gravity", {"params": {"p_vec": [1.0]}}, "distance matrix shape"),
-    ("mdp", {"params": {"shock_probs": [0.5, 0.5]}}, "transition shape"),
-    ("mdp", {"output": {"format": "json"}}, "output.unknown key 'format'"),
-    ("growth", {"params": {"psi": 2.0}}, "no equilibrium"),
-    ("gravity", {"params": {"production": {"alpha": 2}}},
-     "params: production.alpha: must be < 1, got 2"),
-    ("gravity", {"params": {"production": {"alpha": 0.5, "beta": 1}}},
-     "params: production.unknown key 'beta'"),
-    ("feedback", {"params": {"e_target": float("nan")}}, "params.e_target"),
-    ("feedback", {"params": {"e_target": float("inf")}}, "params.e_target"),
-    ("gravity", {"params": {"kappa": 10**400}}, "params.kappa"),
-    ("gravity", {"params": {"n_vec": [float("nan"), 4, 3, 2, 1]}}, "n_vec: every element must be finite"),
-    ("gravity", {"params": {"p_vec": [1.0, 10**400]}},
-     "config error: params: p_vec: every element must be finite\n"),
-    ("mdp", {"params": {"rewards": [[float("inf"), 1.0]]}}, "rewards: every element must be finite"),
-    ("mdp", {"params": {"shock_probs": [float("nan")]}}, "shock_probs: every element must be finite"),
-    ("mdp", {"params": {"transition": [[[float("nan")], [0]]]}}, "transition: every element must be a whole number"),
-    ("mdp", {"params": {"legacy_policy": [0.5]}}, "legacy_policy: every element must be a whole number"),
-    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bar": 1.0, "eta": float("inf"), "lambda_align": 1.0}]}},
-     "eta: must be finite"),
-    ("mdp", {"params": {"legacy_policy": [5]}}, "legacy_policy contains invalid action indices"),
-    ("mdp", {"params": {"legacy_policy": [0, 0]}}, "legacy_policy must have shape (1,)"),
-    ("game", {"params": {"n_players": 30}}, "n_players: 30 players have more than 200000 strategy profiles"),
-    ("game", {"params": {"n_players": 3, "strategy_class": "memory1"}}, "in strategy_class 'memory1'"),
-    ("game", {"params": {"horizon": 100000000}},
-     "horizon: 100000000 rounds x 4 profiles of 2 players in strategy_class 'constant' x 4 joint "
-     "actions are above the search bound of 10000000"),
-    ("gravity", {"params": {"alpha_g": 1.0}}, "params.unknown key 'alpha_g'"),
-    ("gravity", {"params": {"beta_g": 1.0}}, "params.unknown key 'beta_g'"),
-    ("policy", {"params": {"tol": 1e-10}}, "params.unknown key 'tol'"),
-    ("evt", {"params": {"family_params": {"rate": float("nan")}}},
-     "params: family_params.rate: must be finite, got nan"),
-    ("evt", {"params": {"family_params": {"rate": float("inf")}}},
-     "params: family_params.rate: must be finite, got inf"),
-    ("evt", {"params": {"family": "lognormal", "family_params": {"mu": float("nan")}}},
-     "params: family_params.mu: must be finite, got nan"),
-    ("evt", {"params": {"family_params": {"rate": True}}},
-     "params: family_params.rate: expected number, got True"),
-    ("evt", {"params": {"family_params": {"rate": "x"}}},
-     "params: family_params.rate: expected number, got 'x'"),
-    ("gravity", {"params": {"production": {"a": True}}}, "production.a: expected number, got True"),
-    ("policy", {"params": {"occupations": [{"w": True, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}]}},
-     "w: expected number, got True"),
-    ("feedback", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
-    ("gravity", {"params": {"horizon": 5 * 10**5 + 1}}, "params.horizon: must be <= 500000, got 500001"),
-    ("mdp", {"params": {"max_iter": 10**5 + 1}}, "params.max_iter: must be <= 100000, got 100001"),
-    ("growth", {"params": {"n_lines": 100000000}}, "params.n_lines: must be <= 10000000, got 100000000"),
-    ("growth", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
-    ("growth", {"params": {"n_lines": 10000, "horizon": 500001}},
-     "params: n_lines x horizon: 10000 x 500001 line steps are above the budget of 5000000000"),
-    ("epistemic", {"params": {"horizon": 10**6 + 1}}, "params.horizon: must be <= 1000000, got 1000001"),
-    ("epistemic", {"params": {"n_problems": 5 * 10**6 + 1}},
-     "params.n_problems: must be <= 5000000, got 5000001"),
-    ("epistemic", {"params": {"eta_rate": 1e12}},
-     "params: n_problems + eta_rate x dt x horizon: 10 + 1000000000000.0 x 0.1 x 200 problems are "
-     "above the pool bound of 5000000"),
-    ("epistemic", {"params": {"dt": 1e300}},
-     "params: n_problems + eta_rate x dt x horizon: 10 + 1.0 x 1e+300 x 200 problems are above the "
-     "pool bound of 5000000"),
-    ("epistemic", {"params": {"horizon": 100000}},
-     "params: horizon x (n_problems + eta_rate x dt x horizon): 100000 steps x (10 + 1.0 x 0.1 x "
-     "100000 problems) are above the budget of 500000000"),
-    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bars": 1.0, "eta": 1.0, "lambda_align": 1.0}]}},
-     "config error: params: occupations.0.unknown key 'l_bars'; did you mean 'l_bar'?; "
-     "occupations.0.l_bar: required\n"),
-    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0},
-                                           {"w": 1.0}]}},
-     "config error: params: occupations.1.l_bar: required; occupations.1.eta: required; "
-     "occupations.1.lambda_align: required\n"),
-    ("policy", {"params": {"occupations": [{"w": 1.0, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}, 3]}},
-     "config error: params: occupations.1: expected object, got 3\n"),
-    ("policy", {"params": {"occupations": [{"w": "1", "l_bar": -1.0, "eta": 1.0, "lambda_align": 1.0}]}},
-     "config error: params: occupations.0.w: expected number, got '1'; "
-     "occupations.0.l_bar: must be > 0, got -1.0\n"),
+    pytest.param("epistemic", {"params": {"eps_resid": 2.0}}, "eps_resid",
+                 id="epistemic-extra0-eps_resid"),
+    pytest.param("evt", {"params": {"family_params": {"bogus": 1}}}, "bogus",
+                 id="evt-extra1-bogus"),
+    pytest.param("gravity", {"params": {"p_vec": [1.0]}}, "distance matrix shape",
+                 id="gravity-extra2-distance matrix shape"),
+    pytest.param("mdp", {"params": {"shock_probs": [0.5, 0.5]}}, "transition shape",
+                 id="mdp-extra3-transition shape"),
+    pytest.param("mdp", {"output": {"format": "json"}}, "output.unknown key 'format'",
+                 id="mdp-extra4-output.unknown key 'format'"),
+    pytest.param("growth", {"params": {"psi": 2.0}}, "no equilibrium",
+                 id="growth-extra5-no equilibrium"),
+    pytest.param("gravity", {"params": {"production": {"alpha": 2}}},
+                 "params: production.alpha: must be < 1, got 2",
+                 id="gravity-extra6-params: production.alpha: must be < 1, got 2"),
+    pytest.param("gravity", {"params": {"production": {"alpha": 0.5, "beta": 1}}},
+                 "params: production.unknown key 'beta'",
+                 id="gravity-extra7-params: production.unknown key 'beta'"),
+    pytest.param("feedback", {"params": {"e_target": float("nan")}}, "params.e_target",
+                 id="feedback-extra8-params.e_target"),
+    pytest.param("feedback", {"params": {"e_target": float("inf")}}, "params.e_target",
+                 id="feedback-extra9-params.e_target"),
+    pytest.param("gravity", {"params": {"kappa": 10**400}}, "params.kappa",
+                 id="gravity-extra10-params.kappa"),
+    pytest.param("gravity", {"params": {"n_vec": [float("nan"), 4, 3, 2, 1]}},
+                 "n_vec: every element must be finite",
+                 id="gravity-extra11-n_vec: every element must be finite"),
+    pytest.param("gravity", {"params": {"p_vec": [1.0, 10**400]}},
+                 "config error: params: p_vec: every element must be finite\n",
+                 id="gravity-extra12-config error: params: p_vec: every element must be finite\n"),
+    pytest.param("mdp", {"params": {"rewards": [[float("inf"), 1.0]]}},
+                 "rewards: every element must be finite",
+                 id="mdp-extra13-rewards: every element must be finite"),
+    pytest.param("mdp", {"params": {"shock_probs": [float("nan")]}},
+                 "shock_probs: every element must be finite",
+                 id="mdp-extra14-shock_probs: every element must be finite"),
+    pytest.param("mdp", {"params": {"transition": [[[float("nan")], [0]]]}},
+                 "transition: every element must be a whole number",
+                 id="mdp-extra15-transition: every element must be a whole number"),
+    pytest.param("mdp", {"params": {"legacy_policy": [0.5]}},
+                 "legacy_policy: every element must be a whole number",
+                 id="mdp-extra16-legacy_policy: every element must be a whole number"),
+    pytest.param("policy", {"params": {"occupations": [{**OCCUPATION, "eta": float("inf")}]}},
+                 "eta: must be finite",
+                 id="policy-extra17-eta: must be finite"),
+    pytest.param("mdp", {"params": {"legacy_policy": [5]}}, "legacy_policy contains invalid action indices",
+                 id="mdp-extra18-legacy_policy contains invalid action indices"),
+    pytest.param("mdp", {"params": {"legacy_policy": [0, 0]}}, "legacy_policy must have shape (1,)",
+                 id="mdp-extra19-legacy_policy must have shape (1,)"),
+    pytest.param("game", {"params": {"n_players": 30}},
+                 "n_players: 30 players have more than 200000 strategy profiles",
+                 id="game-extra20-n_players: 30 players have more than 200000 strategy profiles"),
+    pytest.param("game", {"params": {"n_players": 3, "strategy_class": "memory1"}},
+                 "in strategy_class 'memory1'",
+                 id="game-extra21-in strategy_class 'memory1'"),
+    pytest.param("game", {"params": {"horizon": 100000000}},
+                 "horizon: 100000000 rounds x 4 profiles of 2 players in strategy_class 'constant' x 4 joint "
+                 "actions are above the search bound of 10000000",
+                 id="game-extra22-horizon: 100000000 rounds x 4 profiles of 2 players in strategy_class "
+                    "'constant' x 4 joint actions are above the search bound of 10000000"),
+    pytest.param("gravity", {"params": {"alpha_g": 1.0}}, "params.unknown key 'alpha_g'",
+                 id="gravity-extra23-params.unknown key 'alpha_g'"),
+    pytest.param("gravity", {"params": {"beta_g": 1.0}}, "params.unknown key 'beta_g'",
+                 id="gravity-extra24-params.unknown key 'beta_g'"),
+    pytest.param("policy", {"params": {"tol": 1e-10}}, "params.unknown key 'tol'",
+                 id="policy-extra25-params.unknown key 'tol'"),
+    pytest.param("evt", {"params": {"family_params": {"rate": float("nan")}}},
+                 "params: family_params.rate: must be finite, got nan",
+                 id="evt-extra26-params: family_params.rate: must be finite, got nan"),
+    pytest.param("evt", {"params": {"family_params": {"rate": float("inf")}}},
+                 "params: family_params.rate: must be finite, got inf",
+                 id="evt-extra27-params: family_params.rate: must be finite, got inf"),
+    pytest.param("evt", {"params": {"family": "lognormal", "family_params": {"mu": float("nan")}}},
+                 "params: family_params.mu: must be finite, got nan",
+                 id="evt-extra28-params: family_params.mu: must be finite, got nan"),
+    pytest.param("evt", {"params": {"family_params": {"rate": True}}},
+                 "params: family_params.rate: expected number, got True",
+                 id="evt-extra29-params: family_params.rate: expected number, got True"),
+    pytest.param("evt", {"params": {"family_params": {"rate": "x"}}},
+                 "params: family_params.rate: expected number, got 'x'",
+                 id="evt-extra30-params: family_params.rate: expected number, got 'x'"),
+    pytest.param("gravity", {"params": {"production": {"a": True}}},
+                 "production.a: expected number, got True",
+                 id="gravity-extra31-production.a: expected number, got True"),
+    pytest.param("policy", {"params": {"occupations": [{**OCCUPATION, "w": True}]}},
+                 "w: expected number, got True",
+                 id="policy-extra32-w: expected number, got True"),
+    pytest.param("feedback", {"params": {"horizon": 10**6 + 1}},
+                 "params.horizon: must be <= 1000000, got 1000001",
+                 id="feedback-extra33-params.horizon: must be <= 1000000, got 1000001"),
+    pytest.param("gravity", {"params": {"horizon": 5 * 10**5 + 1}},
+                 "params.horizon: must be <= 500000, got 500001",
+                 id="gravity-extra34-params.horizon: must be <= 500000, got 500001"),
+    pytest.param("mdp", {"params": {"max_iter": 10**5 + 1}}, "params.max_iter: must be <= 100000, got 100001",
+                 id="mdp-extra35-params.max_iter: must be <= 100000, got 100001"),
+    pytest.param("growth", {"params": {"n_lines": 100000000}},
+                 "params.n_lines: must be <= 10000000, got 100000000",
+                 id="growth-extra36-params.n_lines: must be <= 10000000, got 100000000"),
+    pytest.param("growth", {"params": {"horizon": 10**6 + 1}},
+                 "params.horizon: must be <= 1000000, got 1000001",
+                 id="growth-extra37-params.horizon: must be <= 1000000, got 1000001"),
+    pytest.param("growth", {"params": {"n_lines": 10000, "horizon": 500001}},
+                 "params: n_lines x horizon: 10000 x 500001 line steps are above the budget of 5000000000",
+                 id="growth-extra38-params: n_lines x horizon: 10000 x 500001 line steps are above the "
+                    "budget of 5000000000"),
+    pytest.param("epistemic", {"params": {"horizon": 10**6 + 1}},
+                 "params.horizon: must be <= 1000000, got 1000001",
+                 id="epistemic-extra39-params.horizon: must be <= 1000000, got 1000001"),
+    pytest.param("epistemic", {"params": {"n_problems": 5 * 10**6 + 1}},
+                 "params.n_problems: must be <= 5000000, got 5000001",
+                 id="epistemic-extra40-params.n_problems: must be <= 5000000, got 5000001"),
+    pytest.param("epistemic", {"params": {"eta_rate": 1e12}},
+                 "params: n_problems + eta_rate x dt x horizon: 10 + 1000000000000.0 x 0.1 x 200 problems "
+                 "are above the pool bound of 5000000",
+                 id="epistemic-extra41-params: n_problems + eta_rate x dt x horizon: 10 + 1000000000000.0 x "
+                    "0.1 x 200 problems are above the pool bound of 5000000"),
+    pytest.param("epistemic", {"params": {"dt": 1e300}},
+                 "params: n_problems + eta_rate x dt x horizon: 10 + 1.0 x 1e+300 x 200 problems are "
+                 "above the pool bound of 5000000",
+                 id="epistemic-extra42-params: n_problems + eta_rate x dt x horizon: 10 + 1.0 x 1e+300 x 200 "
+                    "problems are above the pool bound of 5000000"),
+    pytest.param("epistemic", {"params": {"horizon": 100000}},
+                 "params: horizon x (n_problems + eta_rate x dt x horizon): 100000 steps x (10 + 1.0 x 0.1 x "
+                 "100000 problems) are above the budget of 500000000",
+                 id="epistemic-extra43-params: horizon x (n_problems + eta_rate x dt x horizon): 100000 "
+                    "steps x (10 + 1.0 x 0.1 x 100000 problems) are above the budget of 500000000"),
+    pytest.param("policy",
+                 {"params": {"occupations": [{"w": 1.0, "l_bars": 1.0, "eta": 1.0, "lambda_align": 1.0}]}},
+                 "config error: params: occupations.0.unknown key 'l_bars'; did you mean 'l_bar'?; "
+                 "occupations.0.l_bar: required\n",
+                 id="policy-extra44-config error: params: occupations.0.unknown key 'l_bars'; did you mean "
+                    "'l_bar'?; occupations.0.l_bar: required\n"),
+    pytest.param("policy", {"params": {"occupations": [OCCUPATION, {"w": 1.0}]}},
+                 "config error: params: occupations.1.l_bar: required; occupations.1.eta: required; "
+                 "occupations.1.lambda_align: required\n",
+                 id="policy-extra45-config error: params: occupations.1.l_bar: required; occupations.1.eta: "
+                    "required; occupations.1.lambda_align: required\n"),
+    pytest.param("policy", {"params": {"occupations": [OCCUPATION, 3]}},
+                 "config error: params: occupations.1: expected object, got 3\n",
+                 id="policy-extra46-config error: params: occupations.1: expected object, got 3\n"),
+    pytest.param("policy", {"params": {"occupations": [{**OCCUPATION, "w": "1", "l_bar": -1.0}]}},
+                 "config error: params: occupations.0.w: expected number, got '1'; "
+                 "occupations.0.l_bar: must be > 0, got -1.0\n",
+                 id="policy-extra47-config error: params: occupations.0.w: expected number, got '1'; "
+                    "occupations.0.l_bar: must be > 0, got -1.0\n"),
     pytest.param("growth", {"name": "..", "params": {"bogus": 1}},
                  "config error: params.unknown key 'bogus'\n"
                  "config error: name: its last '/' part must not be empty, '.' or '..', got '..'\n",
@@ -343,6 +418,28 @@ def test_cli_prints_each_report_line_when_its_run_ends(tmp_path, capsys):
                  "config error: params: horizon x needs x sectors: 500000 x 201 x 200 need-sector "
                  "steps are above the budget of 20000000000\n",
                  id="gravity_work"),
+    pytest.param("mdp", {"params": {"rewards": [0.0, 1.0]}},
+                 "config error: params: rewards: must be 2-D, got 1-D\n", id="mdp-rewards_1d"),
+    pytest.param("mdp", {"params": {"rewards": [[[0.0, 1.0]]]}},
+                 "config error: params: rewards: must be 2-D, got 3-D\n", id="mdp-rewards_3d"),
+    pytest.param("mdp", {"params": {"shock_probs": [[1.0]]}},
+                 "config error: params: shock_probs: must be 1-D, got 2-D\n", id="mdp-shock_probs_2d"),
+    pytest.param("gravity", {"params": {"n_vec": [[5.0, 4.0, 3.0, 2.0, 1.0]]}},
+                 "config error: params: n_vec: must be 1-D, got 2-D\n", id="gravity-n_vec_2d"),
+    pytest.param("gravity", {"params": {"d_mat": [1.0, 2.0]}},
+                 "config error: params: d_mat: must be 2-D, got 1-D\n", id="gravity-d_mat_1d"),
+    pytest.param("gravity", {"params": {"p_vec": [[1.0, 1.0]]}},
+                 "config error: params: p_vec: must be 1-D, got 2-D\n", id="gravity-p_vec_2d"),
+    pytest.param("mdp", {"params": {"rewards": [[]]}},
+                 "config error: params: need at least one state and one action\n", id="mdp-no_action"),
+    pytest.param("policy", {"params": {"occupations": []}},
+                 "config error: params: need at least one occupation\n", id="policy-no_occupation"),
+    pytest.param("mdp", {"params": {"transition": [[[0], [1e308]]]}},
+                 "config error: params: transition: every element must be a whole number of magnitude "
+                 "below 2**63\n", id="mdp-transition_past_int64"),
+    pytest.param("gravity", {"params": {"production": {"a": 1e308, "k": 1e308}}},
+                 "config error: params: output overflows: a=1e+308, k=1e+308, l=1.0\n",
+                 id="gravity-output_overflows"),
 ])
 def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -351,9 +448,6 @@ def test_cli_scenario_errors_are_config_errors(module, extra, message, tmp_path,
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
-
-
-OCCUPATION = {"w": 1.0, "l_bar": 1.0, "eta": 1.0, "lambda_align": 1.0}
 
 
 @pytest.mark.parametrize("module, extra, problem", [
@@ -439,8 +533,8 @@ def test_a_value_at_an_exclusive_upper_bound_is_rejected():
 
 
 def test_the_largest_double_is_a_finite_value():
-    kappa = sys.float_info.max
-    assert validate_config(minimal(module="gravity", params={"kappa": kappa})).scenario.kappa == kappa
+    for kappa in (sys.float_info.max, int(sys.float_info.max)):  # an int is compared exactly
+        assert validate_config(minimal(module="gravity", params={"kappa": kappa})).scenario.kappa == kappa
 
 
 def test_mdp_max_iter_at_its_bound_is_valid():
@@ -516,6 +610,43 @@ def test_cli_knowledge_stock_overflow_is_a_runtime_error(params, tmp_path, capsy
     cfg.write_text(json.dumps(minimal(params=params)))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "runtime error: knowledge stock p became non-finite: inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module, params, message", [
+    pytest.param("mdp", {"rewards": [[1e308, 1.0]]}, "value iteration: the values leave the float range",
+                 id="mdp-values"),
+    pytest.param("mdp", {"rewards": [[1.0, -1e308]], "legacy_policy": [1]},
+                 "policy evaluation: the values leave the float range", id="mdp-legacy_values"),
+    pytest.param("mdp", {"rewards": [[8e307, -8e307]], "beta": 0.5, "legacy_policy": [1]},
+                 "the realtime surplus leaves the float range", id="mdp-surplus"),
+    pytest.param("gravity", {"d_mat": [[1e-320, 2.0], [2.0, 1.0], [1.0, 1.5], [2.5, 2.0], [1.5, 1.0]]},
+                 "flywheel: the flows or the potential energy U leave the float range",
+                 id="gravity-distance_squared_is_zero"),
+    pytest.param("gravity", {"p_vec": [1e308, 1.0]},
+                 "flywheel: the flows or the potential energy U leave the float range",
+                 id="gravity-flows"),
+    pytest.param("gravity", {"n_vec": [1e308, 4.0, 3.0, 2.0, 1.0]},
+                 "flywheel: the flows or the potential energy U leave the float range",
+                 id="gravity-potential_energy"),
+    pytest.param("growth", {"lambda_step": 1e308}, "inputs must be finite and >= 0, got a=inf",
+                 id="growth-quality"),
+    pytest.param("feedback", {"noise_sd": 1e308, "dt": 0.999999, "horizon": 3}, "loop diverged at step 1",
+                 id="feedback-noise_kicks"),
+    pytest.param("policy", {"occupations": [{**OCCUPATION, "w": 1e-320, "l_bar": 1e-320}]},
+                 "could not bracket the budget multiplier", id="policy-multiplier_bound"),
+    pytest.param("policy", {"occupations": [{**OCCUPATION, "l_bar": 1e308}] * 2},
+                 "the objective leaves the float range", id="policy-objective"),
+    pytest.param("growth", {"pi_flow": 1e308},
+                 "incumbent value pi / (r + mu) overflows: 1e+308 / 0.05", id="growth-incumbent_value"),
+])
+def test_cli_values_past_the_float_range_are_runtime_errors(module, params, message, tmp_path, capsys):
+    """Numpy's overflow warnings stay silent; the run says which result left the range."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module=module, params=params)))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -670,6 +801,17 @@ def test_cli_link_in_a_parent_part_is_a_runtime_error_and_writes_nothing(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and repr(str(tmp_path / "out" / "a")) in err
     assert list(elsewhere.iterdir()) == []
+
+
+def test_cli_file_in_a_parent_part_is_a_runtime_error_naming_its_path(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "a").write_bytes(b"a file\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal(module="game", name="a/b")))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and repr(str(tmp_path / "out" / "a")) in err
+    assert (tmp_path / "out" / "a").read_bytes() == b"a file\n"
 
 
 def test_cli_link_to_a_directory_inside_out_is_refused_too(tmp_path, capsys):

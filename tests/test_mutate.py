@@ -1,6 +1,10 @@
 """The mutation tool, tests/mutate.py, on small modules of its own."""
 
 import ast
+import os
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -47,3 +51,23 @@ def test_every_comparison_operator_is_flipped_alone():
         want[i] = next(k for k, (old, _) in mutate.FLIPS.items() if old == site[3])
         assert flipped == want
         assert '"a < b, x in y"' in mutate.mutant(source, site)
+
+
+def test_sigterm_removes_the_copy_of_the_repository(tmp_path):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    start = time.perf_counter()
+    run = subprocess.Popen([sys.executable, mutate.__file__, str(mutate.ROOT / "src/emt_lab/errors.py"),
+                            str(tmp_path / "mutants.json")],
+                           env={**os.environ, "TMPDIR": str(tmp)}, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
+    try:
+        while not list(tmp.glob("*/repo")):
+            assert run.poll() is None and time.perf_counter() - start < 10
+            time.sleep(0.01)
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=10) == 128 + signal.SIGTERM
+    finally:
+        run.kill()
+    assert list(tmp.iterdir()) == []
+    assert time.perf_counter() - start < 10
