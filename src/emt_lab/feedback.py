@@ -10,10 +10,12 @@ enabled, enters Euler-Maruyama style with sqrt(dt) scaling.
 `trajectory_columns` is the hot path of a feedback run. The RK4 step is
 inlined in its loop; the noise kicks for all steps are drawn and scaled in one
 batch (the same doubles as one draw and one product per step); the t column is
-built before the loop; and each step appends its state to four `array('d')`
-columns, 8 bytes a value, which the run hands to the writer as its CSV
-columns. With `theta_meta` 0 the gamma column is constant, and the writer
-formats it once. `simulate_loop` gives the same trajectory as rows.
+k * dt from one numpy product (the same doubles as Python's `k * dt`); and
+the O, A, gamma and eps columns are allocated once, horizon+1 doubles each,
+and each step stores its state into them by index. The run hands the five
+`array('d')` columns, 8 bytes a value, to the writer as its CSV columns. With
+`theta_meta` 0 the gamma column is constant, and the writer formats it once.
+`simulate_loop` gives the same trajectory as rows.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ class FeedbackParams(Params):
     noise_sd: float = param(0.0, min=0)
     e_target: float | Callable[[float], float] = param(1.0)
     dt: float = param(1e-3, exmin=0)
-    # A step costs about 4-5 us of CPU to run and write and about 60 B of peak
-    # memory (five 8-byte columns, the noise kicks and growth slack) on a 2-core
-    # Xeon VM, so about 5 s and 100 MB of RSS, interpreter included, at the bound.
+    # A step costs about 3.5-6 us of CPU to run and write and 40-48 B of memory (five
+    # 8-byte columns, and the noise kicks if noise_sd > 0) on a 2-core Xeon VM whose
+    # speed drifts: at the bound, in a fresh process, 3.5-6 s and 74-81 MB of RSS
+    # (ru_maxrss), interpreter included.
     horizon: int = param(6284, min=1, max=10**6)
     o0: float = param(0.0)
     a0: float = param(0.0)
@@ -73,15 +76,20 @@ def trajectory_columns(params: FeedbackParams, seed: int = 0) -> list[array]:
         scale = params.noise_sd * math.sqrt(dt)
         with np.errstate(over="ignore"):  # an infinite kick ends the loop below as diverged
             kicks = array("d", (scale * make_generator(seed).standard_normal(horizon)).tobytes())
-    t_col = array("d", [0.0])
-    t_col.extend(map(dt.__rmul__, range(1, horizon + 1)))  # (k+1)*dt, as int*float rounds it
+    n = horizon + 1
+    # k * dt for each k, as int * float rounds it: every k <= 10^6 is exact as a double
+    times = np.arange(n, dtype=float)
+    times *= dt
+    t_col = array("d", [0.0]) * n
+    memoryview(t_col).cast("B")[:] = memoryview(times).cast("B")
+    del times  # not held through the loop
+    o_col, a_col, gamma_col, eps_col = (array("d", [0.0]) * n for _ in range(4))
     o, a, gamma = params.o0, params.a0, params.gamma0
     t = 0.0
     e = e_mid = e_end = target(t)
     eps = e - o
-    columns = [array("d", [v]) for v in (o, a, gamma, eps)]
-    add_o, add_a, add_gamma, add_eps = (col.append for col in columns)
-    for k in range(horizon):
+    o_col[0], a_col[0], gamma_col[0], eps_col[0] = o, a, gamma, eps
+    for k in range(1, n):
         if varying:
             e_mid, e_end = target(t + hdt), target(t + dt)
         k1o, k1a = phi * a, gamma * (e - o)
@@ -91,11 +99,11 @@ def trajectory_columns(params: FeedbackParams, seed: int = 0) -> list[array]:
         o = o + dt6 * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
         a = a + dt6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         if kicks is not None:
-            o += kicks[k]
+            o += kicks[k - 1]
         if not (isfinite(o) and isfinite(a)):
-            raise NumericError(f"loop diverged at step {k + 1}: O={o}, A={a}")
+            raise NumericError(f"loop diverged at step {k}: O={o}, A={a}")
         if varying:
-            t = t_col[k + 1]
+            t = t_col[k]
             e = target(t)
         eps_new = e - o
         # exact discrete telescope of d(gamma)/dt = theta * d(eps^2)/dt, clamped at 0
@@ -103,14 +111,14 @@ def trajectory_columns(params: FeedbackParams, seed: int = 0) -> list[array]:
         try:
             gamma = gamma + theta * (eps_new**2 - eps**2)
         except OverflowError:
-            raise NumericError(f"loop diverged at step {k + 1}: O={o}, eps^2 overflows") from None
+            raise NumericError(f"loop diverged at step {k}: O={o}, eps^2 overflows") from None
         gamma = gamma if gamma > 0.0 else 0.0
         eps = eps_new
-        add_o(o)
-        add_a(a)
-        add_gamma(gamma)
-        add_eps(eps)
-    return [t_col, *columns]
+        o_col[k] = o
+        a_col[k] = a
+        gamma_col[k] = gamma
+        eps_col[k] = eps
+    return [t_col, o_col, a_col, gamma_col, eps_col]
 
 
 def simulate_loop(params: FeedbackParams, seed: int = 0) -> list[tuple]:

@@ -145,7 +145,7 @@ def ladder_step(
 _BLOCK = 2**15
 
 
-@np.errstate(over="ignore")  # a Q past the largest float is inf, which cobb_douglas rejects
+@np.errstate(over="ignore")  # a Q past the largest float is inf, which run rejects
 def quality_path(
     n_lines: int,
     mu: float,
@@ -319,6 +319,9 @@ def run(scenario: Scenario, seed: int):
     t_col, a_col, y_col = array("d"), array("d"), array("d")
     a, t = s.a0, 0.0
     for step, q in enumerate(q_col):
+        if q == math.inf:
+            raise NumericError(f"aggregate quality Q overflows at step {step}: "
+                               f"lambda_step={s.lambda_step}")
         t_col.append(t)
         a_col.append(a)
         y_col.append(cobb_douglas(a * q, s.k0, s.l0, s.alpha))

@@ -26,7 +26,8 @@ of up to `_BLOCK_ROWS`, a block within one segment.
 A JSON artifact is what `json.dumps(artifact, sort_keys=True, indent=2)`
 would write, plus a final newline: nested dicts with `str` keys, lists and
 tuples, and scalars that `json` encodes. A non-`str` key raises TypeError,
-where `json` would have turned it into a string.
+where `json` would have turned it into a string, and a NaN or infinite
+float, which JSON has no token for, raises NumericError.
 
 The artifact goes to a new file below the output directory, reached by
 directory descriptors (POSIX `dir_fd`): a link at the output directory itself
@@ -47,6 +48,7 @@ from itertools import chain, islice, repeat
 from pathlib import Path, PurePath
 
 from .config import ScenarioConfig, scenario_module
+from .errors import NumericError
 
 # CSV lines per joined write. A block's text is held while it is joined and
 # written: writing a 10^5-step feedback run peaked at 0.96 MB in blocks of
@@ -87,7 +89,8 @@ def _json_text(obj, pad: str = "\n") -> str:
     """`obj` as `json.dumps(obj, sort_keys=True, indent=2)` writes it, `pad`
     being the newline and indent of the line `obj` starts on. json uses its C
     encoder only when `indent` is None, so each flat list of scalars goes to
-    it in one call, its item separator carrying the newline and indent."""
+    it in one call, its item separator carrying the newline and indent. A
+    NaN or infinite float raises ValueError (`allow_nan=False`)."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -105,9 +108,9 @@ def _json_text(obj, pad: str = "\n") -> str:
         if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
             body = ("," + inner).join(_json_text(item, inner) for item in obj)
         else:
-            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+            body = json.dumps(obj, allow_nan=False, separators=("," + inner, ": "))[1:-1]
         return "[" + inner + body + pad + "]"
-    return json.dumps(obj)
+    return json.dumps(obj, allow_nan=False)
 
 
 def _tail_start(col: array, n: int) -> int:
@@ -213,9 +216,13 @@ def _create_beneath(out: str, rel: str):
 def _write_artifact(artifact, path):
     """Write `artifact` to `path`, an ArtifactPath or a plain path whose
     parent is taken as the output directory, as a new file (_create_beneath).
-    The whole artifact is checked before the file is touched."""
+    The whole artifact is checked before the file is touched: a JSON
+    artifact with a NaN or infinite float raises NumericError."""
     if isinstance(artifact, dict):
-        chunks = [_json_text(artifact) + "\n"]
+        try:
+            chunks = [_json_text(artifact) + "\n"]
+        except ValueError as exc:
+            raise NumericError(f"the artifact is not JSON: {exc}") from None
     else:
         chunks = _csv_blocks(*artifact)
     if not isinstance(path, ArtifactPath):

@@ -3,12 +3,15 @@
 import json
 import math
 import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emt_lab import DomainError, NumericError
 from emt_lab.cli import main
-from emt_lab.feedback import FeedbackParams, Scenario, loop_diagnostics, run, simulate_loop
+from emt_lab.feedback import (FeedbackParams, Scenario, loop_diagnostics, run, simulate_loop,
+                              trajectory_columns)
 from emt_lab.runner import _write_artifact
 
 TWO_PI = 2.0 * math.pi
@@ -93,6 +96,26 @@ def test_run_settle_check_matches_loop_diagnostics(noise_sd, horizon, expect_uns
         settled = loop_diagnostics(list(zip(*columns)), threshold)["settled"]
         assert settled == (threshold > tail_max)
         assert checks == {"settled_as_expected": settled != expect_unstable}
+
+
+@settings(max_examples=60, deadline=None)
+@given(dt=st.floats(0.0, 1.0, exclude_min=True), horizon=st.integers(1, 5000))
+@example(dt=0.1, horizon=5000)
+@example(dt=1e-3, horizon=5000)
+@example(dt=0.7, horizon=4999)
+def test_t_column_is_k_times_dt_bit_for_bit(dt, horizon):
+    columns = trajectory_columns(FeedbackParams(dt=dt, horizon=horizon))
+    assert columns[0].tobytes() == array("d", [k * dt for k in range(horizon + 1)]).tobytes()
+    assert [(col.typecode, len(col)) for col in columns] == [("d", horizon + 1)] * 5
+
+
+def test_signed_zeros_survive_a_noiseless_run_and_gamma_clamps_minus_zero():
+    # with phi_gain -0.0 every RK4 increment of O is -0.0, so O keeps o0's sign, which
+    # a kick of 0.0 * z would flip; gamma -0.0 + -0.0 * (eps^2 change) stays -0.0 until clamped
+    params = FeedbackParams(phi_gain=-0.0, o0=-0.0, gamma0=-0.0, theta_meta=-0.0, horizon=50)
+    _, o_col, _, gamma_col, _ = trajectory_columns(params, seed=1)
+    assert [math.copysign(1.0, o) for o in o_col] == [-1.0] * 51
+    assert [math.copysign(1.0, g) for g in gamma_col] == [-1.0] + [1.0] * 50
 
 
 def test_noise_determinism_and_sqrt_dt_scaling():

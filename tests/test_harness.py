@@ -629,8 +629,8 @@ def test_cli_knowledge_stock_overflow_is_a_runtime_error(params, tmp_path, capsy
     pytest.param("gravity", {"n_vec": [1e308, 4.0, 3.0, 2.0, 1.0]},
                  "flywheel: the flows or the potential energy U leave the float range",
                  id="gravity-potential_energy"),
-    pytest.param("growth", {"lambda_step": 1e308}, "inputs must be finite and >= 0, got a=inf",
-                 id="growth-quality"),
+    pytest.param("growth", {"lambda_step": 1e308},
+                 "aggregate quality Q overflows at step 1: lambda_step=1e+308", id="growth-quality"),
     pytest.param("feedback", {"noise_sd": 1e308, "dt": 0.999999, "horizon": 3}, "loop diverged at step 1",
                  id="feedback-noise_kicks"),
     pytest.param("policy", {"occupations": [{**OCCUPATION, "w": 1e-320, "l_bar": 1e-320}]},

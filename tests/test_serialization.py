@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from emt_lab import NumericError, dynprog
 from emt_lab._params import float_array
 from emt_lab.cli import main
 from emt_lab.runner import _json_text, _tail_start, _write_artifact
@@ -29,15 +30,39 @@ TREES = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(TREES)
 def test_json_text_is_what_json_dumps_writes(tree):
-    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    # a NaN or an infinity has no JSON token: json.dumps with allow_nan=False refuses it too
+    try:
+        expected = json.dumps(tree, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text(tree)
+    else:
+        assert _json_text(tree) == expected
 
 
 def test_write_artifact_writes_json_dumps_text_and_a_newline(tmp_path):
-    artifact = {"values": [1.5, -0.0, math.inf], "policy": [0, 1], "nested": {"b": [], "a": {}},
+    artifact = {"values": [1.5, -0.0, 1e308], "policy": [0, 1], "nested": {"b": [], "a": {}},
                 "rows": [[1, 2], {"k": (3, "x")}], "residual": 2.5e-13}
     _write_artifact(artifact, tmp_path / "a.json")
     expected = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "a.json").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("artifact", [{"x": [1.0, math.nan], "y": math.inf}, {"y": -math.inf},
+                                      {"rows": [[0.0], {"k": (math.nan,)}]}])
+def test_write_artifact_refuses_a_non_finite_float_before_it_makes_the_file(artifact, tmp_path):
+    with pytest.raises(NumericError, match="^the artifact is not JSON: "):
+        _write_artifact(artifact, tmp_path / "a.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_run_whose_json_artifact_holds_a_nan_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(dynprog, "run", lambda scenario, seed: ({"values": [math.nan]}, {}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal("mdp")))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("runtime error: the artifact is not JSON: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("artifact", [{1: 2}, {"a": {None: 1}}, {"a": [{"b": 1, 2.5: 0}]}])
