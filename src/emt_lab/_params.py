@@ -74,6 +74,7 @@ def float_array(name: str, values) -> np.ndarray:
     would, except that an element of a nested list must be a number: a bool,
     which np.asarray would read as 0.0 or 1.0, a str, which it would parse,
     or a None is an InputError, and an int too large for a float a DomainError.
+    A ragged list is an InputError too: numpy's message after `name`.
 
     One walk down the nesting levels, each flattened by C-level calls, reads
     the shape and the set of leaf types. Rectangular lists of exactly `int`
@@ -98,6 +99,8 @@ def float_array(name: str, values) -> np.ndarray:
         return np.asarray(values, dtype=float)
     except OverflowError:  # an int too large for a float
         raise DomainError(f"{name}: every element must be finite") from None
+    except ValueError as error:  # a ragged list
+        raise InputError(f"{name}: {error}") from None
 
 
 def field_error(f, value, name: str):

@@ -9,13 +9,17 @@ cost of producing a new idea.
 
 Alongside runs a pool of problems: they emerge at rate eta and aligned
 research resolves them at rate R. The knowledge recurrence never reads the
-pool, so `run` makes two passes: the first builds the knowledge columns, the
-second the pool's draws and R. It keeps the complexities of the open problems
-as a list in creation order, plus the count and a running sum of every
-problem ever created, added in creation order: resolved problems still set
-the mean complexity of arrivals (`complexity_mean` while none was created).
-Once capability exceeds every open complexity, each solve probability is
-exactly 1 and R = lambda * n.
+pool, and arrivals never read which problems resolve, so `run` goes in
+passes. The first builds the knowledge columns. An arrival pre-pass then
+scales each arrival by the mean complexity of every problem created before
+it, from their count and a running sum added in creation order (resolved
+problems still set the mean; `complexity_mean` does while none was created),
+and notes `last_bad`, the last row at which an arrival is not below
+capability. The row loop keeps the complexities of the open problems as a
+list in creation order. Once capability exceeds every open complexity, each
+solve probability is exactly 1 and R = lambda * n; from the first such row
+at or after `last_bad`, every later row is capped too, and a tail carries
+only the pool's size.
 
 The pool draws from one stream of the seed per purpose: stream 0 the
 starting complexities, 1 the resolution uniforms, 2 the arrival counts and
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,17 +97,21 @@ class EpistemicParams(Params):
 
 
 # Bounds on a scenario's size, checked at validation, measured on a 2-core
-# Xeon VM whose speed drifts. A step costs 7-10 us of CPU and about 270 bytes
-# of columns, so about 10 s and 300 MB of RSS at the horizon bound. The pool
+# Xeon VM whose speed drifts, each in a fresh process (wall time of run plus
+# write, and ru_maxrss). With an empty pool a row costs 3.5-5 us and about 250
+# bytes of columns, so about 3.5-5 s and 290 MB at the horizon bound. The pool
 # holds at most the n_problems it starts with plus about eta_rate x dt x
 # horizon arrivals, about 120 bytes each at the peak of a step (45 while
-# capability exceeds every open complexity), so about 650 MB at MAX_POOL.
-# Each step scans the open pool at 80-110 ns per problem while capability
-# exceeds every open complexity, and at 300-380 ns otherwise. If no problem
-# resolves, a run scans horizon x (n_problems + eta_rate x dt x horizon / 2)
-# problems, so with no step capped the budget MAX_POOL_WORK on horizon x
-# (n_problems + eta_rate x dt x horizon) is about a minute and a half when
-# arrivals fill the pool and about three when the starting pool does.
+# capability exceeds every open complexity) and 8 more for the arrival
+# pre-pass's array, so about 750 MB when arrivals fill MAX_POOL. The row loop
+# scans the open pool at about 65 ns per problem on a capped row and 160-220
+# ns on an uncapped one. From the first capped row at or after the last
+# arrival that uncaps the pool, the tail costs about 0.2 us per row plus 5-8
+# ns per open problem. If no problem resolves, a run scans horizon x
+# (n_problems + eta_rate x dt x horizon / 2) problems, so with no row capped
+# the budget MAX_POOL_WORK on horizon x (n_problems + eta_rate x dt x horizon)
+# is about 50 s when arrivals fill the pool and 110 s when the starting pool
+# does; capped from the first row, the tail takes that budget in 2.5 s.
 MAX_POOL = 5 * 10**6
 MAX_POOL_WORK = 5 * 10**8
 
@@ -279,21 +287,43 @@ def _left_sum(values, total: float = 0.0) -> float:
     return total
 
 
-def _pool_draws(items: list, uniforms, thresholds, exps, mean_c: float):
-    """One step's outcome from its draws: (the `items` that stay open, the
-    list of the arrivals' complexities).
-
-    `items` runs over the open problems in creation order, `uniforms` over
-    their resolution uniforms and `thresholds` over their resolution
-    thresholds lambda * pi_i * dt. `exps` holds one standard exponential per
-    arrival and `mean_c` is the mean complexity of every problem created so
-    far: an arrival's complexity `mean_c * e` is numpy's `exponential(mean_c)`
-    bit for bit.
-    """
+def _kept(items: list, uniforms, thresholds) -> list:
+    """The `items` that stay open in one step: `items` runs over the open
+    problems in creation order, `uniforms` over their resolution uniforms and
+    `thresholds` over their resolution thresholds lambda * pi_i * dt."""
     # A uniform draw is below 1, so comparing it with lambda * pi_i * dt
     # caps that probability at 1. zip takes no uniform past the last item.
-    kept = [x for x, u, th in zip(items, uniforms, thresholds) if u >= th]
-    return kept, [mean_c * e for e in exps]
+    return [x for x, u, th in zip(items, uniforms, thresholds) if u >= th]
+
+
+def _arrivals(exps, mean_c: float) -> list:
+    """One step's arrival complexities: `exps` holds one standard exponential
+    per arrival and `mean_c` is the mean complexity of every problem created
+    so far, so `mean_c * e` is numpy's `exponential(mean_c)` bit for bit."""
+    return [mean_c * e for e in exps]
+
+
+def _capped_sizes(n: int, head: list, draw, th: float, counts):
+    """The pool sizes from a row with `n` open problems on, while every solve
+    probability is 1: each step keeps those of the next n resolution uniforms
+    that are >= th, the rule of `_kept`, and adds its arrival count from
+    `counts`. The uniforms are `head`, then the blocks of `draw(_DRAW_BLOCK)`;
+    one block's flags are held at a time."""
+    yield n
+    kept, pos = _kept_flags(head, th), 0
+    for new in counts:
+        k, end = 0, pos + n
+        while end > len(kept):  # the next n run past this block
+            k, end = k + kept.count(1, pos), end - len(kept)
+            kept, pos = _kept_flags(draw(_DRAW_BLOCK), th), 0
+        n, pos = k + kept.count(1, pos, end) + new, end
+        yield n
+
+
+def _kept_flags(uniforms, th: float) -> bytes:
+    """One byte per uniform: 1 if it is >= th, so that its problem stays open
+    as in `_kept`, else 0."""
+    return np.greater_equal(uniforms, th).tobytes()
 
 
 def pool_streams(seed: int) -> Tuple[np.random.Generator, ...]:
@@ -346,11 +376,11 @@ def step_problem_pool(
     problems, lam = pool.problems, params.lambda_align
     uniforms, counts, exps = streams
     n_new = counts.poisson(params.eta_rate * dt)
-    kept, arrivals = _pool_draws(open_ids.tolist(), uniforms.random(open_ids.size).tolist(),
-                                 [lam * p * dt for p in output.solve_probs.tolist()],
-                                 exps.standard_exponential(n_new).tolist(),
-                                 _left_sum(problems.tolist()) / problems.size
-                                 if problems.size else params.complexity_mean)
+    kept = _kept(open_ids.tolist(), uniforms.random(open_ids.size).tolist(),
+                 [lam * p * dt for p in output.solve_probs.tolist()])
+    arrivals = _arrivals(exps.standard_exponential(n_new).tolist(),
+                         _left_sum(problems.tolist()) / problems.size
+                         if problems.size else params.complexity_mean)
     is_open = np.zeros(problems.size + len(arrivals), dtype=bool)
     is_open[kept] = True
     is_open[problems.size:] = True
@@ -407,15 +437,20 @@ def run(scenario: Scenario, seed: int):
 
     The same trajectory as stepping `initial_state`, `step_problem_pool` on
     `pool_streams(seed)`, `step_knowledge` and `research_output`, without
-    their per-step objects, in two passes. The knowledge pass builds the
-    columns that never read the pool; the pool pass then keeps only the draws
-    and R. It draws every arrival count in one call and the uniforms and
-    arrival draws in blocks of `_DRAW_BLOCK`: the values the one-step API
-    draws a step at a time, as numpy gives a stream the same values in one
-    call or in many. Once capability exceeds every open complexity, every
-    solve probability is exactly 1.0, because IEEE `+` and `/` are monotone:
-    R is then lambda * n, the left-to-right sum of n ones, and each threshold
-    lambda * 1.0 * dt.
+    their per-step objects. The knowledge pass builds the columns that never
+    read the pool; the pool pass then keeps only the draws and R. It draws
+    every arrival count in one call and the uniforms and arrival draws in
+    blocks of `_DRAW_BLOCK`: the values the one-step API draws a step at a
+    time, as numpy gives a stream the same values in one call or in many.
+    Arrivals never read the pool, so a pre-pass over the steps with arrivals
+    gives each arrival's complexity and `last_bad`, the last row at which one
+    fails the capped test a_cap / (c + eps_floor) > 1.0. Once capability
+    exceeds every open complexity, every solve probability is exactly 1.0,
+    because IEEE `+` and `/` are monotone: R is then lambda * n, the
+    left-to-right sum of n ones, and each threshold lambda * 1.0 * dt. From
+    the first such row at or after `last_bad`, the row loop hands over to a
+    tail that carries only n and counts each step's kept uniforms in the
+    flags of one block of uniforms at a time.
     """
     s = scenario
     dt, eta, lam, eps = s.dt, s.eta_rate, s.lambda_align, s.eps_floor
@@ -430,26 +465,51 @@ def run(scenario: Scenario, seed: int):
     C = [marginal_ideation_cost(s.c0, s.alpha_cost, a) for a in a_caps]
     # pool pass: each stream drawn in bulk, the counts in one call
     rng_uniforms, rng_counts, rng_exps = pool_streams(seed)
-    uniforms, exps = _blocks(rng_uniforms.random), _blocks(rng_exps.standard_exponential)
-    counts = iter(rng_counts.poisson(eta * dt, s.horizon).tolist())
+    counts = rng_counts.poisson(eta * dt, s.horizon).tolist()
     open_c = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems).tolist()
-    # the count and sum of every problem ever created, added in creation order
-    n_created, total = len(open_c), _left_sum(open_c)
+    # arrival pre-pass, over the steps with arrivals: the step from row k
+    # creates counts[k] problems, open from row k + 1, scaled by the mean of
+    # every problem created before it (its count and sum, added in creation
+    # order). last_bad is the last row at which an arrival fails the capped
+    # test. A NaN arrival fails it: it needs a NaN or infinite mean, so the
+    # step's other arrivals are NaN or infinite too, max gives NaN or inf and
+    # every comparison with NaN is false.
+    exps, arrived = _blocks(rng_exps.standard_exponential), array("d")
+    n_created, total, last_bad = len(open_c), _left_sum(open_c), 0
+    for k in compress(range(s.horizon), counts):
+        new = _arrivals(islice(exps, counts[k]),
+                        total / n_created if n_created else s.complexity_mean)
+        if not a_caps[k + 1] / (max(new) + eps) > 1.0:
+            last_bad = k + 1
+        total, n_created = _left_sum(new, total), n_created + counts[k]
+        arrived.extend(new)
+    uniforms, arrived = _blocks(rng_uniforms.random), iter(arrived)
     R, sizes = [], []
-    for a_cap in a_caps:
-        if R:  # a step from the row before
-            open_c, arrivals = _pool_draws(open_c, uniforms, thresholds, islice(exps, next(counts)),
-                                           total / n_created if n_created else s.complexity_mean)
-            total = _left_sum(arrivals, total)
-            n_created += len(arrivals)
-            open_c += arrivals
+    for i, a_cap in enumerate(a_caps):
+        if i:  # a step from the row before
+            open_c = _kept(open_c, uniforms, thresholds)
+            open_c += islice(arrived, counts[i - 1])
         if not open_c or a_cap / (max(open_c) + eps) > 1.0:
+            if i >= last_bad and not any(map(math.isnan, open_c)):
+                # Every later row is capped too. Capability never falls (it adds
+                # a_growth * dt >= 0), and IEEE + and / are monotone, so a problem
+                # open here stays below capability (max gives the largest, as none
+                # is NaN), and so does every later arrival, which passes the test
+                # at the row it opens. So each solve probability stays 1.0 and the
+                # pool is only its size n, with R = lambda * n.
+                # the rest of the block begun: the row loop took sum(sizes) uniforms
+                head = list(islice(uniforms, -sum(sizes) % _DRAW_BLOCK))
+                sizes.extend(_capped_sizes(len(open_c), head, rng_uniforms.random,
+                                           lam * 1.0 * dt, islice(counts, i, None)))
+                R.extend(lam * n for n in islice(sizes, i, None))
+                break
             r, thresholds = lam * len(open_c), repeat(lam * 1.0 * dt)
         else:
             probs, r = _research(open_c, a_cap, lam, eps)[1:]
             thresholds = (lam * x * dt for x in probs)
         R.append(r)
         sizes.append(len(open_c))
+    del a_caps  # read no more: freed before the columns are built (31 MiB at 10^6 rows)
     # theta follows the threshold law on both sides of p_bar, stated apart from _uncertainty
     checks = {"mode_transition": all(x == (s.eps_resid if p >= s.p_bar else s.theta0 / (1.0 + p))
                                      for p, x in zip(P, theta)),

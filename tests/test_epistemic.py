@@ -1,6 +1,7 @@
 """Epistemic mode-transition dynamics and problem-pool behavior."""
 
 import math
+import sys
 from array import array
 from dataclasses import fields, replace
 
@@ -340,6 +341,11 @@ EDGE_CASES = {
     # capped at first; with capability held, only an arrival can uncap the pool
     "uncapped_by_arrival": Scenario(a0=3.5, a_growth=0.0, complexity_mean=1.0, n_problems=5,
                                     eta_rate=5.0, horizon=60),
+    # capped at t = 0, yet arrivals uncap the growing pool on 84 later rows, the last 364
+    "uncapped_late": Scenario(a0=4.0, a_growth=0.02, complexity_mean=1.0, eta_rate=5.0,
+                              horizon=400, n_problems=5),
+    # capped from row 146 on: the tail reads about 59 blocks of uniforms
+    "long_capped_tail": Scenario(horizon=3000, eta_rate=20.0),
 }
 
 
@@ -368,6 +374,91 @@ def test_capped_edge_cases_take_the_path_they_name(monkeypatch):
     assert 0 < steps["uncapped_by_arrival"] < 61
     # that last run is capped at t = 0, where R is lambda * n_problems
     assert columns[6][0] == EDGE_CASES["uncapped_by_arrival"].lambda_align * 5
+
+
+def test_the_capped_tail_starts_at_the_first_row_it_may(monkeypatch):
+    """`run` carries only the pool's size from the first capped row on which
+    no later arrival can uncap the pool: on the edge cases, the row after the
+    last uncapped one (364 and 145), or none if the last row is uncapped."""
+    capped_sizes, starts = epistemic._capped_sizes, []
+
+    def tail(*args):
+        sizes = list(capped_sizes(*args))
+        starts.append(len(sizes))
+        return sizes
+
+    monkeypatch.setattr(epistemic, "_capped_sizes", tail)
+    expected = {"capped_from_start": [0], "never_capped": [], "uncapped_by_arrival": [],
+                "uncapped_late": [365], "long_capped_tail": [146]}
+    for name, first in expected.items():
+        starts.clear()
+        run(EDGE_CASES[name], seed=11)
+        assert [EDGE_CASES[name].horizon + 1 - n for n in starts] == first
+
+
+class _FirstExponentialZero:
+    """Stream 3 with its first standard exponential replaced by 0.0. Under an
+    infinite mean complexity that arrival's complexity is inf * 0.0 = NaN, and
+    every later one is NaN too. numpy draws 0.0 with probability about 2**-53,
+    so no scenario file reaches it."""
+
+    def __init__(self, gen):
+        self.gen, self.zeroed = gen, False
+
+    def standard_exponential(self, n):
+        draws = self.gen.standard_exponential(n)
+        if n and not self.zeroed:
+            draws[0], self.zeroed = 0.0, True
+        return draws
+
+
+def _row_by_row_pool(s: Scenario, seed: int):
+    """R and the pool size of each row as `run` takes them without a capped
+    tail: the capped test on the max of the open complexities at every row,
+    the draws a step at a time from `epistemic.pool_streams`."""
+    uniforms, counts, exps = epistemic.pool_streams(seed)
+    open_c = make_generator(seed, 0).exponential(s.complexity_mean, s.n_problems).tolist()
+    created, a_cap, R, sizes = list(open_c), s.a0, [], []
+    for k in range(s.horizon + 1):
+        if k:
+            open_c = epistemic._kept(open_c, uniforms.random(len(open_c)).tolist(), thresholds)
+            mean_c = epistemic._left_sum(created) / len(created) if created else s.complexity_mean
+            new = epistemic._arrivals(
+                exps.standard_exponential(counts.poisson(s.eta_rate * s.dt)).tolist(), mean_c)
+            created += new
+            open_c += new
+            a_cap += s.a_growth * s.dt
+        if not open_c or a_cap / (max(open_c) + s.eps_floor) > 1.0:
+            probs = [1.0] * len(open_c)
+            R.append(s.lambda_align * len(open_c))
+        else:
+            probs, r = epistemic._research(open_c, a_cap, s.lambda_align, s.eps_floor)[1:]
+            R.append(r)
+        thresholds = [s.lambda_align * p * s.dt for p in probs]
+        sizes.append(len(open_c))
+    return R, sizes
+
+
+def test_an_open_nan_complexity_keeps_the_run_row_by_row(monkeypatch):
+    """max over a list holding a NaN depends on where the NaN sits, so a row
+    may pass the capped test with a NaN open behind a finite complexity; a
+    later row with the NaN first fails it, and its R is NaN. The tail must
+    not start while a NaN is open. Here the three starting complexities sum
+    past the largest float, so the first arrival is NaN and, with the pool
+    capped behind the finite ones, outlives them (rows 15 to 17)."""
+    streams = epistemic.pool_streams
+
+    def nan_streams(seed):
+        uniforms, counts, exps = streams(seed)
+        return uniforms, counts, _FirstExponentialZero(exps)
+
+    monkeypatch.setattr(epistemic, "pool_streams", nan_streams)
+    s = Scenario(a0=sys.float_info.max, a_growth=0.0, complexity_mean=1e308, n_problems=3,
+                 eta_rate=0.5, dt=0.5, lambda_align=0.5, horizon=30, alpha_prod=0.0)
+    (_, columns), _ = run(s, 218)
+    R, sizes = _row_by_row_pool(s, 218)
+    assert repr(columns[6]) == repr(R) and columns[7] == sizes
+    assert [i for i, r in enumerate(R) if math.isnan(r)] == [17]
 
 
 def test_run_matches_the_one_step_api_on_random_scenarios():
@@ -524,6 +615,15 @@ def test_a_cost_at_theta_star_is_not_inverted():
 def test_a_ratio_of_exactly_one_is_not_clamped():
     out = research_output(ProblemPool(problems=[1.0]), EpistemicParams(eps_floor=1.0), a_cap=2.0)
     assert out.solve_probs.tolist() == [1.0] and out.clamped == 0
+
+
+def test_a_uniform_equal_to_its_threshold_keeps_its_problem_open():
+    """A problem resolves when its uniform is below lambda * pi * dt, so with
+    probability exactly that on the uniforms' grid of multiples of 2**-53: a
+    uniform equal to the threshold keeps it open, in a step of the row loop
+    and in the capped tail's flags."""
+    assert epistemic._kept([1.0, 2.0, 3.0], [0.5, 0.25, 0.75], [0.5] * 3) == [1.0, 3.0]
+    assert epistemic._kept_flags([0.5, 0.25, 0.75], 0.5) == b"\x01\x00\x01"
 
 
 _AT_SLACK = 0.5 - 1e-15

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from emt_lab import NumericError, dynprog
+from emt_lab import InputError, NumericError, dynprog
 from emt_lab._params import float_array
 from emt_lab.cli import main
 from emt_lab.runner import _json_text, _tail_start, _write_artifact
@@ -193,12 +193,13 @@ def test_float_array_is_np_asarray_bit_for_bit(values):
 
 
 def test_float_array_rejects_a_ragged_list_as_np_asarray_does():
+    """With np.asarray's message, after the name of the array."""
     values = [[0.5, 1.0], [1.0]]
     with pytest.raises(ValueError) as want:
         np.asarray(values, dtype=float)
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(InputError) as got:
         float_array("x", values)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"x: {want.value}"
 
 
 @pytest.mark.parametrize("module, key, value", [
@@ -212,7 +213,7 @@ def test_cli_ragged_number_array_is_a_config_error(module, key, value, tmp_path,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(minimal(module=module, params={key: value})))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith(f"config error: params: {key}: ")
     assert not (tmp_path / "out").exists()
 
 
